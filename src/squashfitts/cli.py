@@ -188,11 +188,15 @@ def _parse_pointing_csv(text: str):
                         f"got {','.join(header)}")]
     trials = []
     for idx, cells in enumerate(rows[1:], start=2):
+        if len(cells) != len(POINTING_COLUMNS):
+            errors.append((idx, f"expected {len(POINTING_COLUMNS)} cells, "
+                                f"got {len(cells)}"))
+            continue
         try:
             trials.append(PointingTrial(amplitude=float(cells[0]),
                                         width=float(cells[1]),
                                         movement_time_s=float(cells[2])))
-        except (ValueError, IndexError, SquashFittsError) as exc:
+        except (ValueError, SquashFittsError) as exc:
             errors.append((idx, str(exc)))
     return trials, errors
 

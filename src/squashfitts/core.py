@@ -229,8 +229,10 @@ def validate_against_court(record: TrialRecord,
     if not lo <= v <= hi:
         warnings.append(
             f"ball speed {v:.2f} m/s outside plausible band [{lo:g}, {hi:g}] m/s")
-    if v * player_m <= 1.0:
+    vd = v * player_m
+    if vd <= 1.0:
+        id_bits = math.log2(vd) if vd > 0.0 else -math.inf
         warnings.append(
-            f"v*D = {v * player_m:.4f} <= 1 gives non-positive difficulty "
-            f"({math.log2(v * player_m):.4f} bits)")
+            f"v*D = {vd:.4f} <= 1 gives non-positive difficulty "
+            f"({id_bits:.4f} bits)")
     return warnings

@@ -33,6 +33,10 @@ DERIVED_DECIMALS = 6
 
 _BUNDLED_RESOURCE = "squash_trials.csv"
 
+#: Number of trials in the bundled reference dataset (3 persons x 4 shots
+#: x 3 trials); lets callers rule out the bundled data without parsing it.
+BUNDLED_TRIALS = 36
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -100,6 +104,32 @@ def _parse_positive_float(cell: str, column: str, row: int, errors) -> float | N
     return value
 
 
+def _records(text: str) -> list:
+    """CSV records of text; a record the csv module rejects (say, a cell
+    over its field size limit) is kept as the csv.Error in its place."""
+    reader = csv.reader(io.StringIO(text))
+    records = []
+    while True:
+        try:
+            records.extend(reader)  # keeps the records read before an error
+            return records
+        except csv.Error as exc:
+            records.append(exc)
+
+
+def _underivable(record: TrialRecord) -> tuple[str, str] | None:
+    """(column, message) when the trial's speed or difficulty is not a
+    finite number (the measurements overflow or underflow), else None."""
+    v = (record.ball_distance_cm / 100.0) / record.ball_time_s  # as ball_speed
+    if not (math.isfinite(v) and v > 0.0):
+        return ("v_mps", f"derived ball speed must be finite and > 0, got {v!r}")
+    vd = v * (record.player_distance_cm / 100.0)
+    if not (math.isfinite(vd) and vd > 0.0):
+        return ("id_bits", f"v*D must be finite and > 0 for a finite "
+                           f"difficulty, got {vd!r}")
+    return None
+
+
 def parse_csv(text: str, metadata: dict[str, str] | None = None,
               geometry: CourtGeometry = DEFAULT_COURT,
               ) -> tuple[Dataset, ValidationReport]:
@@ -110,13 +140,17 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     reach, speed band, non-positive difficulty) are attached per row.
     """
     report = ValidationReport()
-    rows = list(csv.reader(io.StringIO(text)))
-    while rows and not any(cell.strip() for cell in rows[-1]):
+    rows = _records(text)
+    while rows and isinstance(rows[-1], list) \
+            and not any(cell.strip() for cell in rows[-1]):
         rows.pop()
     if not rows:
         report.errors.append((0, "header", "no header: input is empty"))
         return Dataset(trials=()), report
 
+    if isinstance(rows[0], csv.Error):
+        report.errors.append((1, "header", str(rows[0])))
+        return Dataset(trials=()), report
     header = [cell.strip() for cell in rows[0]]
     ncols = len(header)
     header_ok = True
@@ -143,6 +177,9 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     trials: list[TrialRecord] = []
     seen: dict[tuple, int] = {}
     for idx, cells in enumerate(rows[1:], start=2):
+        if isinstance(cells, csv.Error):
+            report.errors.append((idx, "row", str(cells)))
+            continue
         if not any(cell.strip() for cell in cells):
             continue
         if len(cells) != ncols:
@@ -170,10 +207,14 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
                 (idx, "trial", f"duplicate trial key {(person, str(shot), trial)} "
                                f"first seen at row {seen[key]}"))
             continue
-        seen[key] = idx
         record = TrialRecord(person_id=person, shot=shot, trial_index=trial,
                              ball_distance_cm=db, ball_time_s=t,
                              player_distance_cm=dp, movement_time_s=mt)
+        derived_error = _underivable(record)
+        if derived_error:
+            report.errors.append((idx, *derived_error))
+            continue
+        seen[key] = idx
         for warning in validate_against_court(record, geometry):
             report.warnings.append((idx, warning))
         trials.append(record)

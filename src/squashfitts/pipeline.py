@@ -19,10 +19,13 @@ printed coefficients. (On the bundled data: excluding drives does,
 on both bases.)
 """
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring
 
 from .core import DerivedTrial, ShotKind, derive_trial
-from .dataset import Dataset, bundled_dataset
+from .dataset import BUNDLED_TRIALS, Dataset, bundled_dataset
 from .errors import DegenerateDesignError, UsageError
 from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
                         PUBLISHED_TREND_INTERCEPT, PUBLISHED_TREND_SLOPE,
@@ -105,6 +108,12 @@ class ReportDocument:
     subset_fits: dict
     per_shot_fits: dict
     reference_notes: FittsReference = field(default=FITTS_REFERENCE)
+
+    @cached_property
+    def cross_checks(self) -> dict:
+        """build_cross_checks of this run, computed once and shared by the
+        JSON report and the summary (so callers must not mutate it)."""
+        return build_cross_checks(self)
 
 
 def _canonical(trials) -> list[DerivedTrial]:
@@ -197,6 +206,8 @@ def _fit_dict(fit: LinearFit) -> dict:
 
 
 def _is_bundled(report: ReportDocument) -> bool:
+    if len(report.derived_table) != BUNDLED_TRIALS:
+        return False
     ours = {t.base.key: t.base for t in report.derived_table}
     theirs = {t.key: t for t in bundled_dataset().trials}
     return ours == theirs
@@ -382,10 +393,22 @@ def _group_dict(g: GroupStats) -> dict:
     }
 
 
-def report_document_dict(report: ReportDocument) -> dict:
-    """ReportDocument as a JSON-ready dict with stable key order, full
-    precision plus 2-decimal display values, and the cross-check block."""
-    doc = {
+def _trial_dict(t: DerivedTrial) -> dict:
+    return {
+        "person": t.person_id, "shot": t.shot.value, "trial": t.trial_index,
+        "db_cm": t.base.ball_distance_cm, "t_s": t.base.ball_time_s,
+        "dp_cm": t.base.player_distance_cm, "mt_s": t.base.movement_time_s,
+        "v_mps": t.ball_speed_mps, "id_bits": t.id_bits,
+        "ir_bps": t.info_rate_bps,
+        "display": {"v_mps": round(t.ball_speed_mps, 2),
+                    "id_bits": round(t.id_bits, 2),
+                    "ir_bps": round(t.info_rate_bps, 2)},
+    }
+
+
+def _head_dict(report: ReportDocument) -> dict:
+    """Top-level blocks of the report that precede the per-row arrays."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "generator": "squashfitts",
         "options": {
@@ -399,23 +422,12 @@ def report_document_dict(report: ReportDocument) -> dict:
             "n_trials": len(report.derived_table),
             "metadata": dict(sorted(report.dataset_metadata.items())),
         },
-        "derived_trials": [
-            {
-                "person": t.person_id, "shot": t.shot.value, "trial": t.trial_index,
-                "db_cm": t.base.ball_distance_cm, "t_s": t.base.ball_time_s,
-                "dp_cm": t.base.player_distance_cm, "mt_s": t.base.movement_time_s,
-                "v_mps": t.ball_speed_mps, "id_bits": t.id_bits,
-                "ir_bps": t.info_rate_bps,
-                "display": {"v_mps": round(t.ball_speed_mps, 2),
-                            "id_bits": round(t.id_bits, 2),
-                            "ir_bps": round(t.info_rate_bps, 2)},
-            }
-            for t in report.derived_table
-        ],
-        "group_stats": {
-            "person_shot": [_group_dict(g) for g in report.per_person_shot_stats],
-            "shot": [_group_dict(g) for g in report.per_shot_stats],
-        },
+    }
+
+
+def _tail_dict(report: ReportDocument) -> dict:
+    """Top-level blocks of the report that follow the per-row arrays."""
+    return {
         "fits": {
             "overall": dict(_fit_dict(report.overall_fit),
                             subset=report.options.overall_subset),
@@ -429,15 +441,130 @@ def report_document_dict(report: ReportDocument) -> dict:
             "sd_bps": report.reference_notes.sd_throughput_bps,
             "note": "classic reciprocal-tapping benchmark, shown for context",
         },
-        "cross_checks": build_cross_checks(report),
+        "cross_checks": report.cross_checks,
     }
-    return doc
+
+
+def report_document_dict(report: ReportDocument) -> dict:
+    """ReportDocument as a JSON-ready dict with stable key order, full
+    precision plus 2-decimal display values, and the cross-check block."""
+    return {
+        **_head_dict(report),
+        "derived_trials": [_trial_dict(t) for t in report.derived_table],
+        "group_stats": {
+            "person_shot": [_group_dict(g) for g in report.per_person_shot_stats],
+            "shot": [_group_dict(g) for g in report.per_shot_stats],
+        },
+        **_tail_dict(report),
+    }
+
+
+# Row templates of the per-row arrays, laid out exactly as
+# json.dumps(indent=2) lays out _trial_dict and _group_dict at their depth.
+_TRIAL_ROW = """\
+    {
+      "person": %s,
+      "shot": %s,
+      "trial": %s,
+      "db_cm": %s,
+      "t_s": %s,
+      "dp_cm": %s,
+      "mt_s": %s,
+      "v_mps": %s,
+      "id_bits": %s,
+      "ir_bps": %s,
+      "display": {
+        "v_mps": %s,
+        "id_bits": %s,
+        "ir_bps": %s
+      }
+    }"""
+
+_GROUP_ROW = """\
+      {
+        "group": %s,
+        "person_id": %s,
+        "shot": %s,
+        "n": %s,
+        "mean_id": %s,
+        "sd_id": %s,
+        "mean_mt": %s,
+        "sd_mt": %s,
+        "mean_ir": %s,
+        "display": {
+          "mean_id": %s,
+          "sd_id": %s,
+          "mean_mt": %s,
+          "sd_mt": %s,
+          "mean_ir": %s
+        }
+      }"""
+
+def _num(x: float) -> str:
+    """A float spelled as the json module spells it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _trial_json(t: DerivedTrial) -> str:
+    b = t.base
+    v, idb, ir = t.ball_speed_mps, t.id_bits, t.info_rate_bps
+    return _TRIAL_ROW % (
+        b.person_id, encode_basestring(b.shot.value), b.trial_index,
+        _num(b.ball_distance_cm), _num(b.ball_time_s),
+        _num(b.player_distance_cm), _num(b.movement_time_s),
+        _num(v), _num(idb), _num(ir),
+        _num(round(v, 2)), _num(round(idb, 2)), _num(round(ir, 2)))
+
+
+def _group_json(g: GroupStats) -> str:
+    person, shot = g.key.person_id, g.key.shot
+    return _GROUP_ROW % (
+        encode_basestring(str(g.key)),
+        "null" if person is None else person,
+        encode_basestring(shot.value) if shot else "null",
+        g.n,
+        _num(g.mean_id), _num(g.sd_id), _num(g.mean_mt), _num(g.sd_mt),
+        _num(g.mean_ir),
+        _num(round(g.mean_id, 2)), _num(round(g.sd_id, 2)),
+        _num(round(g.mean_mt, 2)), _num(round(g.sd_mt, 2)),
+        _num(round(g.mean_ir, 2)))
+
+
+def _array(rows: list[str], indent: str) -> str:
+    """A JSON array of already-rendered rows, closed at indent."""
+    if not rows:
+        return "[]"
+    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
 
 
 def render_report_json(report: ReportDocument) -> str:
-    """Deterministic JSON rendering (byte-identical for identical runs)."""
-    return json.dumps(report_document_dict(report), indent=2,
-                      ensure_ascii=False) + "\n"
+    """Deterministic JSON rendering (byte-identical for identical runs).
+
+    The output is exactly json.dumps(report_document_dict(report),
+    indent=2, ensure_ascii=False) + "\n". The small blocks still go
+    through the json module; the per-row arrays, which hold almost all
+    the bytes, are written from fixed row templates, because indent=
+    forces the json module's pure-Python encoder.
+    """
+    head = json.dumps(_head_dict(report), indent=2, ensure_ascii=False)
+    tail = json.dumps(_tail_dict(report), indent=2, ensure_ascii=False)
+    return "".join((
+        head[:-2],  # drop the closing "\n}"
+        ',\n  "derived_trials": ',
+        _array([_trial_json(t) for t in report.derived_table], "  "),
+        ',\n  "group_stats": {\n    "person_shot": ',
+        _array([_group_json(g) for g in report.per_person_shot_stats], "    "),
+        ',\n    "shot": ',
+        _array([_group_json(g) for g in report.per_shot_stats], "    "),
+        "\n  },",
+        tail[1:],  # drop the opening "{"
+        "\n"))
 
 
 def summarize_report(report: ReportDocument) -> str:
@@ -454,7 +581,7 @@ def summarize_report(report: ReportDocument) -> str:
         pf = report.per_shot_fits[kind]
         lines.append(f"  {kind.value:5s}: slope {pf.slope:+.3f}  "
                      f"(r={pf.pearson_r:+.3f}, n={pf.n})")
-    checks = build_cross_checks(report)
+    checks = report.cross_checks
     if not checks.get("applicable"):
         lines.append("cross-checks: not applicable (non-bundled dataset)")
         return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from squashfitts import ols_simple
+from squashfitts import ols_simple, pipeline
 from squashfitts.cli import main
 from squashfitts.dataset import REQUIRED_COLUMNS
 
@@ -45,6 +45,14 @@ class TestValidate:
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["validate", "--input", str(tmp_path / "nope.csv")]) == 2
+
+    def test_infinite_speed_fails_validate_and_report(self, tmp_path, capsys):
+        p = tmp_path / "inf_speed.csv"
+        p.write_text(VALID_HEADER + "\n" + GOOD_ROW + "\n"
+                     "1,Drive,2,1e308,1e-308,374,1.22\n")
+        assert main(["validate", "--input", str(p)]) == 1
+        assert "row 3, column 'v_mps'" in capsys.readouterr().err
+        assert main(["report", "--input", str(p)]) == 1
 
 
 class TestDerive:
@@ -141,6 +149,15 @@ class TestFit:
         p.write_text("amplitude,width,mt_s\n2,1,0.5\n2,1,0.6\n2,1,0.7\n")
         assert main(["fit", "--model", "fitts", "--input", str(p)]) == 1
 
+    @pytest.mark.parametrize("row,cells", [("2,1", 2), ("2,1,0.5,9", 4)])
+    def test_pointing_row_with_wrong_cell_count(self, tmp_path, capsys,
+                                                row, cells):
+        p = tmp_path / "pointing.csv"
+        p.write_text(f"amplitude,width,mt_s\n2,1,0.5\n{row}\n4,1,0.7\n")
+        assert main(["fit", "--model", "fitts", "--input", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: row 3: expected 3 cells, got {cells}\n"
+
     def test_squash_fit_works_without_all_four_shots(self, good_csv, capsys):
         # the file holds one drive and one drop; fit must not demand lobs
         assert main(["fit", "--model", "squash",
@@ -205,6 +222,16 @@ class TestReport:
     def test_non_positive_tolerance_exits_two(self, capsys):
         assert main(["report", "--input", "bundled",
                      "--tolerance", "0"]) == 2
+
+    def test_cross_checks_built_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        build = pipeline.build_cross_checks
+        monkeypatch.setattr(pipeline, "build_cross_checks",
+                            lambda doc: calls.append(doc) or build(doc))
+        assert main(["report", "--input", "bundled",
+                     "--output", str(tmp_path / "report.json")]) == 0
+        assert "cross-check" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_idempotent(self, capsys):
         assert main(["report", "--input", "bundled"]) == 0

@@ -212,3 +212,8 @@ class TestValidateAgainstCourt:
         warnings = validate_against_court(rec)
         assert any("non-positive difficulty" in w for w in warnings)
         assert derive_trial(rec).id_bits < 0  # still derivable
+
+    def test_zero_speed_warns_without_raising(self):
+        rec = TrialRecord(1, ShotKind.DROP, 1, 5e-324, 1e308, 100, 1.0)
+        warnings = validate_against_court(rec)
+        assert any("-inf bits" in w for w in warnings)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import csv
 import random
 
 import pytest
 
 from squashfitts import (Dataset, ShotKind, TrialRecord, UsageError,
                          derive_trial, parse_csv, write_csv)
-from squashfitts.dataset import DERIVED_COLUMNS, REQUIRED_COLUMNS, bundled_text
+from squashfitts.dataset import (BUNDLED_TRIALS, DERIVED_COLUMNS,
+                                 REQUIRED_COLUMNS, bundled_text)
 
 import oracles
 
@@ -15,7 +17,7 @@ VALID_HEADER = ",".join(REQUIRED_COLUMNS)
 
 class TestBundledDataset:
     def test_shape(self, bundled):
-        assert len(bundled) == 36
+        assert len(bundled) == BUNDLED_TRIALS == 36
         assert {t.person_id for t in bundled.trials} == {1, 2, 3}
         per_person_shot = {}
         for t in bundled.trials:
@@ -146,6 +148,31 @@ class TestParseCsv:
             junk = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 120)))
             dataset, report = parse_csv(junk)  # must never raise
             assert report.ok or report.errors
+
+    @pytest.mark.parametrize("db_cm,t_s,dp_cm,column", [
+        ("5e-324", "1e308", "374", "v_mps"),   # speed underflows to 0
+        ("1e308", "1e-308", "374", "v_mps"),   # speed overflows to inf
+        ("1e-300", "1", "1e-300", "id_bits"),  # v*D underflows to 0
+        ("1e308", "1", "1e308", "id_bits"),    # v*D overflows to inf
+    ])
+    def test_underivable_speed_or_difficulty_is_row_error(
+            self, db_cm, t_s, dp_cm, column):
+        text = (VALID_HEADER + f"\n1,Drive,1,{db_cm},{t_s},{dp_cm},1.22\n"
+                "1,Drive,2,586,0.197,374,1.22\n")
+        dataset, report = parse_csv(text)
+        assert [(row, col) for row, col, _ in report.errors] == [(2, column)]
+        assert [t.trial_index for t in dataset.trials] == [2]
+        derive_trial(dataset.trials[0])
+
+    def test_oversized_cell_is_row_error(self):
+        limit = csv.field_size_limit()
+        text = (VALID_HEADER + "\n1,Drive,1,586,0.197,374," + "1" * 200_000
+                + "\n1,Drive,2,586,0.197,374,1.22\n")
+        dataset, report = parse_csv(text)
+        assert report.errors == [
+            (2, "row", f"field larger than field limit ({limit})")]
+        assert [t.trial_index for t in dataset.trials] == [2]
+        assert csv.field_size_limit() == limit
 
 
 class TestWriteCsv:

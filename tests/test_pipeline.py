@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
-from squashfitts import (AnalysisOptions, Dataset, ShotKind, UsageError,
-                         build_cross_checks, figure_series, ols_simple,
-                         render_report_json, run_analysis)
+from squashfitts import (AnalysisOptions, Dataset, ShotKind, TrialRecord,
+                         UsageError, build_cross_checks, figure_series,
+                         ols_simple, render_report_json, run_analysis)
+from squashfitts import pipeline
 
 import oracles
 
@@ -155,11 +158,14 @@ class TestCrossChecks:
             oracles.FROZEN_EXCL_DRIVE_PUB[1], abs=1e-9)
         assert block["candidates"]["all/recomputed"]["match"] is False
 
-    def test_not_applicable_for_other_data(self, bundled):
+    def test_not_applicable_for_other_data(self, bundled, monkeypatch):
+        changed = replace(bundled.trials[0], movement_time_s=1.5)
+        same_size = Dataset(trials=(changed,) + bundled.trials[1:])
+        assert build_cross_checks(run_analysis(same_size))["applicable"] is False
+        # a table of another size is ruled out without loading the bundled one
+        monkeypatch.setattr(pipeline, "bundled_dataset", None)
         subset = Dataset(trials=bundled.trials[:12])
-        doc = run_analysis(subset)
-        checks = build_cross_checks(doc)
-        assert checks["applicable"] is False
+        assert build_cross_checks(run_analysis(subset))["applicable"] is False
 
 
 class TestRenderReport:
@@ -200,3 +206,54 @@ class TestRenderReport:
         doc = run_analysis(bundled, AnalysisOptions(subset_scan=False))
         rendered = json.loads(render_report_json(doc))
         assert rendered["fits"]["single_shot_excluded"] == {}
+
+    @pytest.mark.parametrize("case", [
+        "bundled", "bundled_exclude_drive", "no_subset_scan", "many_persons",
+        "escaped_metadata", "non_finite_rates", "empty_groups"])
+    def test_matches_json_module_byte_for_byte(self, bundled, case):
+        doc = _RENDER_CASES[case](bundled)
+        want = json.dumps(pipeline.report_document_dict(doc), indent=2,
+                          ensure_ascii=False) + "\n"
+        assert render_report_json(doc) == want
+        if case == "non_finite_rates":
+            assert all(s in want for s in ("NaN", " Infinity", "-Infinity"))
+
+
+def _synthetic(seed: int, persons: int, trials: int) -> Dataset:
+    rng = random.Random(seed)
+    return Dataset(trials=tuple(
+        TrialRecord(person, kind, trial, rng.uniform(300.0, 900.0),
+                    rng.uniform(0.05, 0.5), rng.uniform(100.0, 600.0),
+                    rng.uniform(0.3, 2.0))
+        for person in range(1, persons + 1) for kind in ShotKind
+        for trial in range(1, trials + 1)))
+
+
+def _non_finite_rates(bundled):
+    """IR overflows to +inf (a drive) and to -inf (a drop with v*D < 1);
+    one more trial is hand-set to a NaN IR."""
+    trials = list(_synthetic(7, persons=2, trials=3).trials)
+    trials[0] = replace(trials[0], movement_time_s=5e-324)
+    drop = trials.index(next(t for t in trials if t.shot is ShotKind.DROP))
+    trials[drop] = replace(trials[drop], ball_distance_cm=50.0, ball_time_s=1.0,
+                           player_distance_cm=100.0, movement_time_s=5e-324)
+    doc = run_analysis(Dataset(trials=tuple(trials)))
+    last = replace(doc.derived_table[-1], info_rate_bps=float("nan"))
+    return replace(doc, derived_table=doc.derived_table[:-1] + (last,))
+
+
+_RENDER_CASES = {
+    "bundled": run_analysis,
+    "bundled_exclude_drive": lambda b: run_analysis(
+        b, AnalysisOptions(exclude_shots=frozenset({"drive"}))),
+    "no_subset_scan": lambda b: run_analysis(
+        b, AnalysisOptions(subset_scan=False)),
+    "many_persons": lambda b: run_analysis(_synthetic(11, persons=60, trials=2)),
+    "escaped_metadata": lambda b: run_analysis(Dataset(
+        trials=b.trials, metadata={"source": 'café "π" \\ x.csv',
+                                   "note\u2028": "tab\tline\nend\x00"})),
+    "non_finite_rates": _non_finite_rates,
+    "empty_groups": lambda b: replace(
+        run_analysis(_synthetic(3, persons=1, trials=3)),
+        per_person_shot_stats=(), per_shot_stats=()),
+}

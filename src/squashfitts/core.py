@@ -48,13 +48,19 @@ class ShotKind(Enum):
         drive/drop/lob/boast is an error."""
         if isinstance(label, ShotKind):
             return label
-        cleaned = str(label).strip().lower()
-        for kind in cls:
-            if kind.value.lower() == cleaned:
-                return kind
-        valid = ", ".join(k.value for k in cls)
-        raise DomainError(f"unknown shot label {label!r} (expected one of: {valid})",
-                          field="shot")
+        kind = _SHOT_LABELS.get(str(label).strip().lower())
+        if kind is None:
+            valid = ", ".join(k.value for k in cls)
+            raise DomainError(f"unknown shot label {label!r} (expected one of: {valid})",
+                              field="shot")
+        return kind
+
+
+#: Lower-cased label -> kind, for ShotKind.parse.
+_SHOT_LABELS = {kind.value.lower(): kind for kind in ShotKind}
+
+#: Kind -> position in the canonical presentation order.
+_SHOT_ORDER = {kind: i for i, kind in enumerate(ShotKind)}
 
 
 def _require_positive(value: float, name: str) -> float:
@@ -191,6 +197,14 @@ def information_rate(id_bits: float, movement_time_s: float) -> float:
     return float(id_bits) / mt
 
 
+def speed_and_product(record: TrialRecord) -> tuple[float, float]:
+    """(v, v*D) of a trial: ball speed in m/s, as :func:`ball_speed`
+    computes it, and its product with the player distance in meters,
+    whose log2 is the difficulty. Either may overflow or underflow."""
+    v = (record.ball_distance_cm / 100.0) / record.ball_time_s
+    return v, v * (record.player_distance_cm / 100.0)
+
+
 def derive_trial(record: TrialRecord) -> DerivedTrial:
     """Derive speed, difficulty and information rate for one trial.
 
@@ -198,6 +212,20 @@ def derive_trial(record: TrialRecord) -> DerivedTrial:
     errors from the component operations are re-raised annotated with the
     trial key.
     """
+    # Where v, v*D, t and MT are all finite and > 0, the component
+    # operations would accept the trial and compute exactly this; otherwise
+    # they judge it. A validated record can only fail on v or v*D
+    try:
+        v, vd = speed_and_product(record)
+        mt = record.movement_time_s
+        in_range = (0.0 < v < math.inf and 0.0 < vd < math.inf
+                    and record.ball_time_s > 0.0 and 0.0 < mt < math.inf)
+    except TypeError:  # a field that is not a number
+        in_range = False
+    if in_range:
+        idb = math.log2(vd)
+        return DerivedTrial(base=record, ball_speed_mps=v, id_bits=idb,
+                            info_rate_bps=idb / mt)
     try:
         v = ball_speed(record.ball_distance_cm, record.ball_time_s)
         idb = index_of_difficulty(v, record.player_distance_cm / 100.0)
@@ -224,12 +252,11 @@ def validate_against_court(record: TrialRecord,
     if player_m > reach:
         warnings.append(
             f"player_distance {player_m:.2f} m exceeds court reach {reach:.2f} m")
-    v = ball_speed(record.ball_distance_cm, record.ball_time_s)
+    v, vd = speed_and_product(record)
     lo, hi = speed_band
     if not lo <= v <= hi:
         warnings.append(
             f"ball speed {v:.2f} m/s outside plausible band [{lo:g}, {hi:g}] m/s")
-    vd = v * player_m
     if vd <= 1.0:
         id_bits = math.log2(vd) if vd > 0.0 else -math.inf
         warnings.append(

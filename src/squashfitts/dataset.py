@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .core import (CourtGeometry, DEFAULT_COURT, ShotKind, TrialRecord,
-                   derive_trial, validate_against_court)
+                   derive_trial, speed_and_product, validate_against_court)
 from .errors import DomainError, UsageError
 
 REQUIRED_COLUMNS = ("person", "shot", "trial", "db_cm", "t_s", "dp_cm", "mt_s")
@@ -120,10 +120,9 @@ def _records(text: str) -> list:
 def _underivable(record: TrialRecord) -> tuple[str, str] | None:
     """(column, message) when the trial's speed or difficulty is not a
     finite number (the measurements overflow or underflow), else None."""
-    v = (record.ball_distance_cm / 100.0) / record.ball_time_s  # as ball_speed
+    v, vd = speed_and_product(record)
     if not (math.isfinite(v) and v > 0.0):
         return ("v_mps", f"derived ball speed must be finite and > 0, got {v!r}")
-    vd = v * (record.player_distance_cm / 100.0)
     if not (math.isfinite(vd) and vd > 0.0):
         return ("id_bits", f"v*D must be finite and > 0 for a finite "
                            f"difficulty, got {vd!r}")
@@ -137,9 +136,12 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
 
     Returns every successfully parsed trial even when other rows fail;
     callers gate analysis on ``report.ok``. Plausibility warnings (court
-    reach, speed band, non-positive difficulty) are attached per row.
+    reach, speed band, non-positive difficulty) are attached per row. One
+    leading byte order mark (U+FEFF) is skipped.
     """
     report = ValidationReport()
+    if text.startswith("\ufeff"):  # a UTF-8 byte order mark, as spreadsheets write
+        text = text[1:]
     rows = _records(text)
     while rows and isinstance(rows[-1], list) \
             and not any(cell.strip() for cell in rows[-1]):

@@ -1,8 +1,9 @@
 """End-to-end analysis: derive, group, fit, cross-check, render.
 
 The pipeline is a pure function of (dataset, options). Trials are put in
-canonical order (person, shot, trial) on entry, so every reported number
-is invariant under permutation of the input rows.
+canonical order (person, shot, trial), and every sum is a correctly
+rounded math.fsum, so every reported number is invariant under
+permutation of the input rows.
 
 Cross-checks compare the run against the values published with the
 bundled reference dataset and are only attached when the analyzed trials
@@ -22,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from json.encoder import encode_basestring
 
 from .core import DerivedTrial, ShotKind, derive_trial
@@ -30,8 +32,8 @@ from .errors import DegenerateDesignError, UsageError
 from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
                         PUBLISHED_TREND_INTERCEPT, PUBLISHED_TREND_SLOPE,
                         STATS_TOLERANCE, published_rows)
-from .stats import (GroupStats, LinearFit, group_stats, mean, ols_simple,
-                    population_sd)
+from .stats import (GroupStats, LinearFit, cell_order, cell_stats, fit_columns,
+                    mean, ols_simple, population_sd)
 from .variants import FITTS_REFERENCE, FittsReference
 
 SCHEMA_VERSION = "1.0"
@@ -44,8 +46,6 @@ FIGURES = {
     7: ("fig7_lobs", ShotKind.LOB),
     8: ("fig8_drops", ShotKind.DROP),
 }
-
-_SHOT_ORDER = {kind: i for i, kind in enumerate(ShotKind)}
 
 #: Published qualitative slope signs of the per-shot MT-vs-ID lines.
 EXPECTED_SLOPE_SIGNS = {
@@ -116,49 +116,80 @@ class ReportDocument:
         return build_cross_checks(self)
 
 
-def _canonical(trials) -> list[DerivedTrial]:
-    return sorted(trials, key=lambda t: (t.person_id, _SHOT_ORDER[t.shot],
-                                         t.trial_index))
+_TRIAL_INDEX = attrgetter("base.trial_index")
+
+
+def _joined(by_shot: dict, kinds) -> tuple[list[float], list[float]]:
+    """The (ids, mts) columns of the given shots, concatenated."""
+    xs, ys = [], []
+    for kind in kinds:
+        ids, mts, _ = by_shot[kind]
+        xs += ids
+        ys += mts
+    return xs, ys
 
 
 def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
                  ) -> ReportDocument:
     """Derive every trial, aggregate both grouping levels, and fit the
-    overall, single-shot-excluded and per-shot movement-time lines."""
+    overall, single-shot-excluded and per-shot movement-time lines.
+
+    One pass over the trials derives each one and buckets it into its
+    (person, shot) cell; every statistic and fit is then computed from
+    cell columns. math.fsum is correctly rounded, so each result is
+    bit-identical to the same formula applied to the trials in any order.
+    """
     options = options or AnalysisOptions()
     if not dataset.trials:
         raise UsageError("cannot analyze an empty dataset")
-    derived = _canonical(derive_trial(t) for t in dataset.trials)
+    cells: dict[tuple, list] = {}
+    for r in dataset.trials:
+        cells.setdefault((r.person_id, r.shot), []).append(derive_trial(r))
 
-    per_person_shot = tuple(group_stats(derived, "person_shot"))
-    per_shot = tuple(group_stats(derived, "shot"))
+    derived = []
+    per_person_shot = []
+    by_shot = {kind: ([], [], []) for kind in ShotKind}  # (ids, mts, irs)
+    for cell in sorted(cells, key=cell_order):
+        trials = cells[cell]
+        trials.sort(key=_TRIAL_INDEX)  # unique within a cell
+        derived += trials
+        ids = [t.id_bits for t in trials]
+        mts = [t.base.movement_time_s for t in trials]
+        irs = [t.info_rate_bps for t in trials]
+        per_person_shot.append(cell_stats(cell, ids, mts, irs))
+        shot_ids, shot_mts, shot_irs = by_shot[cell[1]]
+        shot_ids += ids
+        shot_mts += mts
+        shot_irs += irs
+    per_shot = [cell_stats((None, kind), *columns)
+                for kind, columns in by_shot.items() if columns[0]]
 
-    overall_pts = [(t.id_bits, t.movement_time_s) for t in derived
-                   if t.shot not in options.exclude_shots]
-    if not overall_pts:
+    xs, ys = _joined(by_shot, (kind for kind in ShotKind
+                               if kind not in options.exclude_shots))
+    if not xs:
         raise UsageError("overall-fit filters exclude every trial")
     try:
-        overall_fit = ols_simple(overall_pts)
+        overall_fit = fit_columns(xs, ys)
     except DegenerateDesignError as exc:
         raise DegenerateDesignError(f"overall fit ({options.overall_subset}): {exc}")
 
     subset_fits = {}
     if options.subset_scan:
         for kind in ShotKind:
-            pts = [(t.id_bits, t.movement_time_s) for t in derived
-                   if t.shot is not kind]
-            if len(pts) < 2:
+            xs, ys = _joined(by_shot, (other for other in ShotKind
+                                       if other is not kind))
+            if len(xs) < 2:
                 raise UsageError(
                     f"subset excluding {kind} leaves too few trials to fit")
-            subset_fits[f"exclude_{kind.value.lower()}"] = ols_simple(pts)
+            subset_fits[f"exclude_{kind.value.lower()}"] = fit_columns(xs, ys)
 
     per_shot_fits = {}
     for kind in ShotKind:
-        pts = [(t.id_bits, t.movement_time_s) for t in derived if t.shot is kind]
-        if not pts:
+        ids, mts, _ = by_shot[kind]
+        if not ids:
             raise UsageError(f"no trials for shot {kind}; cannot fit its line")
         try:
-            per_shot_fits[kind] = ols_simple(pts)
+            per_shot_fits[kind] = fit_columns(ids, mts)
         except DegenerateDesignError as exc:
             raise DegenerateDesignError(f"per-shot fit for {kind}: {exc}")
 
@@ -166,8 +197,8 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
         options=options,
         dataset_metadata=dict(dataset.metadata),
         derived_table=tuple(derived),
-        per_person_shot_stats=per_person_shot,
-        per_shot_stats=per_shot,
+        per_person_shot_stats=tuple(per_person_shot),
+        per_shot_stats=tuple(per_shot),
         overall_fit=overall_fit,
         subset_fits=subset_fits,
         per_shot_fits=per_shot_fits,

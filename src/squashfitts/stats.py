@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import DerivedTrial, ShotKind
+from .core import _SHOT_ORDER, DerivedTrial, ShotKind
 from .errors import DegenerateDesignError, UndefinedCorrelationError, UsageError
 from .variants import ModelKind, PointingTrial, model_design_row
 
@@ -22,12 +22,31 @@ from .variants import ModelKind, PointingTrial, model_design_row
 _RANK_TOL = 1e-12
 
 
+def _mean(xs: Sequence[float]) -> float:
+    """Mean of a non-empty float column. The sum is a math.fsum, correctly
+    rounded and so independent of the column's order."""
+    return math.fsum(xs) / len(xs)
+
+
+def _centred(xs: Sequence[float]) -> tuple[float, float]:
+    """The column kernel: (mean, centred sum of squares) of a non-empty
+    float column."""
+    xbar = _mean(xs)
+    return xbar, math.fsum([(x - xbar) ** 2 for x in xs])
+
+
+def _sxy(xs: Sequence[float], ys: Sequence[float], xbar: float, ybar: float) -> float:
+    """Centred sum of cross products of two columns, completing _centred
+    for a line."""
+    return math.fsum([(x - xbar) * (y - ybar) for x, y in zip(xs, ys)])
+
+
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean. Empty input is a usage error."""
     vals = [float(v) for v in values]
     if not vals:
         raise UsageError("mean of empty sequence")
-    return math.fsum(vals) / len(vals)
+    return _mean(vals)
 
 
 def population_sd(values: Iterable[float]) -> float:
@@ -35,8 +54,7 @@ def population_sd(values: Iterable[float]) -> float:
     vals = [float(v) for v in values]
     if not vals:
         raise UsageError("population_sd of empty sequence")
-    m = math.fsum(vals) / len(vals)
-    return math.sqrt(math.fsum((v - m) ** 2 for v in vals) / len(vals))
+    return math.sqrt(_centred(vals)[1] / len(vals))
 
 
 @dataclass(frozen=True)
@@ -101,7 +119,29 @@ class WelfordFit:
         return self.a + self.b1 * x1 + self.b2 * x2
 
 
-_SHOT_ORDER = {kind: i for i, kind in enumerate(ShotKind)}
+def _columns(points) -> tuple[list[float], list[float]]:
+    pts = [(float(x), float(y)) for x, y in points]
+    return [x for x, _ in pts], [y for _, y in pts]
+
+
+def cell_order(cell: tuple) -> tuple[int, int]:
+    """Sort key of a (person_id, shot) cell: person id, then shot
+    declaration order. A person_id of None (a cell pooled over persons)
+    sorts first."""
+    person_id, shot = cell
+    return (person_id if person_id is not None else 0, _SHOT_ORDER[shot])
+
+
+def cell_stats(cell: tuple, ids, mts, irs) -> GroupStats:
+    """GroupStats of one (person_id, shot) cell from its difficulty,
+    movement-time and information-rate columns."""
+    n = len(ids)
+    mean_id, ss_id = _centred(ids)
+    mean_mt, ss_mt = _centred(mts)
+    return GroupStats(key=GroupKey(*cell), n=n,
+                      mean_id=mean_id, sd_id=math.sqrt(ss_id / n),
+                      mean_mt=mean_mt, sd_mt=math.sqrt(ss_mt / n),
+                      mean_ir=_mean(irs))
 
 
 def group_stats(trials: Sequence[DerivedTrial], level: str = "person_shot",
@@ -118,47 +158,30 @@ def group_stats(trials: Sequence[DerivedTrial], level: str = "person_shot",
         raise UsageError(f"unknown grouping level {level!r} "
                          "(expected 'person_shot' or 'shot')")
 
-    groups: dict[GroupKey, list[DerivedTrial]] = {}
+    pooled = level == "shot"
+    cells: dict[tuple, list[DerivedTrial]] = {}
     for t in trials:
-        key = (GroupKey(person_id=t.person_id, shot=t.shot)
-               if level == "person_shot" else GroupKey(shot=t.shot))
-        groups.setdefault(key, []).append(t)
-
-    def order(key: GroupKey):
-        return (key.person_id if key.person_id is not None else 0,
-                _SHOT_ORDER[key.shot])
-
+        cells.setdefault((None if pooled else t.person_id, t.shot), []).append(t)
     out = []
-    for key in sorted(groups, key=order):
-        members = groups[key]
-        ids = [t.id_bits for t in members]
-        mts = [t.movement_time_s for t in members]
-        irs = [t.info_rate_bps for t in members]
-        out.append(GroupStats(key=key, n=len(members),
-                              mean_id=mean(ids), sd_id=population_sd(ids),
-                              mean_mt=mean(mts), sd_mt=population_sd(mts),
-                              mean_ir=mean(irs)))
+    for cell in sorted(cells, key=cell_order):
+        members = cells[cell]
+        out.append(cell_stats(cell, [float(t.id_bits) for t in members],
+                              [float(t.movement_time_s) for t in members],
+                              [float(t.info_rate_bps) for t in members]))
     return out
 
 
-def ols_simple(points: Sequence[tuple[float, float]]) -> LinearFit:
-    """Least-squares line through (x, y) points.
-
-    slope = cov(x, y) / var(x); exact on noiseless linear data. Requires
-    two or more points with at least two distinct x values.
-    """
-    pts = [(float(x), float(y)) for x, y in points]
-    n = len(pts)
+def fit_columns(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
+    """ols_simple of the points zip(xs, ys), given as float columns."""
+    n = len(xs)
     if n < 2:
         raise UsageError(f"ols_simple needs >= 2 points, got {n}")
-    xbar = math.fsum(x for x, _ in pts) / n
-    ybar = math.fsum(y for _, y in pts) / n
-    sxx = math.fsum((x - xbar) ** 2 for x, _ in pts)
-    syy = math.fsum((y - ybar) ** 2 for _, y in pts)
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in pts)
+    xbar, sxx = _centred(xs)
+    ybar, syy = _centred(ys)
+    sxy = _sxy(xs, ys, xbar, ybar)
     if sxx == 0.0:
         raise DegenerateDesignError(
-            f"all {n} predictor values equal {pts[0][0]!r}; no line is determined")
+            f"all {n} predictor values equal {xs[0]!r}; no line is determined")
     slope = sxy / sxx
     intercept = ybar - slope * xbar
     if syy == 0.0:
@@ -171,21 +194,26 @@ def ols_simple(points: Sequence[tuple[float, float]]) -> LinearFit:
                      pearson_r=r, r_squared=r * r, n=n)
 
 
+def ols_simple(points: Sequence[tuple[float, float]]) -> LinearFit:
+    """Least-squares line through (x, y) points.
+
+    slope = cov(x, y) / var(x); exact on noiseless linear data. Requires
+    two or more points with at least two distinct x values.
+    """
+    return fit_columns(*_columns(points))
+
+
 def pearson_r(points: Sequence[tuple[float, float]]) -> float:
     """Product-moment correlation of (x, y) points, in [-1, 1]."""
-    pts = [(float(x), float(y)) for x, y in points]
-    n = len(pts)
-    if n < 2:
-        raise UsageError(f"pearson_r needs >= 2 points, got {n}")
-    xbar = math.fsum(x for x, _ in pts) / n
-    ybar = math.fsum(y for _, y in pts) / n
-    sxx = math.fsum((x - xbar) ** 2 for x, _ in pts)
-    syy = math.fsum((y - ybar) ** 2 for _, y in pts)
+    xs, ys = _columns(points)
+    if len(xs) < 2:
+        raise UsageError(f"pearson_r needs >= 2 points, got {len(xs)}")
+    xbar, sxx = _centred(xs)
+    ybar, syy = _centred(ys)
     if sxx == 0.0 or syy == 0.0:
         which = "x" if sxx == 0.0 else "y"
         raise UndefinedCorrelationError(f"correlation undefined: {which} is constant")
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in pts)
-    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+    return max(-1.0, min(1.0, _sxy(xs, ys, xbar, ybar) / math.sqrt(sxx * syy)))
 
 
 def ols_two_predictor(rows: Sequence[tuple[float, float, float]]) -> WelfordFit:

@@ -1,12 +1,14 @@
 """Independent oracle for the test suite.
 
-Everything here was computed before the package was implemented and is
-kept deliberately independent of it: its own transcription of the
-reference table, its own derivations, and least-squares via explicit
-normal equations over math.fsum accumulations. The FROZEN_* constants
-were produced by running exactly this code; tests assert both that the
-package matches the frozen values and that this module still reproduces
-them (guarding the constants against transcription drift).
+Everything here but the per-point reference at the end (which is built
+on the package's per-trial functions) was computed before the package
+was implemented and is kept deliberately independent of it: its own
+transcription of the reference table, its own derivations, and
+least-squares via explicit normal equations over math.fsum
+accumulations. The FROZEN_* constants were produced by running exactly
+this code; tests assert both that the package matches the frozen values
+and that this module still reproduces them (guarding the constants
+against transcription drift).
 """
 from __future__ import annotations
 
@@ -189,3 +191,71 @@ def mc_welford_rows():
              + rng.normalvariate(0.0, MC_SIGMA))
         rows.append((x1, x2, y))
     return rows
+
+
+# --- per-point reference of run_analysis ----------------------------------
+# Unlike the independent oracle above, this reference is assembled from the
+# package's per-trial and per-point functions: derive every trial through
+# the component operations (ball_speed, index_of_difficulty,
+# information_rate), sort on (person, shot order, trial), then take each
+# group's mean/population_sd and fit ols_simple on freshly filtered point
+# lists. run_analysis works per (person, shot) cell instead and must agree
+# with it bit for bit. mean, population_sd and ols_simple share the
+# package's column kernel with run_analysis, so the kernel's own arithmetic
+# is pinned by FROZEN_RAGGED_REPORT_SHA256 instead.
+
+def reference_analysis(dataset, exclude_shots=frozenset(), subset_scan=True):
+    """Dict of what run_analysis reports, computed per trial and per point."""
+    from squashfitts import (DerivedTrial, ShotKind, ball_speed,
+                             index_of_difficulty, information_rate, mean,
+                             ols_simple, population_sd)
+
+    def derive(t):
+        v = ball_speed(t.ball_distance_cm, t.ball_time_s)
+        idb = index_of_difficulty(v, t.player_distance_cm / 100.0)
+        return DerivedTrial(base=t, ball_speed_mps=v, id_bits=idb,
+                            info_rate_bps=information_rate(idb, t.movement_time_s))
+
+    order = {kind: i for i, kind in enumerate(ShotKind)}
+    derived = sorted((derive(t) for t in dataset.trials),
+                     key=lambda t: (t.person_id, order[t.shot], t.trial_index))
+
+    def stats(members):
+        ids = [t.id_bits for t in members]
+        mts = [t.movement_time_s for t in members]
+        irs = [t.info_rate_bps for t in members]
+        return (len(members), mean(ids), population_sd(ids), mean(mts),
+                population_sd(mts), mean(irs))
+
+    def fit(keep):
+        return ols_simple([(t.id_bits, t.movement_time_s) for t in derived
+                           if keep(t.shot)])
+
+    cells, shots = {}, {}
+    for t in derived:
+        cells.setdefault((t.person_id, t.shot), []).append(t)
+        shots.setdefault(t.shot, []).append(t)
+    return {
+        "derived_table": tuple(derived),
+        "person_shot": [(key, stats(members)) for key, members in cells.items()],
+        "shot": [((None, kind), stats(shots[kind]))
+                 for kind in ShotKind if kind in shots],
+        "overall_fit": fit(lambda shot: shot not in exclude_shots),
+        "subset_fits": {f"exclude_{kind.value.lower()}":
+                        fit(lambda shot, kind=kind: shot is not kind)
+                        for kind in ShotKind} if subset_scan else {},
+        "per_shot_fits": {kind: fit(lambda shot, kind=kind: shot is kind)
+                          for kind in ShotKind},
+    }
+
+
+#: sha256 of render_report_json(run_analysis(ragged set, options)) as the
+#: per-point implementation wrote it before run_analysis aggregated per
+#: cell (the ragged set is test_pipeline._ragged(5); keys name the options).
+#: Recorded on CPython 3.11 with glibc's libm: a log2 from another libm may
+#: differ in a last bit.
+FROZEN_RAGGED_REPORT_SHA256 = {
+    "default": "1c75e9b28f988056ec9505ee772d0f6cdb895e81e423bc9b53890e68fa31e0ad",
+    "exclude_drive": "690c3ba8157a339d8825a45808ae29f618d9cf32e4665edc520630c2c90208e7",
+    "no_subset_scan": "43867d55f1c9e1368d18d597e8dae75b7e7a6668c5d3eb77a842d350d4c9596b",
+}

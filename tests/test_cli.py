@@ -9,7 +9,7 @@ import pytest
 
 from squashfitts import ols_simple, pipeline
 from squashfitts.cli import main
-from squashfitts.dataset import REQUIRED_COLUMNS
+from squashfitts.dataset import REQUIRED_COLUMNS, bundled_text
 
 VALID_HEADER = ",".join(REQUIRED_COLUMNS)
 
@@ -53,6 +53,13 @@ class TestValidate:
         assert main(["validate", "--input", str(p)]) == 1
         assert "row 3, column 'v_mps'" in capsys.readouterr().err
         assert main(["report", "--input", str(p)]) == 1
+
+    def test_byte_order_mark_header_is_clean(self, tmp_path, capsys):
+        p = tmp_path / "bom.csv"
+        p.write_text("\ufeff" + bundled_text(), encoding="utf-8")
+        assert main(["validate", "--input", str(p)]) == 0
+        err = capsys.readouterr().err
+        assert "36 valid trial(s)" in err and "0 error(s)" in err
 
 
 class TestDerive:
@@ -232,6 +239,20 @@ class TestReport:
                      "--output", str(tmp_path / "report.json")]) == 0
         assert "cross-check" in capsys.readouterr().out
         assert len(calls) == 1
+
+    def test_byte_order_mark_changes_only_the_source(self, tmp_path, capsys):
+        reports = []
+        for name, prefix in (("plain.csv", ""), ("bom.csv", "\ufeff")):
+            source = tmp_path / name
+            source.write_text(prefix + bundled_text(), encoding="utf-8")
+            out = tmp_path / (name + ".json")
+            assert main(["report", "--input", str(source),
+                         "--output", str(out)]) == 0
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert doc["dataset"]["metadata"].pop("source") == str(source)
+            reports.append(doc)
+        assert reports[0] == reports[1]
+        assert reports[1]["cross_checks"]["applicable"] is True
 
     def test_idempotent(self, capsys):
         assert main(["report", "--input", "bundled"]) == 0

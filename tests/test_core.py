@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -28,6 +29,23 @@ class TestShotKind:
     def test_parse_rejects_unknown(self, label):
         with pytest.raises(DomainError):
             ShotKind.parse(label)
+
+    @pytest.mark.parametrize("kind", list(ShotKind))
+    def test_parse_every_spelling(self, kind):
+        label = kind.value
+        for spelling in (label, label.lower(), label.upper(), label.swapcase(),
+                         f" {label.lower()}\t", f"\n{label.upper()} ", kind):
+            assert ShotKind.parse(spelling) is kind
+
+    @pytest.mark.parametrize("label,shown", [
+        (" Smash ", "' Smash '"), ("", "''"), ("drives", "'drives'"),
+        (42, "42"), (None, "None")])
+    def test_parse_error_text(self, label, shown):
+        with pytest.raises(DomainError) as exc:
+            ShotKind.parse(label)
+        assert str(exc.value) == (f"unknown shot label {shown} "
+                                  "(expected one of: Drive, Drop, Lob, Boast)")
+        assert exc.value.field == "shot"
 
 
 class TestTrialRecord:
@@ -156,6 +174,44 @@ class TestDeriveTrial:
         assert (a.ball_speed_mps, a.id_bits, a.info_rate_bps) == \
                (b.ball_speed_mps, b.id_bits, b.info_rate_bps)
         assert a == b
+
+    def test_equals_component_operations_bit_for_bit(self):
+        # derive_trial computes in-range trials without the component
+        # operations' re-validation; the bits must be theirs all the same
+        rng = random.Random(11)
+        records = [TrialRecord(1, ShotKind.DRIVE, i + 1, 10.0 ** rng.uniform(-3, 5),
+                               10.0 ** rng.uniform(-4, 2), 10.0 ** rng.uniform(-3, 5),
+                               10.0 ** rng.uniform(-3, 3)) for i in range(2000)]
+        records.append(TrialRecord(1, ShotKind.LOB, 1, 1e200, 1e-100, 1e-50, 1e-300))
+        for rec in records:
+            v = ball_speed(rec.ball_distance_cm, rec.ball_time_s)
+            idb = index_of_difficulty(v, rec.player_distance_cm / 100.0)
+            ir = information_rate(idb, rec.movement_time_s)
+            d = derive_trial(rec)
+            assert (d.ball_speed_mps, d.id_bits, d.info_rate_bps) == (v, idb, ir)
+
+    @pytest.mark.parametrize("fields,field", [
+        ({"ball_distance_cm": -1.0, "ball_time_s": -0.2}, "ball_distance_cm"),
+        ({"player_distance_cm": -300.0}, "player_distance_m"),
+        ({"movement_time_s": -1.5}, "movement_time_s"),
+        ({"movement_time_s": math.inf}, "movement_time_s"),
+        ({"ball_distance_cm": "far"}, "ball_distance_cm"),
+        ({"ball_distance_cm": 1e308, "ball_time_s": 1e-308}, "ball_speed_mps"),
+    ], ids=["both_negative", "negative_distance", "negative_mt", "infinite_mt",
+            "text", "speed_overflow"])
+    def test_out_of_range_fields_fail_as_components_do(self, fields, field):
+        # a record that dodged construction-time validation still fails on
+        # the first component operation that rejects it
+        rec = TrialRecord.__new__(TrialRecord)
+        values = {"person_id": 2, "shot": ShotKind.LOB, "trial_index": 3,
+                  "ball_distance_cm": 586.0, "ball_time_s": 0.2,
+                  "player_distance_cm": 300.0, "movement_time_s": 1.5, **fields}
+        for name, value in values.items():
+            object.__setattr__(rec, name, value)
+        with pytest.raises(DomainError) as exc:
+            derive_trial(rec)
+        assert str(exc.value).startswith("trial (person=2, shot=Lob, trial=3): ")
+        assert exc.value.field == field
 
     def test_component_errors_annotated_with_trial_key(self):
         # a record that dodged construction-time validation (e.g. built by

@@ -164,6 +164,17 @@ class TestParseCsv:
         assert [t.trial_index for t in dataset.trials] == [2]
         derive_trial(dataset.trials[0])
 
+    def test_byte_order_mark_is_skipped(self):
+        plain_ds, plain = parse_csv(bundled_text())
+        bom_ds, bom = parse_csv("\ufeff" + bundled_text())
+        assert bom.ok and len(bom_ds) == BUNDLED_TRIALS
+        assert (bom_ds.trials, bom.errors, bom.warnings) == (
+            plain_ds.trials, plain.errors, plain.warnings)
+
+    def test_only_one_byte_order_mark_is_skipped(self):
+        _, report = parse_csv("\ufeff\ufeff" + bundled_text())
+        assert report.errors[:1] == [(1, "person", "missing required column")]
+
     def test_oversized_cell_is_row_error(self):
         limit = csv.field_size_limit()
         text = (VALID_HEADER + "\n1,Drive,1,586,0.197,374," + "1" * 200_000

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from dataclasses import replace
 
 import pytest
 
-from squashfitts import (AnalysisOptions, Dataset, ShotKind, TrialRecord,
-                         UsageError, build_cross_checks, figure_series,
-                         ols_simple, render_report_json, run_analysis)
+from squashfitts import (AnalysisOptions, Dataset, DomainError, ShotKind,
+                         TrialRecord, UsageError, build_cross_checks,
+                         derive_trial, figure_series, ols_simple,
+                         render_report_json, run_analysis)
 from squashfitts import pipeline
 
 import oracles
@@ -217,6 +219,79 @@ class TestRenderReport:
         assert render_report_json(doc) == want
         if case == "non_finite_rates":
             assert all(s in want for s in ("NaN", " Infinity", "-Infinity"))
+
+
+def _ragged(seed: int, persons: int = 60) -> Dataset:
+    """persons x 4 shots with 1-5 trials per cell (many cells with one),
+    scattered trial numbers, in shuffled order."""
+    rng = random.Random(seed)
+    trials = [
+        TrialRecord(person, kind, trial, rng.uniform(300.0, 900.0),
+                    rng.uniform(0.05, 0.5), rng.uniform(100.0, 600.0),
+                    rng.uniform(0.3, 2.0))
+        for person in range(1, persons + 1) for kind in ShotKind
+        for trial in rng.sample(range(1, 40), rng.choice((1, 1, 2, 3, 5)))]
+    rng.shuffle(trials)
+    return Dataset(trials=tuple(trials), metadata={"source": f"ragged {seed}"})
+
+
+class TestCellAggregation:
+    """run_analysis aggregates per (person, shot) cell; every number must
+    equal, bit for bit, the per-point reference in oracles."""
+
+    @pytest.mark.parametrize("options", [
+        {}, {"exclude_shots": frozenset({"Drive"})}, {"subset_scan": False}],
+        ids=["default", "exclude_drive", "no_subset_scan"])
+    @pytest.mark.parametrize("data", ["bundled", "ragged"])
+    def test_bit_exact_against_per_point_reference(self, bundled, data, options):
+        dataset = bundled if data == "bundled" else _ragged(5)
+        doc = run_analysis(dataset, AnalysisOptions(**options))
+        ref = oracles.reference_analysis(
+            dataset, doc.options.exclude_shots, doc.options.subset_scan)
+        assert doc.derived_table == ref["derived_table"]
+        for got, want in ((doc.per_person_shot_stats, ref["person_shot"]),
+                          (doc.per_shot_stats, ref["shot"])):
+            assert [((g.key.person_id, g.key.shot),
+                     (g.n, g.mean_id, g.sd_id, g.mean_mt, g.sd_mt, g.mean_ir))
+                    for g in got] == want
+        assert doc.overall_fit == ref["overall_fit"]
+        assert doc.subset_fits == ref["subset_fits"]
+        assert doc.per_shot_fits == ref["per_shot_fits"]
+
+    @pytest.mark.parametrize("name,options", [
+        ("default", {}), ("exclude_drive", {"exclude_shots": frozenset({"Drive"})}),
+        ("no_subset_scan", {"subset_scan": False})])
+    def test_report_bytes_equal_the_per_point_implementation(self, name, options):
+        text = render_report_json(run_analysis(_ragged(5), AnalysisOptions(**options)))
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == oracles.FROZEN_RAGGED_REPORT_SHA256[name])
+
+    def test_ragged_data_has_single_trial_cells(self):
+        sizes = [g.n for g in run_analysis(_ragged(5)).per_person_shot_stats]
+        assert len(sizes) == 240 and sizes.count(1) > 50
+
+    def test_row_permutation_keeps_report_bytes(self):
+        dataset = _ragged(5)
+        baseline = render_report_json(run_analysis(dataset))
+        rng = random.Random(17)
+        for _ in range(3):
+            shuffled = list(dataset.trials)
+            rng.shuffle(shuffled)
+            permuted = Dataset(trials=tuple(shuffled), metadata=dataset.metadata)
+            assert render_report_json(run_analysis(permuted)) == baseline
+
+    def test_underivable_trial_raises_as_derive_trial_does(self, bundled):
+        bad = TrialRecord(2, ShotKind.LOB, 7, 1e308, 1e-308, 374.0, 1.22)
+        with pytest.raises(DomainError) as want:
+            derive_trial(bad)
+        later_bad = replace(bad, person_id=1)
+        dataset = Dataset(trials=bundled.trials[:5] + (bad, later_bad)
+                          + bundled.trials[5:])
+        with pytest.raises(DomainError) as got:
+            run_analysis(dataset)
+        assert str(got.value) == str(want.value)
+        assert "person=2, shot=Lob, trial=7" in str(got.value)
+        assert got.value.field == want.value.field == "ball_speed_mps"
 
 
 def _synthetic(seed: int, persons: int, trials: int) -> Dataset:

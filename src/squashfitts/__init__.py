@@ -23,26 +23,24 @@ from .plot import PlotStyle, emit_series_csv, emit_svg
 from .stats import (GroupKey, GroupStats, LinearFit, WelfordFit, fit_model,
                     group_stats, mean, ols_simple, ols_two_predictor,
                     pearson_r, population_sd)
-from .variants import (FITTS_REFERENCE, FittsReference, ModelKind,
-                       PointingTrial, id_fitts_original, id_mackenzie,
-                       model_design_row, predict_mt_steering,
+from .variants import (ModelKind, PointingTrial, id_fitts_original,
+                       id_mackenzie, model_design_row, predict_mt_steering,
                        predict_mt_welford)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisOptions", "CourtGeometry", "DEFAULT_COURT", "Dataset",
-    "DegenerateDesignError", "DerivedTrial", "DomainError", "FITTS_REFERENCE",
-    "FigureSeries", "FittsReference", "GroupKey", "GroupStats", "LinearFit",
-    "ModelKind", "PlotStyle", "PointingTrial", "ReportDocument", "ShotKind",
-    "SquashFittsError", "TrialRecord", "UndefinedCorrelationError",
-    "UsageError", "ValidationReport", "WelfordFit", "ball_speed",
-    "build_cross_checks", "bundled_dataset", "derive_trial", "emit_series_csv",
-    "emit_svg", "figure_series", "fit_model", "group_stats",
-    "id_fitts_original", "id_mackenzie", "index_of_difficulty",
-    "information_rate", "mean", "model_design_row", "ols_simple",
-    "ols_two_predictor", "parse_csv", "pearson_r", "population_sd",
-    "predict_mt_steering", "predict_mt_welford", "real_time_from_slowmo",
-    "render_report_json", "run_analysis", "summarize_report",
-    "validate_against_court", "write_csv",
+    "DegenerateDesignError", "DerivedTrial", "DomainError", "FigureSeries",
+    "GroupKey", "GroupStats", "LinearFit", "ModelKind", "PlotStyle",
+    "PointingTrial", "ReportDocument", "ShotKind", "SquashFittsError",
+    "TrialRecord", "UndefinedCorrelationError", "UsageError",
+    "ValidationReport", "WelfordFit", "ball_speed", "build_cross_checks",
+    "bundled_dataset", "derive_trial", "emit_series_csv", "emit_svg",
+    "figure_series", "fit_model", "group_stats", "id_fitts_original",
+    "id_mackenzie", "index_of_difficulty", "information_rate", "mean",
+    "model_design_row", "ols_simple", "ols_two_predictor", "parse_csv",
+    "pearson_r", "population_sd", "predict_mt_steering", "predict_mt_welford",
+    "real_time_from_slowmo", "render_report_json", "run_analysis",
+    "summarize_report", "validate_against_court", "write_csv",
 ]

@@ -184,11 +184,16 @@ def index_of_difficulty(ball_speed_mps: float, player_distance_m: float) -> floa
     v is the ball speed in m/s and D the distance the player must cover in
     meters. The product can drop below 1 for very slow, very close shots;
     the logarithm is then negative, which is permitted (callers that care
-    flag it, see :func:`validate_against_court`).
+    flag it, see :func:`validate_against_court`). A product that
+    overflows or underflows to 0 has no finite difficulty and is an error.
     """
     v = _require_positive(ball_speed_mps, "ball_speed_mps")
     d = _require_positive(player_distance_m, "player_distance_m")
-    return math.log2(v * d)
+    vd = v * d
+    if not 0.0 < vd < math.inf:
+        raise DomainError(f"v*D must be finite and > 0 for a finite "
+                          f"difficulty, got {vd!r}", field="id_bits")
+    return math.log2(vd)
 
 
 def information_rate(id_bits: float, movement_time_s: float) -> float:

@@ -13,7 +13,8 @@ whatever rounding they were written with.
 Parsing is total: malformed input produces structured errors with row and
 column coordinates, never an exception. Row numbers are 1-based file lines
 (the header is line 1). A dataset that parsed with any errors must not be
-analyzed; warnings never block.
+analyzed; warnings never block. Pointing-task files (amplitude,width,mt_s)
+go through the same reader and errors, see :func:`parse_pointing_csv`.
 """
 import csv
 import io
@@ -24,9 +25,15 @@ from importlib import resources
 from .core import (CourtGeometry, DEFAULT_COURT, ShotKind, TrialRecord,
                    derive_trial, speed_and_product, validate_against_court)
 from .errors import DomainError, UsageError
+from .variants import PointingTrial
 
 REQUIRED_COLUMNS = ("person", "shot", "trial", "db_cm", "t_s", "dp_cm", "mt_s")
 DERIVED_COLUMNS = ("v_mps", "id_bits", "ir_bps")
+POINTING_COLUMNS = ("amplitude", "width", "mt_s")
+
+#: Movement times (s) outside this range are row errors: inside it |IR|
+#: stays below ~1e103 and squared MT deviations below ~4e200, so no sum overflows.
+MOVEMENT_TIME_RANGE_S = (1e-100, 1e100)
 
 #: Fixed number of decimals used when serializing derived columns.
 DERIVED_DECIMALS = 6
@@ -89,11 +96,18 @@ def _parse_positive_int(cell: str, column: str, row: int, errors) -> int | None:
     return value
 
 
-def _parse_positive_float(cell: str, column: str, row: int, errors) -> float | None:
+def _parse_number(cell: str, column: str, row: int, errors) -> float | None:
     try:
-        value = float(cell.strip())
+        return float(cell.strip())
     except ValueError:
         errors.append((row, column, f"expected a number, got {cell!r}"))
+        return None
+
+
+def _parse_positive_float(cell: str, column: str, row: int, errors,
+                          bounds: tuple[float, float] | None = None) -> float | None:
+    value = _parse_number(cell, column, row, errors)
+    if value is None:
         return None
     if not math.isfinite(value):
         errors.append((row, column, f"expected a finite number, got {cell!r}"))
@@ -101,13 +115,19 @@ def _parse_positive_float(cell: str, column: str, row: int, errors) -> float | N
     if value <= 0.0:
         errors.append((row, column, f"measurements must be > 0, got {value!r}"))
         return None
+    if bounds and not bounds[0] <= value <= bounds[1]:
+        errors.append((row, column, f"expected a value within "
+                                    f"[{bounds[0]:g}, {bounds[1]:g}], got {value!r}"))
+        return None
     return value
 
 
 def _records(text: str) -> list:
-    """CSV records of text; a record the csv module rejects (say, a cell
-    over its field size limit) is kept as the csv.Error in its place."""
-    reader = csv.reader(io.StringIO(text))
+    """CSV records of text, the one CSV reader of the package. One leading
+    byte order mark (U+FEFF, as spreadsheets write) is skipped; a record
+    the csv module rejects (say, a cell over its field size limit) is kept
+    as the csv.Error in its place."""
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     records = []
     while True:
         try:
@@ -115,6 +135,36 @@ def _records(text: str) -> list:
             return records
         except csv.Error as exc:
             records.append(exc)
+
+
+def _split_header(text: str, errors) -> tuple[list[str], list] | None:
+    """(stripped header cells, data records) of CSV text, or None after
+    recording why there is no header."""
+    rows = _records(text)
+    while rows and isinstance(rows[-1], list) \
+            and not any(cell.strip() for cell in rows[-1]):
+        rows.pop()
+    if not rows:
+        errors.append((0, "header", "no header: input is empty"))
+    elif isinstance(rows[0], csv.Error):
+        errors.append((1, "header", str(rows[0])))
+    else:
+        return [cell.strip() for cell in rows[0]], rows[1:]
+    return None
+
+
+def _data_rows(records: list, ncols: int, errors):
+    """(row number, cells) of each non-blank data record with ncols cells;
+    any other non-blank record is a row error."""
+    for idx, cells in enumerate(records, start=2):
+        if isinstance(cells, csv.Error):
+            errors.append((idx, "row", str(cells)))
+        elif not any(cell.strip() for cell in cells):
+            continue
+        elif len(cells) != ncols:
+            errors.append((idx, "row", f"expected {ncols} cells, got {len(cells)}"))
+        else:
+            yield idx, cells
 
 
 def _underivable(record: TrialRecord) -> tuple[str, str] | None:
@@ -137,23 +187,14 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     Returns every successfully parsed trial even when other rows fail;
     callers gate analysis on ``report.ok``. Plausibility warnings (court
     reach, speed band, non-positive difficulty) are attached per row. One
-    leading byte order mark (U+FEFF) is skipped.
+    leading byte order mark (U+FEFF) is skipped. A movement time outside
+    MOVEMENT_TIME_RANGE_S is a row error.
     """
     report = ValidationReport()
-    if text.startswith("\ufeff"):  # a UTF-8 byte order mark, as spreadsheets write
-        text = text[1:]
-    rows = _records(text)
-    while rows and isinstance(rows[-1], list) \
-            and not any(cell.strip() for cell in rows[-1]):
-        rows.pop()
-    if not rows:
-        report.errors.append((0, "header", "no header: input is empty"))
+    split = _split_header(text, report.errors)
+    if split is None:
         return Dataset(trials=()), report
-
-    if isinstance(rows[0], csv.Error):
-        report.errors.append((1, "header", str(rows[0])))
-        return Dataset(trials=()), report
-    header = [cell.strip() for cell in rows[0]]
+    header, records = split
     ncols = len(header)
     header_ok = True
     if tuple(header[:len(REQUIRED_COLUMNS)]) != REQUIRED_COLUMNS:
@@ -178,16 +219,7 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
 
     trials: list[TrialRecord] = []
     seen: dict[tuple, int] = {}
-    for idx, cells in enumerate(rows[1:], start=2):
-        if isinstance(cells, csv.Error):
-            report.errors.append((idx, "row", str(cells)))
-            continue
-        if not any(cell.strip() for cell in cells):
-            continue
-        if len(cells) != ncols:
-            report.errors.append(
-                (idx, "row", f"expected {ncols} cells, got {len(cells)}"))
-            continue
+    for idx, cells in _data_rows(records, ncols, report.errors):
         errs_before = len(report.errors)
         person = _parse_positive_int(cells[0], "person", idx, report.errors)
         try:
@@ -199,7 +231,8 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
         db = _parse_positive_float(cells[3], "db_cm", idx, report.errors)
         t = _parse_positive_float(cells[4], "t_s", idx, report.errors)
         dp = _parse_positive_float(cells[5], "dp_cm", idx, report.errors)
-        mt = _parse_positive_float(cells[6], "mt_s", idx, report.errors)
+        mt = _parse_positive_float(cells[6], "mt_s", idx, report.errors,
+                                   MOVEMENT_TIME_RANGE_S)
         # cells beyond the raw seven are derived columns: ignored on input
         if len(report.errors) > errs_before:
             continue
@@ -222,6 +255,35 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
         trials.append(record)
 
     return Dataset(trials=tuple(trials), metadata=dict(metadata or {})), report
+
+
+def parse_pointing_csv(text: str) -> tuple[list[PointingTrial], ValidationReport]:
+    """Parse a pointing-task CSV (amplitude,width,mt_s) into trials plus a
+    ValidationReport of (row, column, message) errors, as parse_csv does.
+    A movement time outside MOVEMENT_TIME_RANGE_S is a row error; otherwise
+    PointingTrial validates the row (an amplitude of 0 is valid)."""
+    report = ValidationReport()
+    split = _split_header(text, report.errors)
+    if split is None:
+        return [], report
+    header, records = split
+    if tuple(header) != POINTING_COLUMNS:
+        report.errors.append((1, "header", f"expected header {','.join(POINTING_COLUMNS)}"
+                                           f", got {','.join(header)}"))
+        return [], report
+    trials = []
+    for idx, cells in _data_rows(records, len(POINTING_COLUMNS), report.errors):
+        values = [_parse_number(cells[0], "amplitude", idx, report.errors),
+                  _parse_number(cells[1], "width", idx, report.errors),
+                  _parse_positive_float(cells[2], "mt_s", idx, report.errors,
+                                        MOVEMENT_TIME_RANGE_S)]
+        if None in values:
+            continue
+        try:
+            trials.append(PointingTrial(*values))
+        except DomainError as exc:  # amplitude or width, named as their columns
+            report.errors.append((idx, exc.field, str(exc)))
+    return trials, report
 
 
 def _format_raw(value: float) -> str:

@@ -21,7 +21,7 @@ on both bases.)
 """
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from json.encoder import encode_basestring
@@ -31,10 +31,11 @@ from .dataset import BUNDLED_TRIALS, Dataset, bundled_dataset
 from .errors import DegenerateDesignError, UsageError
 from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
                         PUBLISHED_TREND_INTERCEPT, PUBLISHED_TREND_SLOPE,
-                        STATS_TOLERANCE, published_rows)
+                        REFERENCE_THROUGHPUT_MEAN_BPS,
+                        REFERENCE_THROUGHPUT_SD_BPS, STATS_TOLERANCE,
+                        published_rows)
 from .stats import (GroupStats, LinearFit, cell_order, cell_stats, fit_columns,
                     mean, ols_simple, population_sd)
-from .variants import FITTS_REFERENCE, FittsReference
 
 SCHEMA_VERSION = "1.0"
 
@@ -58,24 +59,21 @@ EXPECTED_SLOPE_SIGNS = {
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Knobs for one pipeline run.
-
-    exclude_shots filters the *overall* fit only; grouped statistics,
-    per-shot fits and per-shot figures always cover the full dataset.
-    """
+    """The two settings of a run: exclude_shots filters the *overall* fit
+    only (grouped statistics, per-shot and single-shot-excluded fits and
+    per-shot figures cover the full dataset); stats_tolerance is the base
+    tolerance of the published-aggregate cross-checks."""
 
     exclude_shots: frozenset = frozenset()
-    subset_scan: bool = True
     stats_tolerance: float = STATS_TOLERANCE
-    derivation_tolerance: float = DERIVATION_TOLERANCE
 
     def __post_init__(self):
         shots = frozenset(ShotKind.parse(s) for s in self.exclude_shots)
         object.__setattr__(self, "exclude_shots", shots)
         if len(shots) >= len(ShotKind):
             raise UsageError("cannot exclude all four shot kinds")
-        if not self.stats_tolerance > 0 or not self.derivation_tolerance > 0:
-            raise UsageError("tolerances must be strictly positive")
+        if not self.stats_tolerance > 0:
+            raise UsageError("stats_tolerance must be strictly positive")
 
     @property
     def overall_subset(self) -> str:
@@ -107,7 +105,6 @@ class ReportDocument:
     overall_fit: LinearFit
     subset_fits: dict
     per_shot_fits: dict
-    reference_notes: FittsReference = field(default=FITTS_REFERENCE)
 
     @cached_property
     def cross_checks(self) -> dict:
@@ -174,14 +171,13 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
         raise DegenerateDesignError(f"overall fit ({options.overall_subset}): {exc}")
 
     subset_fits = {}
-    if options.subset_scan:
-        for kind in ShotKind:
-            xs, ys = _joined(by_shot, (other for other in ShotKind
-                                       if other is not kind))
-            if len(xs) < 2:
-                raise UsageError(
-                    f"subset excluding {kind} leaves too few trials to fit")
-            subset_fits[f"exclude_{kind.value.lower()}"] = fit_columns(xs, ys)
+    for kind in ShotKind:
+        xs, ys = _joined(by_shot, (other for other in ShotKind
+                                   if other is not kind))
+        if len(xs) < 2:
+            raise UsageError(
+                f"subset excluding {kind} leaves too few trials to fit")
+        subset_fits[f"exclude_{kind.value.lower()}"] = fit_columns(xs, ys)
 
     per_shot_fits = {}
     for kind in ShotKind:
@@ -255,7 +251,6 @@ def build_cross_checks(report: ReportDocument) -> dict:
                 "reason": "cross-check targets correspond to the bundled "
                           "reference dataset only"}
     tol_stats = report.options.stats_tolerance
-    tol_deriv = report.options.derivation_tolerance
     derived_by_key = {t.base.key: t for t in report.derived_table}
     pub = published_rows()
 
@@ -270,7 +265,7 @@ def build_cross_checks(report: ReportDocument) -> dict:
                 ("ir_bps", trial.info_rate_bps, row.ir_bps)):
             checked += 1
             diff = abs(round(computed, 2) - printed.value)
-            if diff <= tol_deriv + 1e-9:
+            if diff <= DERIVATION_TOLERANCE + 1e-9:
                 matched += 1
             else:
                 mismatches.append({
@@ -281,7 +276,7 @@ def build_cross_checks(report: ReportDocument) -> dict:
                     "published_row_self_consistent": row.self_consistent,
                 })
     derivation = {
-        "tolerance": tol_deriv,
+        "tolerance": DERIVATION_TOLERANCE,
         "values_checked": checked,
         "values_matched": matched,
         "mismatches": mismatches,
@@ -333,29 +328,23 @@ def build_cross_checks(report: ReportDocument) -> dict:
     # 3. published trend line vs candidate fit subsets
     published_line = {"slope": PUBLISHED_TREND_SLOPE.text,
                       "intercept": PUBLISHED_TREND_INTERCEPT.text}
-    candidates = {}
-    pub_points_all = []
-    trial_mt = {t.base.key: t.movement_time_s for t in report.derived_table}
-    for row in pub:
-        pub_points_all.append(
-            (row.shot, row.id_bits.value,
-             trial_mt[(row.person_id, row.shot, row.trial_index)]))
-    rec_points_all = [(t.shot, t.id_bits, t.movement_time_s)
-                      for t in report.derived_table]
-    subsets = {"all": None}
+    pub_points = [(row.shot, row.id_bits.value, derived_by_key[
+        (row.person_id, row.shot, row.trial_index)].movement_time_s) for row in pub]
+    fits = {"all/recomputed": ols_simple([(t.id_bits, t.movement_time_s)
+                                          for t in report.derived_table]),
+            "all/as_published": ols_simple([(i, m) for _, i, m in pub_points])}
     for kind in ShotKind:
-        subsets[f"exclude_{kind.value.lower()}"] = kind
-    matching = []
-    for name, excluded in subsets.items():
-        for basis, pool in (("recomputed", rec_points_all),
-                            ("as_published", pub_points_all)):
-            pts = [(i, m) for s, i, m in pool if s is not excluded]
-            fit = ols_simple(pts)
-            match = (PUBLISHED_TREND_SLOPE.matches(fit.slope, tol_stats)
-                     and PUBLISHED_TREND_INTERCEPT.matches(fit.intercept, tol_stats))
-            candidates[f"{name}/{basis}"] = dict(_fit_dict(fit), match=match)
-            if match:
-                matching.append(f"{name}/{basis}")
+        name = f"exclude_{kind.value.lower()}"
+        # run_analysis fitted the same points; fsum makes the order immaterial
+        fits[f"{name}/recomputed"] = report.subset_fits[name]
+        fits[f"{name}/as_published"] = ols_simple(
+            [(i, m) for s, i, m in pub_points if s is not kind])
+    candidates = {
+        name: dict(_fit_dict(fit), match=(
+            PUBLISHED_TREND_SLOPE.matches(fit.slope, tol_stats)
+            and PUBLISHED_TREND_INTERCEPT.matches(fit.intercept, tol_stats)))
+        for name, fit in fits.items()}
+    matching = [name for name, c in candidates.items() if c["match"]]
     trend = {
         "published": published_line,
         "note": "documented, not asserted: the published description of the "
@@ -367,15 +356,13 @@ def build_cross_checks(report: ReportDocument) -> dict:
 
     # 4. per-shot slope signs vs the published qualitative claims
     signs = {}
-    signs_ok = True
     for kind in ShotKind:
-        got = _sign(report.per_shot_fits[kind].slope)
-        want = EXPECTED_SLOPE_SIGNS[kind]
-        signs[kind.value] = {"slope": report.per_shot_fits[kind].slope,
+        slope, want = report.per_shot_fits[kind].slope, EXPECTED_SLOPE_SIGNS[kind]
+        signs[kind.value] = {"slope": slope,
                              "expected_sign": "+" if want > 0 else "-",
-                             "match": got == want}
-        signs_ok = signs_ok and got == want
-    slope_block = {"per_shot": signs, "pass": signs_ok}
+                             "match": _sign(slope) == want}
+    slope_block = {"per_shot": signs,
+                   "pass": all(s["match"] for s in signs.values())}
 
     # 5. throughput ordering: drives and drops above lobs and boasts
     mean_ir = {g.key.shot: g.mean_ir for g in report.per_shot_stats}
@@ -445,9 +432,9 @@ def _head_dict(report: ReportDocument) -> dict:
         "options": {
             "overall_subset": report.options.overall_subset,
             "exclude_shots": sorted(s.value for s in report.options.exclude_shots),
-            "subset_scan": report.options.subset_scan,
+            "subset_scan": True,  # single-shot-excluded fits are always made
             "stats_tolerance": report.options.stats_tolerance,
-            "derivation_tolerance": report.options.derivation_tolerance,
+            "derivation_tolerance": DERIVATION_TOLERANCE,
         },
         "dataset": {
             "n_trials": len(report.derived_table),
@@ -468,8 +455,8 @@ def _tail_dict(report: ReportDocument) -> dict:
                          for kind in ShotKind},
         },
         "reference_throughput": {
-            "mean_bps": report.reference_notes.mean_throughput_bps,
-            "sd_bps": report.reference_notes.sd_throughput_bps,
+            "mean_bps": REFERENCE_THROUGHPUT_MEAN_BPS,
+            "sd_bps": REFERENCE_THROUGHPUT_SD_BPS,
             "note": "classic reciprocal-tapping benchmark, shown for context",
         },
         "cross_checks": report.cross_checks,

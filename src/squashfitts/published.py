@@ -19,12 +19,11 @@ it fails only where the publication printed fewer decimals than the
 tolerance assumes (or, for one table row, where the published number is
 inconsistent with its own inputs; see ``self_consistent``).
 """
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 from .core import ShotKind
+from .dataset import _records, bundled_text
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,9 @@ class PublishedRow:
 
 def published_rows() -> list[PublishedRow]:
     """Printed derived values for every bundled row, in table order."""
-    from .dataset import bundled_text  # local import to avoid a cycle
-
     out = []
-    rows = list(csv.reader(io.StringIO(bundled_text())))
-    header = rows[0]
-    col = {name: i for i, name in enumerate(header)}
+    rows = _records(bundled_text())
+    col = {name: i for i, name in enumerate(rows[0])}
     for cells in rows[1:]:
         if not any(c.strip() for c in cells):
             continue
@@ -138,3 +134,8 @@ PUBLISHED_GROUP_STATS = _stats({
 #: Published overall trend line, MT = slope * ID + intercept.
 PUBLISHED_TREND_SLOPE = PublishedValue.of("0.456")
 PUBLISHED_TREND_INTERCEPT = PublishedValue.of("-1.3")
+
+#: Mean and SD of the throughput (bits/s) of the classic reciprocal tapping
+#: experiment, shown in the report for context only.
+REFERENCE_THROUGHPUT_MEAN_BPS = 10.10
+REFERENCE_THROUGHPUT_SD_BPS = 1.33

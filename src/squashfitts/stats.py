@@ -228,14 +228,13 @@ def ols_two_predictor(rows: Sequence[tuple[float, float, float]]) -> WelfordFit:
     n = len(data)
     if n < 3:
         raise UsageError(f"ols_two_predictor needs >= 3 rows, got {n}")
-    x1bar = math.fsum(r[0] for r in data) / n
-    x2bar = math.fsum(r[1] for r in data) / n
-    ybar = math.fsum(r[2] for r in data) / n
-    s11 = math.fsum((r[0] - x1bar) ** 2 for r in data)
-    s22 = math.fsum((r[1] - x2bar) ** 2 for r in data)
-    s12 = math.fsum((r[0] - x1bar) * (r[1] - x2bar) for r in data)
-    s1y = math.fsum((r[0] - x1bar) * (r[2] - ybar) for r in data)
-    s2y = math.fsum((r[1] - x2bar) * (r[2] - ybar) for r in data)
+    x1s, x2s, ys = (list(column) for column in zip(*data))
+    x1bar, s11 = _centred(x1s)
+    x2bar, s22 = _centred(x2s)
+    ybar, sst = _centred(ys)
+    s12 = _sxy(x1s, x2s, x1bar, x2bar)
+    s1y = _sxy(x1s, ys, x1bar, ybar)
+    s2y = _sxy(x2s, ys, x2bar, ybar)
 
     if s11 == 0.0 and s22 == 0.0:
         raise DegenerateDesignError(
@@ -255,7 +254,6 @@ def ols_two_predictor(rows: Sequence[tuple[float, float, float]]) -> WelfordFit:
     b2 = (s2y * s11 - s1y * s12) / det
     a = ybar - b1 * x1bar - b2 * x2bar
 
-    sst = math.fsum((r[2] - ybar) ** 2 for r in data)
     sse = math.fsum((r[2] - (a + b1 * r[0] + b2 * r[1])) ** 2 for r in data)
     r_squared = 0.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
     return WelfordFit(a=a, b1=b1, b2=b2, r_squared=r_squared, n=n)

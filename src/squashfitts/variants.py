@@ -70,18 +70,6 @@ class ModelKind(Enum):
         raise UsageError(f"unknown model {name!r} (valid models: {valid})")
 
 
-@dataclass(frozen=True)
-class FittsReference:
-    """Benchmark throughput of the classic reciprocal tapping experiment,
-    kept as a named constant for report annotations only."""
-
-    mean_throughput_bps: float = 10.10
-    sd_throughput_bps: float = 1.33
-
-
-FITTS_REFERENCE = FittsReference()
-
-
 def id_fitts_original(amplitude: float, width: float) -> float:
     """Classic difficulty log2(2A/W). Goes negative exactly when 2A < W."""
     if not amplitude > 0:

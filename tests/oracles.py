@@ -204,7 +204,7 @@ def mc_welford_rows():
 # package's column kernel with run_analysis, so the kernel's own arithmetic
 # is pinned by FROZEN_RAGGED_REPORT_SHA256 instead.
 
-def reference_analysis(dataset, exclude_shots=frozenset(), subset_scan=True):
+def reference_analysis(dataset, exclude_shots=frozenset()):
     """Dict of what run_analysis reports, computed per trial and per point."""
     from squashfitts import (DerivedTrial, ShotKind, ball_speed,
                              index_of_difficulty, information_rate, mean,
@@ -243,7 +243,7 @@ def reference_analysis(dataset, exclude_shots=frozenset(), subset_scan=True):
         "overall_fit": fit(lambda shot: shot not in exclude_shots),
         "subset_fits": {f"exclude_{kind.value.lower()}":
                         fit(lambda shot, kind=kind: shot is not kind)
-                        for kind in ShotKind} if subset_scan else {},
+                        for kind in ShotKind},
         "per_shot_fits": {kind: fit(lambda shot, kind=kind: shot is kind)
                           for kind in ShotKind},
     }
@@ -257,5 +257,4 @@ def reference_analysis(dataset, exclude_shots=frozenset(), subset_scan=True):
 FROZEN_RAGGED_REPORT_SHA256 = {
     "default": "1c75e9b28f988056ec9505ee772d0f6cdb895e81e423bc9b53890e68fa31e0ad",
     "exclude_drive": "690c3ba8157a339d8825a45808ae29f618d9cf32e4665edc520630c2c90208e7",
-    "no_subset_scan": "43867d55f1c9e1368d18d597e8dae75b7e7a6668c5d3eb77a842d350d4c9596b",
 }

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 import subprocess
@@ -271,6 +272,79 @@ class TestArgumentErrors:
     def test_unknown_shot_kind_exits_two(self, capsys):
         assert main(["report", "--input", "bundled",
                      "--exclude-shot", "smash"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["derive", "--slowdown", "0"], ["derive", "--slowdown", "-1"],
+        ["derive", "--slowdown", "nan"], ["derive", "--slowdown", "inf"],
+        ["report", "--tolerance", "0"], ["report", "--tolerance", "-1"],
+        ["report", "--tolerance", "nan"],
+        ["figures", "--exclude-shot", "smash"],
+        ["fit", "--model", "squash"] + [a for s in ("drive", "drop", "lob", "boast")
+                                        for a in ("--exclude-shot", s)],
+        ["fit", "--model", "nosuch"],
+        ["fit", "--model", "fitts"],
+    ], ids=["slowdown_zero", "slowdown_negative", "slowdown_nan", "slowdown_inf",
+            "tolerance_zero", "tolerance_negative", "tolerance_nan",
+            "unknown_shot", "all_shots_excluded", "unknown_model",
+            "pointing_model_on_bundled"])
+    def test_bad_flag_values_exit_two_before_any_work(self, args, capsys,
+                                                       monkeypatch):
+        def no_input(*_):
+            raise AssertionError("input read despite a bad flag")
+        monkeypatch.setattr("squashfitts.cli._read_input", no_input)
+        monkeypatch.setattr("squashfitts.cli._read_text", no_input)
+        assert main(args + ["--input", "bundled"]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        if "nosuch" in args:
+            for name in ("squash", "fitts", "mackenzie", "welford", "steering"):
+                assert name in err
+
+
+NON_UTF8_COMMANDS = [["validate"], ["derive"], ["stats"], ["fit", "--model", "fitts"],
+                     ["figures"], ["report"]]
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("command", NON_UTF8_COMMANDS,
+                             ids=[c[0] for c in NON_UTF8_COMMANDS])
+    def test_non_utf8_input_exits_two(self, tmp_path, capsys, command):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(VALID_HEADER.encode() + b"\n1,Caf\xe9,1,586,0.197,374,1.22\n")
+        assert main(command + ["--input", str(p),
+                               "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: not UTF-8 text (")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("movement_times", [("1e300",), ("5e-308", "5e-308")],
+                             ids=["huge", "tiny_pair"])
+    @pytest.mark.parametrize("command", ["validate", "report", "stats", "figures"])
+    def test_movement_time_that_would_overflow_is_a_row_error(
+            self, tmp_path, capsys, command, movement_times):
+        rows = [f"{person},{shot},1,586,0.197,374,1.2{person}"
+                for person in (1, 2) for shot in ("Drive", "Drop", "Lob", "Boast")]
+        for i, mt in enumerate(movement_times):  # the drive rows, rows 2 and 6
+            rows[4 * i] = rows[4 * i].rsplit(",", 1)[0] + "," + mt
+        p = tmp_path / "trials.csv"
+        p.write_text("\n".join([VALID_HEADER] + rows) + "\n")
+        assert main([command, "--input", str(p),
+                     "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "row 2, column 'mt_s': expected a value within" in err
+        assert ("row 6, column 'mt_s'" in err) == (len(movement_times) == 2)
+
+    @pytest.mark.parametrize("model", ["fitts", "welford"])
+    @pytest.mark.parametrize("cell,message", [
+        ("1e300", "expected a value within [1e-100, 1e+100], got 1e+300"),
+        ("1" * 200_000, f"field larger than field limit ({csv.field_size_limit()})"),
+    ], ids=["huge_mt", "oversized_cell"])
+    def test_pointing_row_errors_exit_one(self, tmp_path, capsys, model,
+                                          cell, message):
+        p = tmp_path / "pointing.csv"
+        p.write_text(f"amplitude,width,mt_s\n2,1,0.5\n4,0.5,{cell}\n8,1,0.9\n")
+        assert main(["fit", "--model", model, "--input", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: row 3: {message}\n"
 
 
 def test_module_entry_point_smoke():

@@ -213,6 +213,20 @@ class TestDeriveTrial:
         assert str(exc.value).startswith("trial (person=2, shot=Lob, trial=3): ")
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("db_cm,dp_cm,shown", [
+        (1e-300, 1e-300, "0.0"),  # v*D underflows to 0
+        (1e308, 1e308, "inf"),    # v*D overflows
+    ], ids=["product_underflow", "product_overflow"])
+    def test_product_without_finite_difficulty_is_domain_error(
+            self, db_cm, dp_cm, shown):
+        rec = TrialRecord(2, ShotKind.LOB, 3, db_cm, 1.0, dp_cm, 1.5)
+        with pytest.raises(DomainError) as exc:
+            derive_trial(rec)
+        assert str(exc.value) == (
+            "trial (person=2, shot=Lob, trial=3): v*D must be finite and > 0 "
+            f"for a finite difficulty, got {shown}")
+        assert exc.value.field == "id_bits"
+
     def test_component_errors_annotated_with_trial_key(self):
         # a record that dodged construction-time validation (e.g. built by
         # deserialization code gone wrong) still fails loudly, with context

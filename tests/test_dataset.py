@@ -8,7 +8,8 @@ import pytest
 from squashfitts import (Dataset, ShotKind, TrialRecord, UsageError,
                          derive_trial, parse_csv, write_csv)
 from squashfitts.dataset import (BUNDLED_TRIALS, DERIVED_COLUMNS,
-                                 REQUIRED_COLUMNS, bundled_text)
+                                 MOVEMENT_TIME_RANGE_S, REQUIRED_COLUMNS,
+                                 bundled_text, parse_pointing_csv)
 
 import oracles
 
@@ -183,6 +184,62 @@ class TestParseCsv:
         assert report.errors == [
             (2, "row", f"field larger than field limit ({limit})")]
         assert [t.trial_index for t in dataset.trials] == [2]
+        assert csv.field_size_limit() == limit
+
+    @pytest.mark.parametrize("mt_s", ["1e300", "1.01e100", "9e-101", "5e-308"])
+    def test_movement_time_out_of_range_is_row_error(self, mt_s):
+        text = (VALID_HEADER + f"\n1,Drive,1,586,0.197,374,{mt_s}\n"
+                "1,Drive,2,586,0.197,374,1.22\n")
+        dataset, report = parse_csv(text)
+        assert report.errors == [
+            (2, "mt_s", "expected a value within [1e-100, 1e+100], "
+                        f"got {float(mt_s)!r}")]
+        assert [t.trial_index for t in dataset.trials] == [2]
+
+    def test_movement_time_range_ends_are_accepted(self):
+        lo, hi = MOVEMENT_TIME_RANGE_S
+        text = (VALID_HEADER + f"\n1,Drive,1,586,0.197,374,{lo!r}\n"
+                f"1,Drive,2,586,0.197,374,{hi!r}\n")
+        assert parse_csv(text)[1].errors == []
+
+
+POINTING_HEADER = "amplitude,width,mt_s"
+
+
+class TestParsePointingCsv:
+    def test_rows_become_pointing_trials(self):
+        trials, report = parse_pointing_csv(
+            "\ufeff" + POINTING_HEADER + "\n2,1,0.5\n\n0,0.5,0.25\n")
+        assert report.ok and not report.warnings
+        assert [(t.amplitude, t.width, t.movement_time_s) for t in trials] == [
+            (2.0, 1.0, 0.5), (0.0, 0.5, 0.25)]  # amplitude 0 is a valid trial
+
+    @pytest.mark.parametrize("text,error", [
+        ("", (0, "header", "no header: input is empty")),
+        ("a,w,mt_s\n2,1,0.5\n",
+         (1, "header", "expected header amplitude,width,mt_s, got a,w,mt_s")),
+    ])
+    def test_header_errors(self, text, error):
+        trials, report = parse_pointing_csv(text)
+        assert trials == [] and report.errors == [error]
+
+    def test_row_errors_keep_coordinates(self):
+        limit = csv.field_size_limit()
+        text = "\n".join([POINTING_HEADER, "2,1", "2,x,0.5", "-1,1,0.5",
+                          "2,0,0.5", "2,1,nan", "2,1,1e300",
+                          "2,1," + "1" * 200_000, "4,1,0.7"]) + "\n"
+        trials, report = parse_pointing_csv(text)
+        assert report.errors == [
+            (2, "row", "expected 3 cells, got 2"),
+            (3, "width", "expected a number, got 'x'"),
+            (4, "amplitude", "amplitude must be >= 0, got -1.0"),
+            (5, "width", "width must be > 0, got 0.0"),
+            (6, "mt_s", "expected a finite number, got 'nan'"),
+            (7, "mt_s", "expected a value within [1e-100, 1e+100], "
+                        "got 1e+300"),
+            (8, "row", f"field larger than field limit ({limit})"),
+        ]
+        assert [t.amplitude for t in trials] == [4.0]
         assert csv.field_size_limit() == limit
 
 

@@ -149,6 +149,24 @@ class TestCrossChecks:
         assert block["groups_passed"] == 16
         assert block["pass"] is True
 
+    def test_trend_line_reuses_the_single_shot_excluded_fits(self, report,
+                                                              monkeypatch):
+        fits = []
+        monkeypatch.setattr(pipeline, "ols_simple",
+                            lambda pts: fits.append(pts) or ols_simple(pts))
+        candidates = build_cross_checks(report)["published_trend_line"]["candidates"]
+        assert len(fits) == 6  # all/* and the four exclude_*/as_published
+        assert list(candidates) == [f"{name}/{basis}" for name in (
+            "all", "exclude_drive", "exclude_drop", "exclude_lob", "exclude_boast")
+            for basis in ("recomputed", "as_published")]
+        for name, fit in report.subset_fits.items():
+            candidate = dict(candidates[f"{name}/recomputed"])
+            candidate.pop("match")
+            assert candidate == pipeline._fit_dict(fit)
+            assert fit == ols_simple([(t.id_bits, t.movement_time_s)
+                                      for t in report.derived_table
+                                      if f"exclude_{t.shot.value.lower()}" != name])
+
     def test_trend_line_block_flags_exclude_drive(self, report):
         block = build_cross_checks(report)["published_trend_line"]
         assert sorted(block["matching_subsets"]) == [
@@ -204,13 +222,16 @@ class TestRenderReport:
         assert doc == again
         assert doc["fits"]["overall"]["slope"] == report.overall_fit.slope
 
-    def test_subset_scan_disabled_keeps_key_with_empty_map(self, bundled):
-        doc = run_analysis(bundled, AnalysisOptions(subset_scan=False))
-        rendered = json.loads(render_report_json(doc))
-        assert rendered["fits"]["single_shot_excluded"] == {}
+    def test_reference_throughput_block(self, report):
+        doc = json.loads(render_report_json(report))
+        assert doc["reference_throughput"] == {
+            "mean_bps": 10.1, "sd_bps": 1.33,
+            "note": "classic reciprocal-tapping benchmark, shown for context"}
+        assert doc["options"]["subset_scan"] is True
+        assert doc["options"]["derivation_tolerance"] == 0.02
 
     @pytest.mark.parametrize("case", [
-        "bundled", "bundled_exclude_drive", "no_subset_scan", "many_persons",
+        "bundled", "bundled_exclude_drive", "many_persons",
         "escaped_metadata", "non_finite_rates", "empty_groups"])
     def test_matches_json_module_byte_for_byte(self, bundled, case):
         doc = _RENDER_CASES[case](bundled)
@@ -240,14 +261,13 @@ class TestCellAggregation:
     equal, bit for bit, the per-point reference in oracles."""
 
     @pytest.mark.parametrize("options", [
-        {}, {"exclude_shots": frozenset({"Drive"})}, {"subset_scan": False}],
-        ids=["default", "exclude_drive", "no_subset_scan"])
+        {}, {"exclude_shots": frozenset({"Drive"})}],
+        ids=["default", "exclude_drive"])
     @pytest.mark.parametrize("data", ["bundled", "ragged"])
     def test_bit_exact_against_per_point_reference(self, bundled, data, options):
         dataset = bundled if data == "bundled" else _ragged(5)
         doc = run_analysis(dataset, AnalysisOptions(**options))
-        ref = oracles.reference_analysis(
-            dataset, doc.options.exclude_shots, doc.options.subset_scan)
+        ref = oracles.reference_analysis(dataset, doc.options.exclude_shots)
         assert doc.derived_table == ref["derived_table"]
         for got, want in ((doc.per_person_shot_stats, ref["person_shot"]),
                           (doc.per_shot_stats, ref["shot"])):
@@ -259,8 +279,7 @@ class TestCellAggregation:
         assert doc.per_shot_fits == ref["per_shot_fits"]
 
     @pytest.mark.parametrize("name,options", [
-        ("default", {}), ("exclude_drive", {"exclude_shots": frozenset({"Drive"})}),
-        ("no_subset_scan", {"subset_scan": False})])
+        ("default", {}), ("exclude_drive", {"exclude_shots": frozenset({"Drive"})})])
     def test_report_bytes_equal_the_per_point_implementation(self, name, options):
         text = render_report_json(run_analysis(_ragged(5), AnalysisOptions(**options)))
         assert (hashlib.sha256(text.encode()).hexdigest()
@@ -321,8 +340,6 @@ _RENDER_CASES = {
     "bundled": run_analysis,
     "bundled_exclude_drive": lambda b: run_analysis(
         b, AnalysisOptions(exclude_shots=frozenset({"drive"}))),
-    "no_subset_scan": lambda b: run_analysis(
-        b, AnalysisOptions(subset_scan=False)),
     "many_persons": lambda b: run_analysis(_synthetic(11, persons=60, trials=2)),
     "escaped_metadata": lambda b: run_analysis(Dataset(
         trials=b.trials, metadata={"source": 'café "π" \\ x.csv',

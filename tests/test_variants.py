@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from squashfitts import (DomainError, FITTS_REFERENCE, ModelKind,
-                         PointingTrial, ShotKind, TrialRecord, UsageError,
-                         derive_trial, id_fitts_original, id_mackenzie,
-                         model_design_row, predict_mt_steering,
-                         predict_mt_welford)
+from squashfitts import (DomainError, ModelKind, PointingTrial, ShotKind,
+                         TrialRecord, UsageError, derive_trial,
+                         id_fitts_original, id_mackenzie, model_design_row,
+                         predict_mt_steering, predict_mt_welford)
 
 
 def test_fitts_original_anchors():
@@ -112,7 +111,3 @@ def test_design_row_type_mismatch_is_usage_error():
     with pytest.raises(UsageError):
         model_design_row(ModelKind.FITTS_ORIGINAL, derive_trial(rec))
 
-
-def test_reference_throughput_constants():
-    assert FITTS_REFERENCE.mean_throughput_bps == 10.10
-    assert FITTS_REFERENCE.sd_throughput_bps == 1.33

@@ -8,10 +8,9 @@ dataset, reproduces the aggregates and trend line published with it
 (cross-checked with explicit tolerances), and emits figures as SVG/CSV.
 """
 
-from .core import (CourtGeometry, DEFAULT_COURT, DerivedTrial, ShotKind,
-                   TrialRecord, ball_speed, derive_trial, index_of_difficulty,
-                   information_rate, real_time_from_slowmo,
-                   validate_against_court)
+from .core import (DerivedTrial, ShotKind, TrialRecord, ball_speed,
+                   derive_trial, index_of_difficulty, information_rate,
+                   real_time_from_slowmo, validate_against_court)
 from .dataset import (Dataset, ValidationReport, bundled_dataset, parse_csv,
                       write_csv)
 from .errors import (DegenerateDesignError, DomainError, SquashFittsError,
@@ -30,8 +29,8 @@ from .variants import (ModelKind, PointingTrial, id_fitts_original,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisOptions", "CourtGeometry", "DEFAULT_COURT", "Dataset",
-    "DegenerateDesignError", "DerivedTrial", "DomainError", "FigureSeries",
+    "AnalysisOptions", "Dataset", "DegenerateDesignError", "DerivedTrial",
+    "DomainError", "FigureSeries",
     "GroupKey", "GroupStats", "LinearFit", "ModelKind", "PlotStyle",
     "PointingTrial", "ReportDocument", "ShotKind", "SquashFittsError",
     "TrialRecord", "UndefinedCorrelationError", "UsageError",

@@ -13,18 +13,16 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
-from .core import ShotKind, derive_trial, real_time_from_slowmo
-from .dataset import (POINTING_COLUMNS, Dataset, ValidationReport,
-                      bundled_dataset, parse_csv, parse_pointing_csv,
-                      write_csv)
+from .core import ShotKind, derive_trial
+from .dataset import (BUNDLED_METADATA, POINTING_COLUMNS, bundled_text,
+                      parse_csv, parse_pointing_csv, write_csv)
 from .errors import SquashFittsError, UsageError
-from .pipeline import (AnalysisOptions, FIGURES, figure_series,
+from .pipeline import (AnalysisOptions, FIGURES, figure_series, fit_overall,
                        render_report_json, run_analysis, summarize_report)
 from .plot import PlotStyle, emit_series_csv, emit_svg
 from .published import STATS_TOLERANCE
-from .stats import WelfordFit, fit_model, group_stats
+from .stats import WelfordFit, aggregate, fit_model
 from .variants import ModelKind
 
 
@@ -102,20 +100,15 @@ def _read_text(path: str) -> str:
 
 
 def _read_input(args):
-    """Load and validate the input dataset. Returns (dataset, report)."""
+    """Parse and validate the input dataset, ball times divided by the
+    --slowdown factor. Returns (dataset, report)."""
     if args.input == "bundled":
-        dataset = bundled_dataset()
-        report = ValidationReport()
+        text, metadata = bundled_text(), dict(BUNDLED_METADATA)
     else:
-        dataset, report = parse_csv(_read_text(args.input),
-                                    metadata={"source": args.input})
+        text, metadata = _read_text(args.input), {"source": args.input}
     if args.slowdown is not None:
-        dataset = Dataset(
-            trials=[replace(t, ball_time_s=real_time_from_slowmo(t.ball_time_s,
-                                                                 args.slowdown))
-                    for t in dataset.trials],
-            metadata={**dataset.metadata, "slowdown_factor": repr(args.slowdown)})
-    return dataset, report
+        metadata["slowdown_factor"] = repr(args.slowdown)
+    return parse_csv(text, metadata, args.slowdown or 1.0)
 
 
 def _write_output(args, text: str):
@@ -142,21 +135,23 @@ def cmd_derive(args, options: AnalysisOptions) -> int:
     return 0
 
 
+def _group_line(g) -> str:
+    return (f"{str(g.key):18s} n={g.n:<3d} "
+            f"mean_id={g.mean_id:.2f} sd_id={g.sd_id:.2f} "
+            f"mean_mt={g.mean_mt:.2f} sd_mt={g.sd_mt:.2f} "
+            f"mean_ir={g.mean_ir:.2f}")
+
+
 def cmd_stats(args, options: AnalysisOptions) -> int:
     dataset, report = _read_input(args)
     if not report.ok:
         print(report.format_text(), file=sys.stderr)
         return 1
-    derived = [derive_trial(t) for t in dataset.trials]
-    lines = ["# person x shot groups"]
-    for level in ("person_shot", "shot"):
-        for g in group_stats(derived, level):
-            lines.append(f"{str(g.key):18s} n={g.n:<3d} "
-                         f"mean_id={g.mean_id:.2f} sd_id={g.sd_id:.2f} "
-                         f"mean_mt={g.mean_mt:.2f} sd_mt={g.sd_mt:.2f} "
-                         f"mean_ir={g.mean_ir:.2f}")
-        if level == "person_shot":
-            lines.append("# shot groups")
+    if not dataset.trials:
+        raise UsageError("group_stats of empty trial sequence")
+    groups = aggregate(derive_trial(t) for t in dataset.trials)
+    lines = ["# person x shot groups", *map(_group_line, groups.per_person_shot),
+             "# shot groups", *map(_group_line, groups.per_shot)]
     _write_output(args, "\n".join(lines) + "\n")
     return 0
 
@@ -167,9 +162,10 @@ def cmd_fit(args, options: AnalysisOptions) -> int:
         if not report.ok:
             print(report.format_text(), file=sys.stderr)
             return 1
-        derived = [derive_trial(t) for t in dataset.trials
-                   if t.shot not in options.exclude_shots]
-        fit = fit_model(ModelKind.SQUASH_ID, derived)
+        if not dataset.trials:
+            raise UsageError(f"cannot fit model {args.model} to an empty dataset")
+        groups = aggregate(derive_trial(t) for t in dataset.trials)
+        fit = fit_overall(groups.columns, options)
         subset = options.overall_subset
     else:
         trials, report = parse_pointing_csv(_read_text(args.input))

@@ -23,6 +23,10 @@ from .errors import DomainError
 #: Speeds outside this band (m/s) are flagged as implausible for squash.
 PLAUSIBLE_SPEED_BAND_MPS = (1.0, 100.0)
 
+#: Player distances (m) beyond the T's farthest (front) corner on a standard
+#: court, 5.55 m to the front wall and 3.2 m to each side, are flagged.
+MAX_PLAYER_REACH_M = math.hypot(5.55, 3.2)
+
 #: Default factor by which slow-motion footage stretches observed time.
 DEFAULT_SLOWDOWN_FACTOR = 10.0
 
@@ -135,31 +139,6 @@ class DerivedTrial:
         return self.base.movement_time_s
 
 
-@dataclass(frozen=True)
-class CourtGeometry:
-    """Court dimensions as seen from the central T position (meters).
-
-    Defaults are the standard court: 5.55 m to the front wall, 4.2 m to
-    the back wall, 3.2 m to each side wall.
-    """
-
-    t_to_front_m: float = 5.55
-    t_to_back_m: float = 4.2
-    t_to_side_m: float = 3.2
-
-    def __post_init__(self):
-        for name in ("t_to_front_m", "t_to_back_m", "t_to_side_m"):
-            _require_positive(getattr(self, name), name)
-
-    @property
-    def max_player_reach_m(self) -> float:
-        """Distance from the T to the farthest (front) corner."""
-        return math.hypot(self.t_to_front_m, self.t_to_side_m)
-
-
-DEFAULT_COURT = CourtGeometry()
-
-
 def ball_speed(ball_distance_cm: float, ball_time_s: float) -> float:
     """Ball speed in m/s from distance travelled (cm) and elapsed time (s).
 
@@ -242,26 +221,28 @@ def derive_trial(record: TrialRecord) -> DerivedTrial:
     return DerivedTrial(base=record, ball_speed_mps=v, id_bits=idb, info_rate_bps=ir)
 
 
-def validate_against_court(record: TrialRecord,
-                           geometry: CourtGeometry = DEFAULT_COURT,
-                           speed_band: tuple[float, float] = PLAUSIBLE_SPEED_BAND_MPS,
-                           ) -> list[str]:
+def _short(x: float) -> str:
+    """x with 2 decimals, or in exponent notation where that would be long."""
+    return f"{x:.2f}" if x < 1e6 else f"{x:.3e}"
+
+
+def validate_against_court(record: TrialRecord) -> list[str]:
     """Plausibility screen for one trial. Returns warnings, never rejects.
 
-    Flags: player distance beyond the farthest court corner, ball speed
-    outside the plausible band, and non-positive difficulty (v*D <= 1).
+    Flags: player distance beyond MAX_PLAYER_REACH_M, ball speed outside
+    PLAUSIBLE_SPEED_BAND_MPS, and non-positive difficulty (v*D <= 1).
+    Every warning is at most 100 characters long.
     """
     warnings = []
-    reach = geometry.max_player_reach_m
     player_m = record.player_distance_cm / 100.0
-    if player_m > reach:
-        warnings.append(
-            f"player_distance {player_m:.2f} m exceeds court reach {reach:.2f} m")
+    if player_m > MAX_PLAYER_REACH_M:
+        warnings.append(f"player_distance {_short(player_m)} m exceeds court "
+                        f"reach {MAX_PLAYER_REACH_M:.2f} m")
     v, vd = speed_and_product(record)
-    lo, hi = speed_band
+    lo, hi = PLAUSIBLE_SPEED_BAND_MPS
     if not lo <= v <= hi:
         warnings.append(
-            f"ball speed {v:.2f} m/s outside plausible band [{lo:g}, {hi:g}] m/s")
+            f"ball speed {_short(v)} m/s outside plausible band [{lo:g}, {hi:g}] m/s")
     if vd <= 1.0:
         id_bits = math.log2(vd) if vd > 0.0 else -math.inf
         warnings.append(

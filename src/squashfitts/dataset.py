@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .core import (CourtGeometry, DEFAULT_COURT, ShotKind, TrialRecord,
-                   derive_trial, speed_and_product, validate_against_court)
+from .core import (ShotKind, TrialRecord, derive_trial, speed_and_product,
+                   validate_against_court)
 from .errors import DomainError, UsageError
 from .variants import PointingTrial
 
@@ -180,16 +180,21 @@ def _underivable(record: TrialRecord) -> tuple[str, str] | None:
 
 
 def parse_csv(text: str, metadata: dict[str, str] | None = None,
-              geometry: CourtGeometry = DEFAULT_COURT,
+              slowdown_factor: float = 1.0,
               ) -> tuple[Dataset, ValidationReport]:
     """Parse CSV text into a Dataset plus a ValidationReport.
 
     Returns every successfully parsed trial even when other rows fail;
-    callers gate analysis on ``report.ok``. Plausibility warnings (court
-    reach, speed band, non-positive difficulty) are attached per row. One
-    leading byte order mark (U+FEFF) is skipped. A movement time outside
-    MOVEMENT_TIME_RANGE_S is a row error.
+    callers gate analysis on ``report.ok``. Ball times are divided by
+    slowdown_factor (for t_s read off slowed-down footage) before any row
+    check. Plausibility warnings (court reach, speed band, non-positive
+    difficulty) are attached per row. One leading byte order mark
+    (U+FEFF) is skipped. A movement time outside MOVEMENT_TIME_RANGE_S,
+    or a divided ball time not finite and > 0, is a row error.
     """
+    if not 0.0 < slowdown_factor < math.inf:
+        raise UsageError(f"slowdown_factor must be a finite number > 0, "
+                         f"got {slowdown_factor!r}")
     report = ValidationReport()
     split = _split_header(text, report.errors)
     if split is None:
@@ -230,6 +235,11 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
         trial = _parse_positive_int(cells[2], "trial", idx, report.errors)
         db = _parse_positive_float(cells[3], "db_cm", idx, report.errors)
         t = _parse_positive_float(cells[4], "t_s", idx, report.errors)
+        if t is not None:
+            t /= slowdown_factor
+            if not 0.0 < t < math.inf:
+                report.errors.append((idx, "t_s", f"t_s / {slowdown_factor!r} must "
+                                                  f"be finite and > 0, got {t!r}"))
         dp = _parse_positive_float(cells[5], "dp_cm", idx, report.errors)
         mt = _parse_positive_float(cells[6], "mt_s", idx, report.errors,
                                    MOVEMENT_TIME_RANGE_S)
@@ -250,7 +260,7 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
             report.errors.append((idx, *derived_error))
             continue
         seen[key] = idx
-        for warning in validate_against_court(record, geometry):
+        for warning in validate_against_court(record):
             report.warnings.append((idx, warning))
         trials.append(record)
 
@@ -322,14 +332,18 @@ def bundled_text() -> str:
             .joinpath(_BUNDLED_RESOURCE).read_text(encoding="utf-8"))
 
 
+#: Provenance notes of the bundled reference dataset.
+BUNDLED_METADATA = {
+    "source": "bundled squash shot-retrieval reference table",
+    "units": "lengths in cm, durations in s",
+    "slowdown_factor": "10",
+    "derived_columns": "as published; ignored on input and recomputed",
+}
+
+
 def bundled_dataset() -> Dataset:
     """The bundled reference dataset: 3 persons x 4 shots x 3 trials."""
-    dataset, report = parse_csv(bundled_text(), metadata={
-        "source": "bundled squash shot-retrieval reference table",
-        "units": "lengths in cm, durations in s",
-        "slowdown_factor": "10",
-        "derived_columns": "as published; ignored on input and recomputed",
-    })
+    dataset, report = parse_csv(bundled_text(), metadata=BUNDLED_METADATA)
     if not report.ok:  # packaged data is validated by the test suite
         raise RuntimeError(f"bundled dataset failed to parse:\n{report.format_text()}")
     return dataset

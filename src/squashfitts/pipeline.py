@@ -23,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from json.encoder import encode_basestring
 
 from .core import DerivedTrial, ShotKind, derive_trial
@@ -34,8 +33,8 @@ from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
                         REFERENCE_THROUGHPUT_MEAN_BPS,
                         REFERENCE_THROUGHPUT_SD_BPS, STATS_TOLERANCE,
                         published_rows)
-from .stats import (GroupStats, LinearFit, cell_order, cell_stats, fit_columns,
-                    mean, ols_simple, population_sd)
+from .stats import (GroupStats, LinearFit, aggregate, fit_columns, mean,
+                    ols_simple, population_sd)
 
 SCHEMA_VERSION = "1.0"
 
@@ -113,17 +112,27 @@ class ReportDocument:
         return build_cross_checks(self)
 
 
-_TRIAL_INDEX = attrgetter("base.trial_index")
-
-
-def _joined(by_shot: dict, kinds) -> tuple[list[float], list[float]]:
+def _joined(columns: dict, kinds) -> tuple[list[float], list[float]]:
     """The (ids, mts) columns of the given shots, concatenated."""
     xs, ys = [], []
     for kind in kinds:
-        ids, mts, _ = by_shot[kind]
+        ids, mts = columns[kind]
         xs += ids
         ys += mts
     return xs, ys
+
+
+def fit_overall(columns: dict, options: AnalysisOptions) -> LinearFit:
+    """The overall MT-vs-ID line over the shots options keeps, from the
+    columns of :func:`aggregate`: the report's and ``fit --model squash``'s."""
+    xs, ys = _joined(columns, (kind for kind in ShotKind
+                               if kind not in options.exclude_shots))
+    if not xs:
+        raise UsageError("overall-fit filters exclude every trial")
+    try:
+        return fit_columns(xs, ys)
+    except DegenerateDesignError as exc:
+        raise DegenerateDesignError(f"overall fit ({options.overall_subset}): {exc}")
 
 
 def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
@@ -131,48 +140,20 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
     """Derive every trial, aggregate both grouping levels, and fit the
     overall, single-shot-excluded and per-shot movement-time lines.
 
-    One pass over the trials derives each one and buckets it into its
-    (person, shot) cell; every statistic and fit is then computed from
-    cell columns. math.fsum is correctly rounded, so each result is
+    One :func:`aggregate` pass groups the derived trials; every statistic
+    and fit is then computed from its columns, so each result is
     bit-identical to the same formula applied to the trials in any order.
     """
     options = options or AnalysisOptions()
     if not dataset.trials:
         raise UsageError("cannot analyze an empty dataset")
-    cells: dict[tuple, list] = {}
-    for r in dataset.trials:
-        cells.setdefault((r.person_id, r.shot), []).append(derive_trial(r))
-
-    derived = []
-    per_person_shot = []
-    by_shot = {kind: ([], [], []) for kind in ShotKind}  # (ids, mts, irs)
-    for cell in sorted(cells, key=cell_order):
-        trials = cells[cell]
-        trials.sort(key=_TRIAL_INDEX)  # unique within a cell
-        derived += trials
-        ids = [t.id_bits for t in trials]
-        mts = [t.base.movement_time_s for t in trials]
-        irs = [t.info_rate_bps for t in trials]
-        per_person_shot.append(cell_stats(cell, ids, mts, irs))
-        shot_ids, shot_mts, shot_irs = by_shot[cell[1]]
-        shot_ids += ids
-        shot_mts += mts
-        shot_irs += irs
-    per_shot = [cell_stats((None, kind), *columns)
-                for kind, columns in by_shot.items() if columns[0]]
-
-    xs, ys = _joined(by_shot, (kind for kind in ShotKind
-                               if kind not in options.exclude_shots))
-    if not xs:
-        raise UsageError("overall-fit filters exclude every trial")
-    try:
-        overall_fit = fit_columns(xs, ys)
-    except DegenerateDesignError as exc:
-        raise DegenerateDesignError(f"overall fit ({options.overall_subset}): {exc}")
+    groups = aggregate(derive_trial(r) for r in dataset.trials)
+    columns = groups.columns
+    overall_fit = fit_overall(columns, options)
 
     subset_fits = {}
     for kind in ShotKind:
-        xs, ys = _joined(by_shot, (other for other in ShotKind
+        xs, ys = _joined(columns, (other for other in ShotKind
                                    if other is not kind))
         if len(xs) < 2:
             raise UsageError(
@@ -181,7 +162,7 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
 
     per_shot_fits = {}
     for kind in ShotKind:
-        ids, mts, _ = by_shot[kind]
+        ids, mts = columns[kind]
         if not ids:
             raise UsageError(f"no trials for shot {kind}; cannot fit its line")
         try:
@@ -192,9 +173,9 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
     return ReportDocument(
         options=options,
         dataset_metadata=dict(dataset.metadata),
-        derived_table=tuple(derived),
-        per_person_shot_stats=tuple(per_person_shot),
-        per_shot_stats=tuple(per_shot),
+        derived_table=groups.table,
+        per_person_shot_stats=groups.per_person_shot,
+        per_shot_stats=groups.per_shot,
         overall_fit=overall_fit,
         subset_fits=subset_fits,
         per_shot_fits=per_shot_fits,
@@ -289,12 +270,11 @@ def build_cross_checks(report: ReportDocument) -> dict:
 
     # 2. grouped mean/SD of difficulty vs the published summaries
     printed_ids: dict[tuple, list[float]] = {}
-    recomputed_ids: dict[tuple, list[float]] = {}
     for row in pub:
-        trial = derived_by_key[(row.person_id, row.shot, row.trial_index)]
         for key in ((row.person_id, row.shot), (None, row.shot)):
             printed_ids.setdefault(key, []).append(row.id_bits.value)
-            recomputed_ids.setdefault(key, []).append(trial.id_bits)
+    computed = {(g.key.person_id, g.key.shot): g for g in
+                report.per_person_shot_stats + report.per_shot_stats}
     stat_entries = []
     for key, (pub_mean, pub_sd) in PUBLISHED_GROUP_STATS.items():
         person, shot = key
@@ -302,9 +282,9 @@ def build_cross_checks(report: ReportDocument) -> dict:
         entry = {"scope": scope,
                  "published_mean": pub_mean.text, "published_sd": pub_sd.text}
         ok = True
-        for basis, ids in (("as_published", printed_ids[key]),
-                           ("recomputed", recomputed_ids[key])):
-            m, s = mean(ids), population_sd(ids)
+        ids, group = printed_ids[key], computed[key]
+        for basis, m, s in (("as_published", mean(ids), population_sd(ids)),
+                            ("recomputed", group.mean_id, group.sd_id)):
             entry[basis] = {
                 "mean": m, "sd": s,
                 "mean_match": pub_mean.matches(m, tol_stats),

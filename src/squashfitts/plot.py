@@ -41,7 +41,7 @@ class AxisMapper:
     """Affine data-space to pixel-space mapping (y inverted).
 
     Bounds are padded data bounds; a collapsed span falls back to +-0.5
-    around the single value so the mapping stays invertible.
+    around the single value so the mapping stays defined.
     """
 
     x_lo: float
@@ -66,14 +66,6 @@ class AxisMapper:
         px = s.margin_px + (x - self.x_lo) / (self.x_hi - self.x_lo) * plot_w
         py = s.height_px - s.margin_px - (y - self.y_lo) / (self.y_hi - self.y_lo) * plot_h
         return px, py
-
-    def pixel_to_data(self, px: float, py: float) -> tuple[float, float]:
-        s = self.style
-        plot_w = s.width_px - 2 * s.margin_px
-        plot_h = s.height_px - 2 * s.margin_px
-        x = self.x_lo + (px - s.margin_px) / plot_w * (self.x_hi - self.x_lo)
-        y = self.y_lo + (s.height_px - s.margin_px - py) / plot_h * (self.y_hi - self.y_lo)
-        return x, y
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:

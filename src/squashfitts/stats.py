@@ -12,7 +12,8 @@ pseudo-inverse, so data problems surface loudly.
 """
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import _SHOT_ORDER, DerivedTrial, ShotKind
 from .errors import DegenerateDesignError, UndefinedCorrelationError, UsageError
@@ -124,14 +125,6 @@ def _columns(points) -> tuple[list[float], list[float]]:
     return [x for x, _ in pts], [y for _, y in pts]
 
 
-def cell_order(cell: tuple) -> tuple[int, int]:
-    """Sort key of a (person_id, shot) cell: person id, then shot
-    declaration order. A person_id of None (a cell pooled over persons)
-    sorts first."""
-    person_id, shot = cell
-    return (person_id if person_id is not None else 0, _SHOT_ORDER[shot])
-
-
 def cell_stats(cell: tuple, ids, mts, irs) -> GroupStats:
     """GroupStats of one (person_id, shot) cell from its difficulty,
     movement-time and information-rate columns."""
@@ -142,6 +135,51 @@ def cell_stats(cell: tuple, ids, mts, irs) -> GroupStats:
                       mean_id=mean_id, sd_id=math.sqrt(ss_id / n),
                       mean_mt=mean_mt, sd_mt=math.sqrt(ss_mt / n),
                       mean_ir=_mean(irs))
+
+
+class Aggregation(NamedTuple):
+    """What :func:`aggregate` returns: the trials in canonical order
+    (person, shot declaration order, trial index), the GroupStats of each
+    (person, shot) cell and of each shot, and shot -> (ids, mts) columns
+    in table order for every ShotKind (empty for a shot without trials)."""
+
+    table: tuple
+    per_person_shot: tuple
+    per_shot: tuple
+    columns: dict
+
+
+_TRIAL_INDEX = attrgetter("base.trial_index")
+
+
+def aggregate(trials: Iterable[DerivedTrial]) -> Aggregation:
+    """Group derived trials into (person, shot) cells in one pass, the one
+    place that groups trials. math.fsum is correctly rounded, so every
+    number equals, bit for bit, the same formula over the group's trials
+    in any order."""
+    cells: dict[tuple, list] = {}
+    for t in trials:
+        cells.setdefault((t.base.person_id, t.base.shot), []).append(t)
+
+    table = []
+    per_person_shot = []
+    by_shot = {kind: ([], [], []) for kind in ShotKind}  # (ids, mts, irs)
+    for cell in sorted(cells, key=lambda cell: (cell[0], _SHOT_ORDER[cell[1]])):
+        members = cells[cell]
+        members.sort(key=_TRIAL_INDEX)  # unique within a dataset's cell
+        table += members
+        ids = [t.id_bits for t in members]
+        mts = [t.base.movement_time_s for t in members]
+        irs = [t.info_rate_bps for t in members]
+        per_person_shot.append(cell_stats(cell, ids, mts, irs))
+        shot_ids, shot_mts, shot_irs = by_shot[cell[1]]
+        shot_ids += ids
+        shot_mts += mts
+        shot_irs += irs
+    per_shot = [cell_stats((None, kind), *columns)
+                for kind, columns in by_shot.items() if columns[0]]
+    return Aggregation(tuple(table), tuple(per_person_shot), tuple(per_shot),
+                       {kind: (ids, mts) for kind, (ids, mts, _) in by_shot.items()})
 
 
 def group_stats(trials: Sequence[DerivedTrial], level: str = "person_shot",
@@ -157,18 +195,9 @@ def group_stats(trials: Sequence[DerivedTrial], level: str = "person_shot",
     if level not in ("person_shot", "shot"):
         raise UsageError(f"unknown grouping level {level!r} "
                          "(expected 'person_shot' or 'shot')")
-
-    pooled = level == "shot"
-    cells: dict[tuple, list[DerivedTrial]] = {}
-    for t in trials:
-        cells.setdefault((None if pooled else t.person_id, t.shot), []).append(t)
-    out = []
-    for cell in sorted(cells, key=cell_order):
-        members = cells[cell]
-        out.append(cell_stats(cell, [float(t.id_bits) for t in members],
-                              [float(t.movement_time_s) for t in members],
-                              [float(t.info_rate_bps) for t in members]))
-    return out
+    groups = aggregate(trials)
+    return list(groups.per_person_shot if level == "person_shot"
+                else groups.per_shot)
 
 
 def fit_columns(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:

@@ -110,7 +110,8 @@ def model_design_row(kind: ModelKind, trial) -> list[float]:
     predicts movement time under the given model.
 
     The squash model consumes :class:`DerivedTrial`; all others consume
-    :class:`PointingTrial`. One predictor each, except welford (two).
+    :class:`PointingTrial`. One predictor each, except welford (two). A
+    design value that overflows (2A/W, A/W or 1/W) is a DomainError.
     """
     kind = ModelKind.parse(kind)
     if kind is ModelKind.SQUASH_ID:
@@ -122,12 +123,17 @@ def model_design_row(kind: ModelKind, trial) -> list[float]:
         raise UsageError(f"model {kind} requires PointingTrial, got "
                          f"{type(trial).__name__}")
     if kind is ModelKind.FITTS_ORIGINAL:
-        return [id_fitts_original(trial.amplitude, trial.width)]
-    if kind is ModelKind.MACKENZIE_SHANNON:
-        return [id_mackenzie(trial.amplitude, trial.width)]
-    if kind is ModelKind.STEERING:
-        return [trial.amplitude / trial.width]
-    # welford: separate log-amplitude and log-inverse-width predictors
-    if not trial.amplitude > 0:
-        raise DomainError("welford model requires amplitude > 0", field="amplitude")
-    return [math.log2(trial.amplitude), math.log2(1.0 / trial.width)]
+        row = [id_fitts_original(trial.amplitude, trial.width)]
+    elif kind is ModelKind.MACKENZIE_SHANNON:
+        row = [id_mackenzie(trial.amplitude, trial.width)]
+    elif kind is ModelKind.STEERING:
+        row = [trial.amplitude / trial.width]
+    else:  # welford: separate log-amplitude and log-inverse-width predictors
+        if not trial.amplitude > 0:
+            raise DomainError("welford model requires amplitude > 0", field="amplitude")
+        row = [math.log2(trial.amplitude), math.log2(1.0 / trial.width)]
+    if not all(map(math.isfinite, row)):  # A/W or 1/W overflowed
+        raise DomainError(f"model {kind} design value {row} is not finite for "
+                          f"amplitude={trial.amplitude!r}, width={trial.width!r}",
+                          field="width")
+    return row

@@ -258,3 +258,20 @@ FROZEN_RAGGED_REPORT_SHA256 = {
     "default": "1c75e9b28f988056ec9505ee772d0f6cdb895e81e423bc9b53890e68fa31e0ad",
     "exclude_drive": "690c3ba8157a339d8825a45808ae29f618d9cf32e4665edc520630c2c90208e7",
 }
+
+
+#: sha256 of the stdout of `stats` and `fit --model squash` as written
+#: before the CLI shared run_analysis's aggregation pass. Keys are (data,
+#: case): data is the bundled table or the ragged set (test_pipeline.
+#: _ragged(5) written with write_csv); fit cases name their --exclude-shot
+#: flags. Recorded on CPython 3.11 with glibc's libm.
+FROZEN_CLI_STDOUT_SHA256 = {
+    ("bundled", "stats"): "421e03a8bd271340dcce87289d73649d620b799c072abf28c37d6bb0371b6031",
+    ("bundled", "fit"): "5da29efd26d0157fc8fca9c30ae13bb1c9c71ce51e49b4f1ee29e71f100df967",
+    ("bundled", "fit_exclude_drive"): "1dc9699a89cc5449d5bc729c0c56293156608be427eeb7b75716be4dece9e3e3",
+    ("bundled", "fit_exclude_lob_boast"): "89db2aec978182378bc7cb11be061939a33e4c81ae7c2b1fd570f964df4d3f95",
+    ("ragged", "stats"): "13d1cfb8af93cb72ae0549bed144755a665022109389134c6acc1db8f740948a",
+    ("ragged", "fit"): "3797c9fb45415f796607a895f4932cbadf0869acc4b451bddfcae4e9789572c8",
+    ("ragged", "fit_exclude_drive"): "3dbd77e691703fb4ca7fb0d025c874383c069522a69443e856178a7161ba16c9",
+    ("ragged", "fit_exclude_lob_boast"): "d5a5eaa46106a7b402745ccbce82e70e7a72b7cb4a42340b89c6be1c2bdbe2e4",
+}

@@ -347,6 +347,37 @@ class TestHostileInput:
         assert capsys.readouterr().err == f"error: row 3: {message}\n"
 
 
+    def test_commands_agree_on_exit_codes_under_slowdown(self, tmp_path, capsys):
+        # 1e-300 s / 1e10 leaves a ball speed that overflows
+        p = tmp_path / "trials.csv"
+        p.write_text(VALID_HEADER + "\n1,Drive,1,586,1e-300,374,1.22\n"
+                     "1,Lob,1,616,0.4,300,1.5\n")
+        for command in ("validate", "derive", "report"):
+            assert main([command, "--input", str(p), "--slowdown", "1e10",
+                         "--output", str(tmp_path / "out")]) == 1
+            assert "row 2, column 'v_mps'" in capsys.readouterr().err
+
+    def test_slow_motion_times_get_no_speed_warning(self, tmp_path, capsys):
+        p = tmp_path / "slowmo.csv"
+        p.write_text(VALID_HEADER + "\n1,Drive,1,586,19.7,374,1.22\n"
+                     "1,Lob,1,616,39.5,300,1.5\n")
+        assert main(["validate", "--input", str(p), "--slowdown", "10"]) == 0
+        assert "0 error(s), 0 warning(s)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("widths", [("5e-324",) * 4, ("5e-324", "5e-324", "0.5", "0.25")],
+                             ids=["all_tiny", "two_tiny"])
+    @pytest.mark.parametrize("model", ["fitts", "mackenzie", "welford", "steering"])
+    def test_infinite_pointing_design_value_exits_one(self, tmp_path, capsys,
+                                                      model, widths):
+        p = tmp_path / "pointing.csv"
+        p.write_text("amplitude,width,mt_s\n" + "".join(
+            f"{i + 1},{w},{0.5 + 0.1 * i}\n" for i, w in enumerate(widths)))
+        assert main(["fit", "--model", model, "--input", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: model {model} design value [")
+        assert "is not finite" in err and err.count("\n") == 1
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "squashfitts", "validate", "--input", "bundled"],

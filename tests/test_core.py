@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from squashfitts import (CourtGeometry, DEFAULT_COURT, DomainError, ShotKind,
-                         TrialRecord, ball_speed, derive_trial,
-                         index_of_difficulty, information_rate,
+from squashfitts import (DomainError, ShotKind, TrialRecord, ball_speed,
+                         derive_trial, index_of_difficulty, information_rate,
                          real_time_from_slowmo, validate_against_court)
+from squashfitts.core import MAX_PLAYER_REACH_M
 
 import oracles
 
@@ -244,19 +244,10 @@ class TestDeriveTrial:
 
 
 class TestCourtGeometry:
-    def test_default_dimensions(self):
-        assert DEFAULT_COURT.t_to_front_m == 5.55
-        assert DEFAULT_COURT.t_to_back_m == 4.2
-        assert DEFAULT_COURT.t_to_side_m == 3.2
-
     def test_max_reach_is_front_corner_distance(self):
-        assert DEFAULT_COURT.max_player_reach_m == pytest.approx(
+        assert MAX_PLAYER_REACH_M == pytest.approx(
             math.sqrt(5.55 ** 2 + 3.2 ** 2), abs=1e-12)
-        assert DEFAULT_COURT.max_player_reach_m == pytest.approx(6.41, abs=0.01)
-
-    def test_rejects_non_positive_dimension(self):
-        with pytest.raises(DomainError):
-            CourtGeometry(t_to_front_m=0.0)
+        assert MAX_PLAYER_REACH_M == pytest.approx(6.41, abs=0.01)
 
 
 class TestValidateAgainstCourt:
@@ -282,6 +273,20 @@ class TestValidateAgainstCourt:
         warnings = validate_against_court(rec)
         assert any("non-positive difficulty" in w for w in warnings)
         assert derive_trial(rec).id_bits < 0  # still derivable
+
+    @pytest.mark.parametrize("db_cm,t_s,dp_cm", [
+        (586.0, 1e-300, 374.0),     # speed about 6e300 m/s
+        (1e308, 1.0, 1e308),        # player distance 1e306 m
+        (5e-324, 1e308, 1e-300),    # speed and v*D 0
+    ])
+    def test_warnings_are_at_most_100_characters(self, db_cm, t_s, dp_cm):
+        warnings = validate_against_court(self._rec(dp_cm, db_cm, t_s))
+        assert warnings and all(len(w) <= 100 for w in warnings)
+
+    def test_moderate_values_keep_two_decimals(self):
+        assert validate_against_court(self._rec(dp_cm=800.0, db_cm=15000.0, t_s=1.0)) == [
+            "player_distance 8.00 m exceeds court reach 6.41 m",
+            "ball speed 150.00 m/s outside plausible band [1, 100] m/s"]
 
     def test_zero_speed_warns_without_raising(self):
         rec = TrialRecord(1, ShotKind.DROP, 1, 5e-324, 1e308, 100, 1.0)

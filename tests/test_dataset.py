@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import random
 
 import pytest
@@ -202,6 +203,33 @@ class TestParseCsv:
                 f"1,Drive,2,586,0.197,374,{hi!r}\n")
         assert parse_csv(text)[1].errors == []
 
+
+    def test_slowdown_divides_ball_times_before_the_checks(self):
+        # t_s read off 10x slow motion: 2.97 and 1.56 m/s in real time
+        text = (VALID_HEADER + "\n1,Drive,1,586,19.7,374,1.22\n"
+                "1,Lob,1,616,39.5,300,1.5\n")
+        assert len(parse_csv(text)[1].warnings) == 3
+        dataset, report = parse_csv(text, slowdown_factor=10.0)
+        assert report.ok and report.warnings == []
+        assert [t.ball_time_s for t in dataset.trials] == [19.7 / 10, 39.5 / 10]
+
+    @pytest.mark.parametrize("t_s,factor,column", [
+        ("1e-300", 1e10, "v_mps"),  # the speed overflows
+        ("1e-300", 1e300, "t_s"),   # the ball time underflows to 0
+        ("1e300", 1e-10, "t_s"),    # the ball time overflows
+    ])
+    def test_slowdown_that_leaves_no_finite_speed_is_row_error(
+            self, t_s, factor, column):
+        text = (VALID_HEADER + f"\n1,Drive,1,586,{t_s},374,1.22\n"
+                "1,Drive,2,586,1.97,374,1.22\n")
+        dataset, report = parse_csv(text, slowdown_factor=factor)
+        assert [(row, col) for row, col, _ in report.errors] == [(2, column)]
+        assert [t.trial_index for t in dataset.trials] == [2]
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.inf, math.nan])
+    def test_slowdown_factor_must_be_finite_and_positive(self, factor):
+        with pytest.raises(UsageError):
+            parse_csv(VALID_HEADER + "\n", slowdown_factor=factor)
 
 POINTING_HEADER = "amplitude,width,mt_s"
 

@@ -9,9 +9,13 @@ import pytest
 
 from squashfitts import (AnalysisOptions, Dataset, DomainError, ShotKind,
                          TrialRecord, UsageError, build_cross_checks,
-                         derive_trial, figure_series, ols_simple,
-                         render_report_json, run_analysis)
-from squashfitts import pipeline
+                         derive_trial, figure_series, mean, ols_simple,
+                         population_sd, render_report_json, run_analysis,
+                         write_csv)
+from squashfitts import cli, pipeline, stats
+from squashfitts.cli import main
+from squashfitts.published import PUBLISHED_GROUP_STATS
+from squashfitts.stats import aggregate
 
 import oracles
 
@@ -312,6 +316,64 @@ class TestCellAggregation:
         assert "person=2, shot=Lob, trial=7" in str(got.value)
         assert got.value.field == want.value.field == "ball_speed_mps"
 
+
+
+_CLI_CASES = {
+    "stats": ["stats"],
+    "fit": ["fit", "--model", "squash"],
+    "fit_exclude_drive": ["fit", "--model", "squash", "--exclude-shot", "drive"],
+    "fit_exclude_lob_boast": ["fit", "--model", "squash", "--exclude-shot", "lob",
+                              "--exclude-shot", "boast"],
+}
+
+
+class TestSharedAggregation:
+    """report, figures, stats, fit --model squash and group_stats group
+    trials through the one aggregate pass; the output stays as it was."""
+
+    @pytest.mark.parametrize("case", list(_CLI_CASES))
+    @pytest.mark.parametrize("data", ["bundled", "ragged"])
+    def test_cli_stdout_equals_the_frozen_bytes(self, tmp_path, capsys, data, case):
+        source = "bundled"
+        if data == "ragged":
+            source = str(tmp_path / "ragged.csv")
+            (tmp_path / "ragged.csv").write_text(write_csv(_ragged(5)))
+        assert main(_CLI_CASES[case] + ["--input", source]) == 0
+        out = capsys.readouterr().out
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == oracles.FROZEN_CLI_STDOUT_SHA256[(data, case)])
+
+    def test_recomputed_group_check_equals_the_recomputed_ids(self, report):
+        ids = {}
+        for t in report.derived_table:
+            for key in ((t.person_id, t.shot), (None, t.shot)):
+                ids.setdefault(key, []).append(t.id_bits)
+        entries = build_cross_checks(report)["published_group_stats"]["entries"]
+        assert len(entries) == len(PUBLISHED_GROUP_STATS) == 16
+        for entry, key in zip(entries, PUBLISHED_GROUP_STATS):
+            assert entry["recomputed"]["mean"] == mean(ids[key])
+            assert entry["recomputed"]["sd"] == population_sd(ids[key])
+
+    @pytest.mark.parametrize("consumer", [
+        "report", "figures", "stats", "fit", "group_stats"])
+    def test_each_consumer_aggregates_once(self, tmp_path, capsys, monkeypatch,
+                                           bundled, consumer):
+        calls = []
+
+        def counting(trials):
+            calls.append(trials)
+            return aggregate(trials)
+
+        for module in (stats, pipeline, cli):
+            monkeypatch.setattr(module, "aggregate", counting)
+        if consumer == "group_stats":
+            stats.group_stats([derive_trial(t) for t in bundled.trials], "shot")
+        else:
+            argv = {"report": ["report"], "stats": ["stats"],
+                    "fit": ["fit", "--model", "squash"],
+                    "figures": ["figures", "--output", str(tmp_path)]}[consumer]
+            assert main(argv + ["--input", "bundled"]) == 0
+        assert len(calls) == 1
 
 def _synthetic(seed: int, persons: int, trials: int) -> Dataset:
     rng = random.Random(seed)

@@ -10,7 +10,7 @@ dataset, reproduces the aggregates and trend line published with it
 
 from .core import (DerivedTrial, ShotKind, TrialRecord, ball_speed,
                    derive_trial, index_of_difficulty, information_rate,
-                   real_time_from_slowmo, validate_against_court)
+                   validate_against_court)
 from .dataset import (Dataset, ValidationReport, bundled_dataset, parse_csv,
                       write_csv)
 from .errors import (DegenerateDesignError, DomainError, SquashFittsError,
@@ -18,7 +18,7 @@ from .errors import (DegenerateDesignError, DomainError, SquashFittsError,
 from .pipeline import (AnalysisOptions, FigureSeries, ReportDocument,
                        build_cross_checks, figure_series, render_report_json,
                        run_analysis, summarize_report)
-from .plot import PlotStyle, emit_series_csv, emit_svg
+from .plot import emit_series_csv, emit_svg
 from .stats import (GroupKey, GroupStats, LinearFit, WelfordFit, fit_model,
                     group_stats, mean, ols_simple, ols_two_predictor,
                     pearson_r, population_sd)
@@ -30,16 +30,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisOptions", "Dataset", "DegenerateDesignError", "DerivedTrial",
-    "DomainError", "FigureSeries",
-    "GroupKey", "GroupStats", "LinearFit", "ModelKind", "PlotStyle",
-    "PointingTrial", "ReportDocument", "ShotKind", "SquashFittsError",
-    "TrialRecord", "UndefinedCorrelationError", "UsageError",
-    "ValidationReport", "WelfordFit", "ball_speed", "build_cross_checks",
-    "bundled_dataset", "derive_trial", "emit_series_csv", "emit_svg",
-    "figure_series", "fit_model", "group_stats", "id_fitts_original",
-    "id_mackenzie", "index_of_difficulty", "information_rate", "mean",
-    "model_design_row", "ols_simple", "ols_two_predictor", "parse_csv",
-    "pearson_r", "population_sd", "predict_mt_steering", "predict_mt_welford",
-    "real_time_from_slowmo", "render_report_json", "run_analysis",
-    "summarize_report", "validate_against_court", "write_csv",
+    "DomainError", "FigureSeries", "GroupKey", "GroupStats", "LinearFit",
+    "ModelKind", "PointingTrial", "ReportDocument", "ShotKind",
+    "SquashFittsError", "TrialRecord", "UndefinedCorrelationError",
+    "UsageError", "ValidationReport", "WelfordFit", "ball_speed",
+    "build_cross_checks", "bundled_dataset", "derive_trial", "emit_series_csv",
+    "emit_svg", "figure_series", "fit_model", "group_stats",
+    "id_fitts_original", "id_mackenzie", "index_of_difficulty",
+    "information_rate", "mean", "model_design_row", "ols_simple",
+    "ols_two_predictor", "parse_csv", "pearson_r", "population_sd",
+    "predict_mt_steering", "predict_mt_welford", "render_report_json",
+    "run_analysis", "summarize_report", "validate_against_court", "write_csv",
 ]

@@ -20,7 +20,7 @@ from .dataset import (BUNDLED_METADATA, POINTING_COLUMNS, bundled_text,
 from .errors import SquashFittsError, UsageError
 from .pipeline import (AnalysisOptions, FIGURES, figure_series, fit_overall,
                        render_report_json, run_analysis, summarize_report)
-from .plot import PlotStyle, emit_series_csv, emit_svg
+from .plot import emit_series_csv, emit_svg
 from .published import STATS_TOLERANCE
 from .stats import WelfordFit, aggregate, fit_model
 from .variants import ModelKind
@@ -190,11 +190,10 @@ def cmd_figures(args, options: AnalysisOptions) -> int:
         return 1
     doc = run_analysis(dataset, options)
     os.makedirs(args.output, exist_ok=True)
-    style = PlotStyle()
     written = []
     for figure in sorted(FIGURES):
         series = figure_series(doc, figure)
-        for ext, text in ((".svg", emit_svg(series, style)),
+        for ext, text in ((".svg", emit_svg(series)),
                           (".csv", emit_series_csv(series))):
             path = os.path.join(args.output, series.label + ext)
             with open(path, "w", encoding="utf-8") as fh:

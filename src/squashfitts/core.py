@@ -27,9 +27,6 @@ PLAUSIBLE_SPEED_BAND_MPS = (1.0, 100.0)
 #: court, 5.55 m to the front wall and 3.2 m to each side, are flagged.
 MAX_PLAYER_REACH_M = math.hypot(5.55, 3.2)
 
-#: Default factor by which slow-motion footage stretches observed time.
-DEFAULT_SLOWDOWN_FACTOR = 10.0
-
 
 class ShotKind(Enum):
     """The four shot types present in the reference experiment.
@@ -147,14 +144,6 @@ def ball_speed(ball_distance_cm: float, ball_time_s: float) -> float:
     d = _require_positive(ball_distance_cm, "ball_distance_cm")
     t = _require_positive(ball_time_s, "ball_time_s")
     return (d / 100.0) / t
-
-
-def real_time_from_slowmo(observed_time_s: float,
-                          slowdown_factor: float = DEFAULT_SLOWDOWN_FACTOR) -> float:
-    """Convert a duration read off slowed-down footage back to real time."""
-    t = _require_positive(observed_time_s, "observed_time_s")
-    f = _require_positive(slowdown_factor, "slowdown_factor")
-    return t / f
 
 
 def index_of_difficulty(ball_speed_mps: float, player_distance_m: float) -> float:

@@ -1,71 +1,22 @@
 """Figure emission: plain data series CSV and standalone SVG scatter plots.
 
-The SVG output is deliberately minimal and byte-deterministic: axes and
-ticks are drawn as <path> elements, data points as <circle>, and the
-fitted trend as a single <line> spanning only the observed x-range (no
-extrapolation). The data-to-pixel mapping is affine with the y axis
-inverted; axis bounds are the data bounds padded by 5% per side.
+The SVG output is deliberately minimal and byte-deterministic: a fixed
+800x600 canvas, axes and ticks drawn as <path> elements, data points as
+<circle>, and the fitted trend as a single <line> spanning only the
+observed x-range (no extrapolation). The data-to-pixel mapping is affine
+with the y axis inverted; axis bounds are the data and fit-end bounds
+padded by 5% per side (+-0.5 around a collapsed span).
 """
-from dataclasses import dataclass
-
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .pipeline import FigureSeries
 
 PAD_FRACTION = 0.05
-
-
-@dataclass(frozen=True)
-class PlotStyle:
-    width_px: int = 800
-    height_px: int = 600
-    margin_px: int = 60
-    point_radius_px: float = 3.0
-    x_label: str = "Index of Difficulty (bits)"
-    y_label: str = "Movement Time (s)"
-
-    def __post_init__(self):
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise DomainError("plot dimensions must be positive")
-        if self.margin_px < 0:
-            raise DomainError("margin must be non-negative", field="margin_px")
-        if self.point_radius_px <= 0:
-            raise DomainError("point radius must be positive",
-                              field="point_radius_px")
-        if (self.width_px - 2 * self.margin_px <= 0
-                or self.height_px - 2 * self.margin_px <= 0):
-            raise DomainError("degenerate style: margins leave zero plot area")
-
-
-@dataclass(frozen=True)
-class AxisMapper:
-    """Affine data-space to pixel-space mapping (y inverted).
-
-    Bounds are padded data bounds; a collapsed span falls back to +-0.5
-    around the single value so the mapping stays defined.
-    """
-
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
-    style: PlotStyle
-
-    @classmethod
-    def for_points(cls, points, style: PlotStyle,
-                   extra_ys=()) -> "AxisMapper":
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points] + list(extra_ys)
-        x_lo, x_hi = _padded(min(xs), max(xs))
-        y_lo, y_hi = _padded(min(ys), max(ys))
-        return cls(x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi, style=style)
-
-    def data_to_pixel(self, x: float, y: float) -> tuple[float, float]:
-        s = self.style
-        plot_w = s.width_px - 2 * s.margin_px
-        plot_h = s.height_px - 2 * s.margin_px
-        px = s.margin_px + (x - self.x_lo) / (self.x_hi - self.x_lo) * plot_w
-        py = s.height_px - s.margin_px - (y - self.y_lo) / (self.y_hi - self.y_lo) * plot_h
-        return px, py
+WIDTH_PX = 800
+HEIGHT_PX = 600
+MARGIN_PX = 60
+POINT_RADIUS_PX = 3
+X_LABEL = "Index of Difficulty (bits)"
+Y_LABEL = "Movement Time (s)"
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:
@@ -94,31 +45,34 @@ def emit_series_csv(series: FigureSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _f(v: float) -> str:
-    return f"{v:.2f}"
-
-
-def emit_svg(series: FigureSeries, style: PlotStyle | None = None) -> str:
+def emit_svg(series: FigureSeries) -> str:
     """Standalone SVG 1.1 scatter plot with axes, ticks, and trend line."""
-    style = style or PlotStyle()
     if not series.points:
         raise UsageError("cannot plot an empty series")
-    extra_ys = []
     xs = [p[0] for p in series.points]
+    ys = [p[1] for p in series.points]
+    x_min, x_max = min(xs), max(xs)
     if series.fit is not None:
-        extra_ys = [series.fit.predict(min(xs)), series.fit.predict(max(xs))]
-    mapper = AxisMapper.for_points(series.points, style, extra_ys=extra_ys)
+        fit_ys = series.fit.predict(x_min), series.fit.predict(x_max)
+        ys += fit_ys
+    x_lo, x_hi = _padded(x_min, x_max)
+    y_lo, y_hi = _padded(min(ys), max(ys))
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    left, right = MARGIN_PX, WIDTH_PX - MARGIN_PX
+    top, bottom = MARGIN_PX, HEIGHT_PX - MARGIN_PX
+    plot_w, plot_h = right - left, bottom - top
 
-    s = style
-    left, right = s.margin_px, s.width_px - s.margin_px
-    top, bottom = s.margin_px, s.height_px - s.margin_px
+    def pixel(x: float, y: float) -> tuple[str, str]:
+        return (f"{left + (x - x_lo) / x_span * plot_w:.2f}",
+                f"{bottom - (y - y_lo) / y_span * plot_h:.2f}")
+
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-               f'width="{s.width_px}" height="{s.height_px}" '
-               f'viewBox="0 0 {s.width_px} {s.height_px}">')
+               f'width="{WIDTH_PX}" height="{HEIGHT_PX}" '
+               f'viewBox="0 0 {WIDTH_PX} {HEIGHT_PX}">')
     out.append(f'<title>{series.label}</title>')
-    out.append(f'<rect width="{s.width_px}" height="{s.height_px}" fill="white"/>')
+    out.append(f'<rect width="{WIDTH_PX}" height="{HEIGHT_PX}" fill="white"/>')
 
     # axes and ticks as a single path so point/line element counts stay meaningful
     path = [f"M {left} {bottom} L {right} {bottom}",
@@ -128,35 +82,33 @@ def emit_svg(series: FigureSeries, style: PlotStyle | None = None) -> str:
     labels = []
     for i in range(n_ticks):
         frac = i / (n_ticks - 1)
-        x_data = mapper.x_lo + frac * (mapper.x_hi - mapper.x_lo)
-        y_data = mapper.y_lo + frac * (mapper.y_hi - mapper.y_lo)
-        px, _ = mapper.data_to_pixel(x_data, mapper.y_lo)
-        _, py = mapper.data_to_pixel(mapper.x_lo, y_data)
-        path.append(f"M {_f(px)} {bottom} L {_f(px)} {bottom + tick_len}")
-        path.append(f"M {left} {_f(py)} L {left - tick_len} {_f(py)}")
-        labels.append(f'<text x="{_f(px)}" y="{bottom + 20}" font-size="11" '
+        x_data = x_lo + frac * x_span
+        y_data = y_lo + frac * y_span
+        px, py = pixel(x_data, y_data)
+        path.append(f"M {px} {bottom} L {px} {bottom + tick_len}")
+        path.append(f"M {left} {py} L {left - tick_len} {py}")
+        labels.append(f'<text x="{px}" y="{bottom + 20}" font-size="11" '
                       f'text-anchor="middle">{x_data:.3g}</text>')
-        labels.append(f'<text x="{left - 10}" y="{_f(py)}" font-size="11" '
+        labels.append(f'<text x="{left - 10}" y="{py}" font-size="11" '
                       f'text-anchor="end" dominant-baseline="middle">'
                       f'{y_data:.3g}</text>')
     out.append(f'<path d="{" ".join(path)}" stroke="black" fill="none"/>')
     out.extend(labels)
-    out.append(f'<text x="{(left + right) / 2:.2f}" y="{s.height_px - 12}" '
-               f'font-size="13" text-anchor="middle">{s.x_label}</text>')
+    out.append(f'<text x="{(left + right) / 2:.2f}" y="{HEIGHT_PX - 12}" '
+               f'font-size="13" text-anchor="middle">{X_LABEL}</text>')
     out.append(f'<text x="16" y="{(top + bottom) / 2:.2f}" font-size="13" '
                f'text-anchor="middle" transform="rotate(-90 16 '
-               f'{(top + bottom) / 2:.2f})">{s.y_label}</text>')
+               f'{(top + bottom) / 2:.2f})">{Y_LABEL}</text>')
 
     if series.fit is not None:
-        x1, y1 = mapper.data_to_pixel(min(xs), series.fit.predict(min(xs)))
-        x2, y2 = mapper.data_to_pixel(max(xs), series.fit.predict(max(xs)))
-        out.append(f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" '
-                   f'y2="{_f(y2)}" stroke="crimson" stroke-width="1.5"/>')
+        x1, y1 = pixel(x_min, fit_ys[0])
+        x2, y2 = pixel(x_max, fit_ys[1])
+        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
+                   f'y2="{y2}" stroke="crimson" stroke-width="1.5"/>')
 
     for x, y in sorted(series.points):
-        px, py = mapper.data_to_pixel(x, y)
-        out.append(f'<circle cx="{_f(px)}" cy="{_f(py)}" '
-                   f'r="{s.point_radius_px:g}" fill="steelblue" '
-                   f'fill-opacity="0.8"/>')
+        cx, cy = pixel(x, y)
+        out.append(f'<circle cx="{cx}" cy="{cy}" r="{POINT_RADIUS_PX}" '
+                   f'fill="steelblue" fill-opacity="0.8"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import _SHOT_ORDER, DerivedTrial, ShotKind
 from .errors import DegenerateDesignError, UndefinedCorrelationError, UsageError
-from .variants import ModelKind, PointingTrial, model_design_row
+from .variants import ModelKind, model_design_row, pointing_model
 
 #: Relative threshold below which a design's scaled determinant counts as zero.
 _RANK_TOL = 1e-12
@@ -289,22 +289,13 @@ def ols_two_predictor(rows: Sequence[tuple[float, float, float]]) -> WelfordFit:
 
 
 def fit_model(kind: ModelKind, dataset) -> LinearFit | WelfordFit:
-    """Fit the chosen model's movement-time regression to a dataset.
-
-    The squash model takes a sequence of :class:`DerivedTrial`; the
-    pointing-task models take :class:`PointingTrial`. Dispatches to
-    :func:`ols_simple` or :func:`ols_two_predictor` through the model's
-    design rows.
-    """
-    kind = ModelKind.parse(kind)
+    """Fit a pointing-task model's movement-time regression to PointingTrial
+    data through its design rows. The squash line is an analysis run's
+    overall fit, so squash is a UsageError (see model_design_row)."""
+    kind = pointing_model(kind)
     trials = list(dataset)
     if not trials:
         raise UsageError(f"cannot fit model {kind} to an empty dataset")
-    expected = DerivedTrial if kind is ModelKind.SQUASH_ID else PointingTrial
-    for t in trials:
-        if not isinstance(t, expected):
-            raise UsageError(f"model {kind} requires {expected.__name__} data, "
-                             f"got {type(t).__name__}")
     designs = [model_design_row(kind, t) for t in trials]
     mts = [t.movement_time_s for t in trials]
     if kind is ModelKind.WELFORD:

@@ -1,7 +1,8 @@
 """Aimed-movement difficulty models with an explicit closed form.
 
-Five models are implemented, each usable both as a difficulty calculator
-and as the design row of a movement-time regression:
+Five models are named. The four pointing-task models are each usable as a
+difficulty calculator and as the design row of a movement-time regression;
+the squash line is the overall fit of an analysis run (pipeline.fit_overall):
 
     squash      ID = log2(v * D)            (this package's core metric)
     fitts       ID = log2(2A / W)           (classic reciprocal tapping)
@@ -22,8 +23,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DerivedTrial
 from .errors import DomainError, UsageError
+
+#: Largest design-value magnitude a pointing model accepts: below it no centred
+#: square or sum in a fit overflows (as dataset.MOVEMENT_TIME_RANGE_S for MT).
+DESIGN_VALUE_BOUND = 1e100
 
 
 @dataclass(frozen=True)
@@ -105,20 +109,24 @@ def predict_mt_steering(a: float, b: float, amplitude: float, width: float) -> f
     return a + b * (amplitude / width)
 
 
-def model_design_row(kind: ModelKind, trial) -> list[float]:
-    """Predictor vector whose linear combination plus an intercept
-    predicts movement time under the given model.
-
-    The squash model consumes :class:`DerivedTrial`; all others consume
-    :class:`PointingTrial`. One predictor each, except welford (two). A
-    design value that overflows (2A/W, A/W or 1/W) is a DomainError.
-    """
+def pointing_model(kind: ModelKind) -> ModelKind:
+    """Parse a pointing-task model name; squash is a UsageError."""
     kind = ModelKind.parse(kind)
     if kind is ModelKind.SQUASH_ID:
-        if not isinstance(trial, DerivedTrial):
-            raise UsageError(f"model {kind} requires DerivedTrial, got "
-                             f"{type(trial).__name__}")
-        return [trial.id_bits]
+        raise UsageError("model squash is fitted by the analysis run: use "
+                         "run_analysis(...).overall_fit or pipeline.fit_overall")
+    return kind
+
+
+def model_design_row(kind: ModelKind, trial: PointingTrial) -> list[float]:
+    """Predictor vector whose linear combination plus an intercept
+    predicts movement time under the given pointing-task model.
+
+    One predictor each, except welford (two). A design value (2A/W, A/W or
+    1/W) that is not finite, or larger in magnitude than
+    DESIGN_VALUE_BOUND, is a DomainError.
+    """
+    kind = pointing_model(kind)
     if not isinstance(trial, PointingTrial):
         raise UsageError(f"model {kind} requires PointingTrial, got "
                          f"{type(trial).__name__}")
@@ -132,8 +140,10 @@ def model_design_row(kind: ModelKind, trial) -> list[float]:
         if not trial.amplitude > 0:
             raise DomainError("welford model requires amplitude > 0", field="amplitude")
         row = [math.log2(trial.amplitude), math.log2(1.0 / trial.width)]
-    if not all(map(math.isfinite, row)):  # A/W or 1/W overflowed
-        raise DomainError(f"model {kind} design value {row} is not finite for "
+    if not all(abs(value) <= DESIGN_VALUE_BOUND for value in row):
+        problem = ("is not finite" if not all(map(math.isfinite, row))
+                   else f"exceeds {DESIGN_VALUE_BOUND:g} in magnitude")
+        raise DomainError(f"model {kind} design value {row} {problem} for "
                           f"amplitude={trial.amplitude!r}, width={trial.width!r}",
                           field="width")
     return row

@@ -275,3 +275,57 @@ FROZEN_CLI_STDOUT_SHA256 = {
     ("ragged", "fit_exclude_drive"): "3dbd77e691703fb4ca7fb0d025c874383c069522a69443e856178a7161ba16c9",
     ("ragged", "fit_exclude_lob_boast"): "d5a5eaa46106a7b402745ccbce82e70e7a72b7cb4a42340b89c6be1c2bdbe2e4",
 }
+
+
+#: sha256 of the figure files as written before emit_svg lost its style
+#: argument and its AxisMapper. Keys (data, case, figure) give the (SVG,
+#: series CSV) pair of figure_series(run_analysis(data, options), figure):
+#: data is the bundled table or the ragged set (test_pipeline._ragged(5));
+#: case names the options. The three string keys are the SVG of hand-built
+#: series (test_plot._EDGE_SERIES). Recorded on CPython 3.11 with glibc's
+#: libm.
+FROZEN_FIGURE_SHA256 = {
+    ("bundled", "default", 4): ("379e0980239714d64de229f724270571bfa0087b9b0c3f7b214b332bd9abadb4",
+        "fd2ecda0aa028748f9d2926a1a79def5cfdfda1c3f4b121bdb9a347be988b368"),
+    ("bundled", "default", 5): ("49bf9ea7cf0bf08f945f4aa44846fca96dd7f1b4b44c7f07029f5386897cea92",
+        "208254d87f3f057094856fa07ff902deae472a0ab080e6a4ad5c44a8aff4213f"),
+    ("bundled", "default", 6): ("be2ac5b776b49ea03702e7a1cdd93bc6f8b3b9719d696217cebb518b19225170",
+        "26e2a705436e63b8c45d44fb2d41ef63fb872268d0bff4aea4bdd7af1bf9397f"),
+    ("bundled", "default", 7): ("2fe9b5c71c3eb7a92de181ae7ba4f929985ca5d698247eb8e474da5d155dd53f",
+        "b1e090cfb68d8cc5a896baa427065fb45c64f639813aba40a3a696eb1217bbb5"),
+    ("bundled", "default", 8): ("2c2736662a5b51041983603d2324a0bb610eecaedd947ca08099031d3eec6e7e",
+        "99152aae9aceeefdf64685ce7262410ee7eabaefd61643475af8c372a9a1432b"),
+    ("bundled", "exclude_drive", 4): ("e0aa578e409860f7addb67c8952429542db0b3479a3fd9dfa9a959b85899a778",
+        "1c691fca8e8e5956a7ef7b5bb65a20d84b62efd78d95868ff36bc405441eb7e5"),
+    ("bundled", "exclude_drive", 5): ("49bf9ea7cf0bf08f945f4aa44846fca96dd7f1b4b44c7f07029f5386897cea92",
+        "208254d87f3f057094856fa07ff902deae472a0ab080e6a4ad5c44a8aff4213f"),
+    ("bundled", "exclude_drive", 6): ("be2ac5b776b49ea03702e7a1cdd93bc6f8b3b9719d696217cebb518b19225170",
+        "26e2a705436e63b8c45d44fb2d41ef63fb872268d0bff4aea4bdd7af1bf9397f"),
+    ("bundled", "exclude_drive", 7): ("2fe9b5c71c3eb7a92de181ae7ba4f929985ca5d698247eb8e474da5d155dd53f",
+        "b1e090cfb68d8cc5a896baa427065fb45c64f639813aba40a3a696eb1217bbb5"),
+    ("bundled", "exclude_drive", 8): ("2c2736662a5b51041983603d2324a0bb610eecaedd947ca08099031d3eec6e7e",
+        "99152aae9aceeefdf64685ce7262410ee7eabaefd61643475af8c372a9a1432b"),
+    ("ragged", "default", 4): ("d50a021d92a7f5478e373048deef0df5800a2592004892207ed4eb1052bf9015",
+        "5c179ad3965e8f658267e8e2ef00437598513c59f65d6a8b822e4859bf5c2a77"),
+    ("ragged", "default", 5): ("096aa1bb289c4de801ec71cd460d3774865f3ebc54201fdd5136a063d1da69bd",
+        "79580e764b8fff0079c053590223bc1db0516678365d0300e2efacde367a6c2c"),
+    ("ragged", "default", 6): ("80991da5f2834d6e010f2a7fc2f4687e6be67a81d421b6dc1e8b5df8bcaac62f",
+        "082b7835e6f6b10ce8090ff7583d9cb2a1054417fda5033df91996fee763b2fd"),
+    ("ragged", "default", 7): ("7171923cd8dbc1823f9f3edaceaf8cfaef344072a1b8cb4846a59ca8c895fa18",
+        "c09a7ffc1ab960a548de68f27e17315d80215b756830c18ec7742ff821e12172"),
+    ("ragged", "default", 8): ("81bf93fed34d38cf25ba7992a2edae9ef5c6b1f25a2296b157b8b47ff3025af0",
+        "daa92c4b9668d055e91dcd505223c5594bba0d43336097644be4551db33836b6"),
+    ("ragged", "exclude_drive", 4): ("b4d477002fa6a231b6760608eb1212a58b7beb741995a984767df683dc20c8f7",
+        "a04468afb12f0d4600342ded54c11ffe93b0bc6468ac46659cb8263b147278e3"),
+    ("ragged", "exclude_drive", 5): ("096aa1bb289c4de801ec71cd460d3774865f3ebc54201fdd5136a063d1da69bd",
+        "79580e764b8fff0079c053590223bc1db0516678365d0300e2efacde367a6c2c"),
+    ("ragged", "exclude_drive", 6): ("80991da5f2834d6e010f2a7fc2f4687e6be67a81d421b6dc1e8b5df8bcaac62f",
+        "082b7835e6f6b10ce8090ff7583d9cb2a1054417fda5033df91996fee763b2fd"),
+    ("ragged", "exclude_drive", 7): ("7171923cd8dbc1823f9f3edaceaf8cfaef344072a1b8cb4846a59ca8c895fa18",
+        "c09a7ffc1ab960a548de68f27e17315d80215b756830c18ec7742ff821e12172"),
+    ("ragged", "exclude_drive", 8): ("81bf93fed34d38cf25ba7992a2edae9ef5c6b1f25a2296b157b8b47ff3025af0",
+        "daa92c4b9668d055e91dcd505223c5594bba0d43336097644be4551db33836b6"),
+    "one_point": "de1d252191220f12ffa2de5215ff16731100df98a5419d404be2562ef4b69fdf",
+    "equal_x": "1822a56a763129f7461f9ae0f77ebe891d551dcdfa7c0f0a5a7459f948ef1df8",
+    "flat_y": "a66cae3b9e3044e8b9e687cfce2e9c6c65f2628a47d9e23d6d7d9589aa143a66",
+}

@@ -378,6 +378,19 @@ class TestHostileInput:
         assert err.startswith(f"error: model {model} design value [")
         assert "is not finite" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("model", ["fitts", "mackenzie", "welford", "steering"])
+    def test_huge_pointing_design_value_exits_one(self, tmp_path, capsys, model):
+        # steering's A/W = 5e307 is finite, but its squared deviation overflows
+        p = tmp_path / "pointing.csv"
+        p.write_text("amplitude,width,mt_s\n1e308,2,0.5\n1e308,4,0.6\n1e308,8,0.9\n")
+        assert main(["fit", "--model", model, "--input", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if model == "steering":
+            assert err == ("error: model steering design value [5e+307] exceeds "
+                           "1e+100 in magnitude for amplitude=1e+308, width=2.0\n")
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "squashfitts", "validate", "--input", "bundled"],

@@ -7,7 +7,7 @@ import pytest
 
 from squashfitts import (DomainError, ShotKind, TrialRecord, ball_speed,
                          derive_trial, index_of_difficulty, information_rate,
-                         real_time_from_slowmo, validate_against_court)
+                         validate_against_court)
 from squashfitts.core import MAX_PLAYER_REACH_M
 
 import oracles
@@ -86,24 +86,6 @@ class TestBallSpeed:
         with pytest.raises(DomainError) as exc:
             ball_speed(d, t)
         assert exc.value.field == field
-
-
-class TestRealTimeFromSlowmo:
-    def test_default_factor_division(self):
-        assert real_time_from_slowmo(1.97, 10) == pytest.approx(0.197)
-
-    def test_identity_factor(self):
-        assert real_time_from_slowmo(0.5, 1) == 0.5
-
-    def test_reconstructs_reference_ball_time(self):
-        # the bundled boast row's t_s of 0.792 corresponds to 7.92 observed
-        assert real_time_from_slowmo(7.92, 10) == pytest.approx(0.792)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(DomainError):
-            real_time_from_slowmo(0.0)
-        with pytest.raises(DomainError):
-            real_time_from_slowmo(1.0, 0.0)
 
 
 class TestIndexOfDifficulty:

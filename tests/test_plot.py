@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import re
 
 import pytest
 
-from squashfitts import (DomainError, FigureSeries, PlotStyle, UsageError,
-                         emit_series_csv, emit_svg, figure_series, ols_simple)
-from squashfitts.plot import AxisMapper
+from squashfitts import (AnalysisOptions, FigureSeries, UsageError,
+                         emit_series_csv, emit_svg, figure_series, ols_simple,
+                         run_analysis)
+
+import oracles
+from test_pipeline import _ragged
 
 
 def _series(points, with_fit=True, label="test"):
@@ -59,45 +64,80 @@ class TestSvg:
         assert "Index of Difficulty (bits)" in svg
         assert "Movement Time (s)" in svg
 
-    def test_degenerate_style_rejected(self):
-        with pytest.raises(DomainError):
-            PlotStyle(width_px=100, height_px=100, margin_px=50)
-        with pytest.raises(DomainError):
-            PlotStyle(point_radius_px=0)
-
     def test_no_trend_line_without_fit(self):
         svg = emit_svg(_series([(1.0, 2.0)], with_fit=False))
         assert svg.count("<circle") == 1
         assert svg.count("<line") == 0
 
 
+def _ticks(svg):
+    """(x tick pixels, y tick pixels) of the axes path, in drawing order."""
+    return ([float(x) for x in re.findall(r"M ([\d.]+) 540 L \1 546", svg)],
+            [float(y) for y in re.findall(r"M 60 ([\d.]+) L 54 \1", svg)])
+
+
+def _circles(svg):
+    return [(float(cx), float(cy))
+            for cx, cy in re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg)]
+
+
 class TestAxisMapper:
+    """The affine data-to-pixel map, as the SVG shows it: padded data
+    bounds span the 680x480 plot area inside the 60 px margins."""
+
     def test_bounds_corner_maps_to_plot_corner(self):
-        style = PlotStyle()
-        mapper = AxisMapper.for_points([(0.0, 0.0), (10.0, 5.0)], style)
-        px, py = mapper.data_to_pixel(mapper.x_lo, mapper.y_lo)
-        assert px == pytest.approx(style.margin_px)
-        assert py == pytest.approx(style.height_px - style.margin_px)
-        px, py = mapper.data_to_pixel(mapper.x_hi, mapper.y_hi)
-        assert px == pytest.approx(style.width_px - style.margin_px)
-        assert py == pytest.approx(style.margin_px)
+        xs, ys = _ticks(emit_svg(_series([(0.0, 0.0), (10.0, 5.0)])))
+        assert len(xs) == len(ys) == 5
+        assert (xs[0], xs[-1]) == (60.0, 740.0)
+        assert (ys[0], ys[-1]) == (540.0, 60.0)
 
     def test_every_data_point_inside_plot_area(self, report):
-        style = PlotStyle()
         for fig in (4, 5, 6, 7, 8):
             series = figure_series(report, fig)
-            extra = []
-            if series.fit is not None:
-                xs = [p[0] for p in series.points]
-                extra = [series.fit.predict(min(xs)), series.fit.predict(max(xs))]
-            mapper = AxisMapper.for_points(series.points, style, extra_ys=extra)
-            for x, y in series.points:
-                px, py = mapper.data_to_pixel(x, y)
-                assert style.margin_px <= px <= style.width_px - style.margin_px
-                assert style.margin_px <= py <= style.height_px - style.margin_px
+            circles = _circles(emit_svg(series))
+            assert len(circles) == len(series.points)
+            for px, py in circles:
+                assert 60.0 <= px <= 740.0
+                assert 60.0 <= py <= 540.0
 
     def test_collapsed_span_falls_back_to_unit_window(self):
-        mapper = AxisMapper.for_points([(2.0, 3.0)], PlotStyle())
-        assert mapper.x_lo == 1.5 and mapper.x_hi == 2.5
-        # the single point lands on the centre of the 800x600 plot
-        assert mapper.data_to_pixel(2.0, 3.0) == pytest.approx((400.0, 300.0))
+        svg = emit_svg(_series([(2.0, 3.0)], with_fit=False))
+        # x bounds 1.5 and 2.5 label the first and last ticks
+        assert 'text-anchor="middle">1.5</text>' in svg
+        assert 'text-anchor="middle">2.5</text>' in svg
+        # the single point lands on the centre of the 800x600 canvas
+        assert _circles(svg) == [(400.0, 300.0)]
+        assert '<circle cx="400.00" cy="300.00" r="3"' in svg
+
+
+#: Hand-built series whose SVG FROZEN_FIGURE_SHA256 pins: one point with
+#: no fit, all-equal x with no fit, and a fitted flat-y series.
+_EDGE_SERIES = {
+    "one_point": FigureSeries("one point", ((2.0, 3.0),), None),
+    "equal_x": FigureSeries("equal x", ((1.5, 0.5), (1.5, 1.0), (1.5, 2.5)), None),
+    "flat_y": _series([(1.0, 2.0), (2.0, 2.0), (3.0, 2.0)], label="flat y"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestFrozenFigureBytes:
+    """The figure files are byte-identical to the frozen ones."""
+
+    @pytest.mark.parametrize("case,options", [
+        ("default", {}), ("exclude_drive", {"exclude_shots": frozenset({"Drive"})})])
+    @pytest.mark.parametrize("data", ["bundled", "ragged"])
+    def test_figures_four_to_eight(self, bundled, data, case, options):
+        dataset = bundled if data == "bundled" else _ragged(5)
+        doc = run_analysis(dataset, AnalysisOptions(**options))
+        for fig in range(4, 9):
+            series = figure_series(doc, fig)
+            assert ((_sha256(emit_svg(series)), _sha256(emit_series_csv(series)))
+                    == oracles.FROZEN_FIGURE_SHA256[(data, case, fig)]), fig
+
+    @pytest.mark.parametrize("name", list(_EDGE_SERIES))
+    def test_hand_built_series_svg(self, name):
+        assert (_sha256(emit_svg(_EDGE_SERIES[name]))
+                == oracles.FROZEN_FIGURE_SHA256[name])

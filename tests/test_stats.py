@@ -8,8 +8,9 @@ import pytest
 from squashfitts import (DegenerateDesignError, DerivedTrial, GroupKey,
                          ModelKind, PointingTrial, ShotKind, TrialRecord,
                          UndefinedCorrelationError, UsageError, fit_model,
-                         group_stats, mean, ols_simple, ols_two_predictor,
-                         pearson_r, population_sd, predict_mt_welford)
+                         group_stats, mean, model_design_row, ols_simple,
+                         ols_two_predictor, pearson_r, population_sd,
+                         predict_mt_welford)
 
 import oracles
 
@@ -199,10 +200,13 @@ class TestOlsTwoPredictor:
 
 
 class TestFitModel:
-    def test_squash_dispatch_equals_direct_ols(self, derived36):
-        fit = fit_model(ModelKind.SQUASH_ID, derived36)
-        direct = ols_simple([(t.id_bits, t.movement_time_s) for t in derived36])
-        assert fit == direct
+    def test_squash_is_a_usage_error_naming_the_overall_fit(self, derived36):
+        for call in (lambda: fit_model("squash", derived36),
+                     lambda: model_design_row(ModelKind.SQUASH_ID, derived36[0])):
+            with pytest.raises(UsageError) as exc:
+                call()
+            assert "run_analysis(...).overall_fit" in str(exc.value)
+            assert "pipeline.fit_overall" in str(exc.value)
 
     def test_welford_noiseless_recovery(self):
         trials = []

@@ -95,14 +95,6 @@ def test_design_rows():
         [math.log2(2 * 2.0 / 0.5 + 1.0)]
 
 
-def test_design_row_squash_uses_derived_difficulty():
-    rec = TrialRecord(1, ShotKind.DRIVE, 1, 586, 0.197, 374, 1.22)
-    d = derive_trial(rec)
-    row = model_design_row(ModelKind.SQUASH_ID, d)
-    assert row == [d.id_bits]
-    assert row[0] == pytest.approx(6.80, abs=0.01)
-
-
 def test_design_row_type_mismatch_is_usage_error():
     rec = TrialRecord(1, ShotKind.DRIVE, 1, 586, 0.197, 374, 1.22)
     with pytest.raises(UsageError):

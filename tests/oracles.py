@@ -329,3 +329,15 @@ FROZEN_FIGURE_SHA256 = {
     "equal_x": "1822a56a763129f7461f9ae0f77ebe891d551dcdfa7c0f0a5a7459f948ef1df8",
     "flat_y": "a66cae3b9e3044e8b9e687cfce2e9c6c65f2628a47d9e23d6d7d9589aa143a66",
 }
+
+
+#: sha256 of render_report_json(run_analysis(bundled table, options)),
+#: recorded before the report's dict form moved into this module and the
+#: as-published cross-check basis went through stats.aggregate. Keys name
+#: the options. Recorded on CPython 3.11 with glibc's libm.
+FROZEN_BUNDLED_REPORT_SHA256 = {
+    "default": "c29a342859cb8b0caaba757466dc73a8db7ac12625c251548cbe6240ef3d1608",
+    "exclude_drive": "dbbfebddcfa3540b7b177b04d9632ca9ab54ff75f700220c8d4340bd51053f8e",
+    "exclude_lob_boast": "1f75f2cf43c211bc7262ba5ca1c7ab87ffe95fd36b689321c7eaa3199f123354",
+    "tolerance_0.05": "de78adc493d2a6462e5e30dbf1c526e9aed07def0ce17be9446dfa576ee1f19c",
+}

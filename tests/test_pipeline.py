@@ -245,6 +245,17 @@ class TestRenderReport:
         if case == "non_finite_rates":
             assert all(s in want for s in ("NaN", " Infinity", "-Infinity"))
 
+    @pytest.mark.parametrize("name,options", [
+        ("default", {}),
+        ("exclude_drive", {"exclude_shots": frozenset({"Drive"})}),
+        ("exclude_lob_boast", {"exclude_shots": frozenset({"Lob", "Boast"})}),
+        ("tolerance_0.05", {"stats_tolerance": 0.05})])
+    def test_bundled_report_bytes_equal_the_frozen_bytes(self, bundled, name,
+                                                         options):
+        text = render_report_json(run_analysis(bundled, AnalysisOptions(**options)))
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == oracles.FROZEN_BUNDLED_REPORT_SHA256[name])
+
 
 def _ragged(seed: int, persons: int = 60) -> Dataset:
     """persons x 4 shots with 1-5 trials per cell (many cells with one),

@@ -33,8 +33,7 @@ from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
                         REFERENCE_THROUGHPUT_MEAN_BPS,
                         REFERENCE_THROUGHPUT_SD_BPS, STATS_TOLERANCE,
                         published_rows)
-from .stats import (GroupStats, LinearFit, aggregate, fit_columns, mean,
-                    ols_simple, population_sd)
+from .stats import GroupStats, LinearFit, aggregate, fit_columns
 
 SCHEMA_VERSION = "1.0"
 
@@ -67,12 +66,17 @@ class AnalysisOptions:
     stats_tolerance: float = STATS_TOLERANCE
 
     def __post_init__(self):
+        if isinstance(self.exclude_shots, str):
+            raise UsageError("exclude_shots must be a collection of shot "
+                             f"labels, got the string {self.exclude_shots!r}")
         shots = frozenset(ShotKind.parse(s) for s in self.exclude_shots)
         object.__setattr__(self, "exclude_shots", shots)
         if len(shots) >= len(ShotKind):
             raise UsageError("cannot exclude all four shot kinds")
-        if not self.stats_tolerance > 0:
-            raise UsageError("stats_tolerance must be strictly positive")
+        if not (isinstance(self.stats_tolerance, (int, float))
+                and self.stats_tolerance > 0):
+            raise UsageError("stats_tolerance must be a number > 0, got "
+                             f"{self.stats_tolerance!r}")
 
     @property
     def overall_subset(self) -> str:
@@ -101,6 +105,7 @@ class ReportDocument:
     derived_table: tuple
     per_person_shot_stats: tuple
     per_shot_stats: tuple
+    columns: dict  # ShotKind -> aggregate's (ids, mts) columns, as tuples
     overall_fit: LinearFit
     subset_fits: dict
     per_shot_fits: dict
@@ -112,27 +117,40 @@ class ReportDocument:
         return build_cross_checks(self)
 
 
-def _joined(columns: dict, kinds) -> tuple[list[float], list[float]]:
-    """The (ids, mts) columns of the given shots, concatenated."""
+def _joined(columns: dict, excluded=()) -> tuple[list[float], list[float]]:
+    """The (ids, mts) columns of every shot but the excluded ones,
+    concatenated in shot order."""
     xs, ys = [], []
-    for kind in kinds:
-        ids, mts = columns[kind]
-        xs += ids
-        ys += mts
+    for kind in ShotKind:
+        if kind not in excluded:
+            ids, mts = columns[kind]
+            xs += ids
+            ys += mts
     return xs, ys
 
 
 def fit_overall(columns: dict, options: AnalysisOptions) -> LinearFit:
     """The overall MT-vs-ID line over the shots options keeps, from the
     columns of :func:`aggregate`: the report's and ``fit --model squash``'s."""
-    xs, ys = _joined(columns, (kind for kind in ShotKind
-                               if kind not in options.exclude_shots))
+    xs, ys = _joined(columns, options.exclude_shots)
     if not xs:
         raise UsageError("overall-fit filters exclude every trial")
     try:
         return fit_columns(xs, ys)
     except DegenerateDesignError as exc:
         raise DegenerateDesignError(f"overall fit ({options.overall_subset}): {exc}")
+
+
+def _subset_fits(columns: dict) -> dict:
+    """The line of every single-shot-excluded subset, by subset name."""
+    fits = {}
+    for kind in ShotKind:
+        xs, ys = _joined(columns, (kind,))
+        if len(xs) < 2:
+            raise UsageError(
+                f"subset excluding {kind} leaves too few trials to fit")
+        fits[f"exclude_{kind.value.lower()}"] = fit_columns(xs, ys)
+    return fits
 
 
 def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
@@ -148,17 +166,10 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
     if not dataset.trials:
         raise UsageError("cannot analyze an empty dataset")
     groups = aggregate(derive_trial(r) for r in dataset.trials)
-    columns = groups.columns
+    columns = {kind: (tuple(ids), tuple(mts))
+               for kind, (ids, mts) in groups.columns.items()}
     overall_fit = fit_overall(columns, options)
-
-    subset_fits = {}
-    for kind in ShotKind:
-        xs, ys = _joined(columns, (other for other in ShotKind
-                                   if other is not kind))
-        if len(xs) < 2:
-            raise UsageError(
-                f"subset excluding {kind} leaves too few trials to fit")
-        subset_fits[f"exclude_{kind.value.lower()}"] = fit_columns(xs, ys)
+    subset_fits = _subset_fits(columns)
 
     per_shot_fits = {}
     for kind in ShotKind:
@@ -176,6 +187,7 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
         derived_table=groups.table,
         per_person_shot_stats=groups.per_person_shot,
         per_shot_stats=groups.per_shot,
+        columns=columns,
         overall_fit=overall_fit,
         subset_fits=subset_fits,
         per_shot_fits=per_shot_fits,
@@ -190,19 +202,14 @@ def figure_series(report: ReportDocument, figure: int) -> FigureSeries:
         raise UsageError(f"unknown figure {figure!r} (valid: 4, 5, 6, 7, 8)")
     label, shot = FIGURES[figure]
     if shot is None:
-        pts = tuple((t.id_bits, t.movement_time_s) for t in report.derived_table
-                    if t.shot not in report.options.exclude_shots)
-        return FigureSeries(label=label, points=pts, fit=report.overall_fit)
-    pts = tuple((t.id_bits, t.movement_time_s) for t in report.derived_table
-                if t.shot is shot)
-    return FigureSeries(label=label, points=pts, fit=report.per_shot_fits[shot])
+        xs, ys = _joined(report.columns, report.options.exclude_shots)
+        return FigureSeries(label=label, points=tuple(zip(xs, ys)),
+                            fit=report.overall_fit)
+    return FigureSeries(label=label, points=tuple(zip(*report.columns[shot])),
+                        fit=report.per_shot_fits[shot])
 
 
 # --- cross-checks against the published reference values ----------------
-
-
-def _sign(x: float) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _fit_dict(fit: LinearFit) -> dict:
@@ -214,11 +221,8 @@ def _fit_dict(fit: LinearFit) -> dict:
 
 
 def _is_bundled(report: ReportDocument) -> bool:
-    if len(report.derived_table) != BUNDLED_TRIALS:
-        return False
-    ours = {t.base.key: t.base for t in report.derived_table}
-    theirs = {t.key: t for t in bundled_dataset().trials}
-    return ours == theirs
+    return (len(report.derived_table) == BUNDLED_TRIALS
+            and {t.base for t in report.derived_table} == set(bundled_dataset().trials))
 
 
 def build_cross_checks(report: ReportDocument) -> dict:
@@ -233,13 +237,17 @@ def build_cross_checks(report: ReportDocument) -> dict:
                           "reference dataset only"}
     tol_stats = report.options.stats_tolerance
     derived_by_key = {t.base.key: t for t in report.derived_table}
-    pub = published_rows()
 
-    # 1. per-row derivations vs the printed table
+    # 1. per-row derivations vs the printed table; the run's trials carrying
+    # the printed values are the as-published basis of checks 2 and 3
     mismatches = []
     checked = matched = 0
-    for row in pub:
+    printed_trials = []
+    for row in published_rows():
         trial = derived_by_key[(row.person_id, row.shot, row.trial_index)]
+        printed_trials.append(DerivedTrial(
+            base=trial.base, ball_speed_mps=row.v_mps.value,
+            id_bits=row.id_bits.value, info_rate_bps=row.ir_bps.value))
         for column, computed, printed in (
                 ("v_mps", trial.ball_speed_mps, row.v_mps),
                 ("id_bits", trial.id_bits, row.id_bits),
@@ -268,13 +276,13 @@ def build_cross_checks(report: ReportDocument) -> dict:
             not m["published_row_self_consistent"] for m in mismatches),
     }
 
+    as_published = aggregate(printed_trials)
+
     # 2. grouped mean/SD of difficulty vs the published summaries
-    printed_ids: dict[tuple, list[float]] = {}
-    for row in pub:
-        for key in ((row.person_id, row.shot), (None, row.shot)):
-            printed_ids.setdefault(key, []).append(row.id_bits.value)
-    computed = {(g.key.person_id, g.key.shot): g for g in
-                report.per_person_shot_stats + report.per_shot_stats}
+    bases = [(basis, {(g.key.person_id, g.key.shot): g for g in groups})
+             for basis, groups in (
+                 ("as_published", as_published.per_person_shot + as_published.per_shot),
+                 ("recomputed", report.per_person_shot_stats + report.per_shot_stats))]
     stat_entries = []
     for key, (pub_mean, pub_sd) in PUBLISHED_GROUP_STATS.items():
         person, shot = key
@@ -282,9 +290,8 @@ def build_cross_checks(report: ReportDocument) -> dict:
         entry = {"scope": scope,
                  "published_mean": pub_mean.text, "published_sd": pub_sd.text}
         ok = True
-        ids, group = printed_ids[key], computed[key]
-        for basis, m, s in (("as_published", mean(ids), population_sd(ids)),
-                            ("recomputed", group.mean_id, group.sd_id)):
+        for basis, groups in bases:
+            m, s = groups[key].mean_id, groups[key].sd_id
             entry[basis] = {
                 "mean": m, "sd": s,
                 "mean_match": pub_mean.matches(m, tol_stats),
@@ -308,17 +315,12 @@ def build_cross_checks(report: ReportDocument) -> dict:
     # 3. published trend line vs candidate fit subsets
     published_line = {"slope": PUBLISHED_TREND_SLOPE.text,
                       "intercept": PUBLISHED_TREND_INTERCEPT.text}
-    pub_points = [(row.shot, row.id_bits.value, derived_by_key[
-        (row.person_id, row.shot, row.trial_index)].movement_time_s) for row in pub]
-    fits = {"all/recomputed": ols_simple([(t.id_bits, t.movement_time_s)
-                                          for t in report.derived_table]),
-            "all/as_published": ols_simple([(i, m) for _, i, m in pub_points])}
-    for kind in ShotKind:
-        name = f"exclude_{kind.value.lower()}"
-        # run_analysis fitted the same points; fsum makes the order immaterial
-        fits[f"{name}/recomputed"] = report.subset_fits[name]
-        fits[f"{name}/as_published"] = ols_simple(
-            [(i, m) for s, i, m in pub_points if s is not kind])
+    fits = {"all/recomputed": fit_columns(*_joined(report.columns)),
+            "all/as_published": fit_columns(*_joined(as_published.columns))}
+    as_published_fits = _subset_fits(as_published.columns)
+    for name, fit in report.subset_fits.items():
+        fits[f"{name}/recomputed"] = fit
+        fits[f"{name}/as_published"] = as_published_fits[name]
     candidates = {
         name: dict(_fit_dict(fit), match=(
             PUBLISHED_TREND_SLOPE.matches(fit.slope, tol_stats)
@@ -340,7 +342,7 @@ def build_cross_checks(report: ReportDocument) -> dict:
         slope, want = report.per_shot_fits[kind].slope, EXPECTED_SLOPE_SIGNS[kind]
         signs[kind.value] = {"slope": slope,
                              "expected_sign": "+" if want > 0 else "-",
-                             "match": _sign(slope) == want}
+                             "match": slope * want > 0}
     slope_block = {"per_shot": signs,
                    "pass": all(s["match"] for s in signs.values())}
 
@@ -374,34 +376,6 @@ def build_cross_checks(report: ReportDocument) -> dict:
 
 
 # --- rendering -----------------------------------------------------------
-
-
-def _group_dict(g: GroupStats) -> dict:
-    return {
-        "group": str(g.key),
-        "person_id": g.key.person_id,
-        "shot": g.key.shot.value if g.key.shot else None,
-        "n": g.n,
-        "mean_id": g.mean_id, "sd_id": g.sd_id,
-        "mean_mt": g.mean_mt, "sd_mt": g.sd_mt,
-        "mean_ir": g.mean_ir,
-        "display": {"mean_id": round(g.mean_id, 2), "sd_id": round(g.sd_id, 2),
-                    "mean_mt": round(g.mean_mt, 2), "sd_mt": round(g.sd_mt, 2),
-                    "mean_ir": round(g.mean_ir, 2)},
-    }
-
-
-def _trial_dict(t: DerivedTrial) -> dict:
-    return {
-        "person": t.person_id, "shot": t.shot.value, "trial": t.trial_index,
-        "db_cm": t.base.ball_distance_cm, "t_s": t.base.ball_time_s,
-        "dp_cm": t.base.player_distance_cm, "mt_s": t.base.movement_time_s,
-        "v_mps": t.ball_speed_mps, "id_bits": t.id_bits,
-        "ir_bps": t.info_rate_bps,
-        "display": {"v_mps": round(t.ball_speed_mps, 2),
-                    "id_bits": round(t.id_bits, 2),
-                    "ir_bps": round(t.info_rate_bps, 2)},
-    }
 
 
 def _head_dict(report: ReportDocument) -> dict:
@@ -445,20 +419,13 @@ def _tail_dict(report: ReportDocument) -> dict:
 
 def report_document_dict(report: ReportDocument) -> dict:
     """ReportDocument as a JSON-ready dict with stable key order, full
-    precision plus 2-decimal display values, and the cross-check block."""
-    return {
-        **_head_dict(report),
-        "derived_trials": [_trial_dict(t) for t in report.derived_table],
-        "group_stats": {
-            "person_shot": [_group_dict(g) for g in report.per_person_shot_stats],
-            "shot": [_group_dict(g) for g in report.per_shot_stats],
-        },
-        **_tail_dict(report),
-    }
+    precision plus 2-decimal display values, and the cross-check block:
+    the parsed :func:`render_report_json`."""
+    return json.loads(render_report_json(report))
 
 
-# Row templates of the per-row arrays, laid out exactly as
-# json.dumps(indent=2) lays out _trial_dict and _group_dict at their depth.
+# Row templates of the per-row arrays, laid out exactly as json.dumps(indent=2)
+# lays out a trial row and a group row of report_document_dict at their depth.
 _TRIAL_ROW = """\
     {
       "person": %s,
@@ -544,11 +511,11 @@ def _array(rows: list[str], indent: str) -> str:
 def render_report_json(report: ReportDocument) -> str:
     """Deterministic JSON rendering (byte-identical for identical runs).
 
-    The output is exactly json.dumps(report_document_dict(report),
-    indent=2, ensure_ascii=False) + "\n". The small blocks still go
-    through the json module; the per-row arrays, which hold almost all
-    the bytes, are written from fixed row templates, because indent=
-    forces the json module's pure-Python encoder.
+    The output is exactly what json.dumps(indent=2, ensure_ascii=False)
+    + "\n" writes for the report's dict form. The small blocks go through
+    the json module; the per-row arrays, which hold almost all the bytes,
+    are written from fixed row templates, because indent= forces the json
+    module's pure-Python encoder.
     """
     head = json.dumps(_head_dict(report), indent=2, ensure_ascii=False)
     tail = json.dumps(_tail_dict(report), indent=2, ensure_ascii=False)
@@ -569,7 +536,7 @@ def summarize_report(report: ReportDocument) -> str:
     """Short human-readable summary with one line per cross-check."""
     lines = []
     n = len(report.derived_table)
-    persons = sorted({t.person_id for t in report.derived_table})
+    persons = {g.key.person_id for g in report.per_person_shot_stats}
     lines.append(f"analyzed {n} trials from {len(persons)} person(s)")
     f = report.overall_fit
     lines.append(f"overall fit ({report.options.overall_subset}): "

@@ -64,14 +64,16 @@ class ModelKind(Enum):
 
     @classmethod
     def parse(cls, name: str) -> "ModelKind":
-        if isinstance(name, ModelKind):
-            return name
-        cleaned = str(name).strip().lower()
-        for kind in cls:
-            if kind.value == cleaned:
-                return kind
-        valid = ", ".join(k.value for k in cls)
-        raise UsageError(f"unknown model {name!r} (valid models: {valid})")
+        """Parse a model name (or a ModelKind), case-insensitively."""
+        kind = _MODEL_NAMES.get(str(name).strip().lower())
+        if kind is None:
+            valid = ", ".join(k.value for k in cls)
+            raise UsageError(f"unknown model {name!r} (valid models: {valid})")
+        return kind
+
+
+#: Lower-cased name -> kind, for ModelKind.parse.
+_MODEL_NAMES = {kind.value: kind for kind in ModelKind}
 
 
 def id_fitts_original(amplitude: float, width: float) -> float:

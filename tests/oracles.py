@@ -249,6 +249,55 @@ def reference_analysis(dataset, exclude_shots=frozenset()):
     }
 
 
+# --- field-by-field dict form of the JSON report --------------------------
+# render_report_json writes the per-row arrays from fixed templates; this is
+# the same report built as a plain dict, field by field, so that
+# json.dumps(report_document_dict(doc), indent=2, ensure_ascii=False) + "\n"
+# is the reference its bytes are compared against.
+
+def _group_dict(g):
+    return {
+        "group": str(g.key),
+        "person_id": g.key.person_id,
+        "shot": g.key.shot.value if g.key.shot else None,
+        "n": g.n,
+        "mean_id": g.mean_id, "sd_id": g.sd_id,
+        "mean_mt": g.mean_mt, "sd_mt": g.sd_mt,
+        "mean_ir": g.mean_ir,
+        "display": {"mean_id": round(g.mean_id, 2), "sd_id": round(g.sd_id, 2),
+                    "mean_mt": round(g.mean_mt, 2), "sd_mt": round(g.sd_mt, 2),
+                    "mean_ir": round(g.mean_ir, 2)},
+    }
+
+
+def _trial_dict(t):
+    return {
+        "person": t.person_id, "shot": t.shot.value, "trial": t.trial_index,
+        "db_cm": t.base.ball_distance_cm, "t_s": t.base.ball_time_s,
+        "dp_cm": t.base.player_distance_cm, "mt_s": t.base.movement_time_s,
+        "v_mps": t.ball_speed_mps, "id_bits": t.id_bits,
+        "ir_bps": t.info_rate_bps,
+        "display": {"v_mps": round(t.ball_speed_mps, 2),
+                    "id_bits": round(t.id_bits, 2),
+                    "ir_bps": round(t.info_rate_bps, 2)},
+    }
+
+
+def report_document_dict(report):
+    """The JSON report of a ReportDocument as a dict in key order."""
+    from squashfitts import pipeline
+
+    return {
+        **pipeline._head_dict(report),
+        "derived_trials": [_trial_dict(t) for t in report.derived_table],
+        "group_stats": {
+            "person_shot": [_group_dict(g) for g in report.per_person_shot_stats],
+            "shot": [_group_dict(g) for g in report.per_shot_stats],
+        },
+        **pipeline._tail_dict(report),
+    }
+
+
 #: sha256 of render_report_json(run_analysis(ragged set, options)) as the
 #: per-point implementation wrote it before run_analysis aggregated per
 #: cell (the ragged set is test_pipeline._ragged(5); keys name the options).

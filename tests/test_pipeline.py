@@ -14,7 +14,7 @@ from squashfitts import (AnalysisOptions, Dataset, DomainError, ShotKind,
                          write_csv)
 from squashfitts import cli, pipeline, stats
 from squashfitts.cli import main
-from squashfitts.published import PUBLISHED_GROUP_STATS
+from squashfitts.published import PUBLISHED_GROUP_STATS, published_rows
 from squashfitts.stats import aggregate
 
 import oracles
@@ -92,6 +92,16 @@ class TestRunAnalysis:
         with pytest.raises(UsageError):
             AnalysisOptions(stats_tolerance=0.0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("exclude_shots", "drive"), ("stats_tolerance", "0.1"),
+        ("stats_tolerance", None)])
+    def test_option_of_the_wrong_type_is_a_usage_error_naming_it(self, name,
+                                                                  value):
+        with pytest.raises(UsageError) as exc:
+            AnalysisOptions(**{name: value})
+        assert str(exc.value).startswith(name)
+        assert repr(value) in str(exc.value)
+
 
 class TestFigureSeries:
     def test_overall_figure_has_all_points(self, report):
@@ -156,10 +166,11 @@ class TestCrossChecks:
     def test_trend_line_reuses_the_single_shot_excluded_fits(self, report,
                                                               monkeypatch):
         fits = []
-        monkeypatch.setattr(pipeline, "ols_simple",
-                            lambda pts: fits.append(pts) or ols_simple(pts))
+        counting = lambda pts: fits.append(pts) or ols_simple(pts)
+        monkeypatch.setattr(stats, "ols_simple", counting)
+        monkeypatch.setattr(pipeline, "ols_simple", counting, raising=False)
         candidates = build_cross_checks(report)["published_trend_line"]["candidates"]
-        assert len(fits) == 6  # all/* and the four exclude_*/as_published
+        assert fits == []  # both bases fit the columns of an aggregate
         assert list(candidates) == [f"{name}/{basis}" for name in (
             "all", "exclude_drive", "exclude_drop", "exclude_lob", "exclude_boast")
             for basis in ("recomputed", "as_published")]
@@ -170,6 +181,15 @@ class TestCrossChecks:
             assert fit == ols_simple([(t.id_bits, t.movement_time_s)
                                       for t in report.derived_table
                                       if f"exclude_{t.shot.value.lower()}" != name])
+        mts = {t.base.key: t.movement_time_s for t in report.derived_table}
+        printed = [(f"exclude_{row.shot.value.lower()}", row.id_bits.value,
+                    mts[(row.person_id, row.shot, row.trial_index)])
+                   for row in published_rows()]
+        for name in ("all", *report.subset_fits):
+            candidate = dict(candidates[f"{name}/as_published"])
+            candidate.pop("match")
+            assert candidate == pipeline._fit_dict(ols_simple(
+                [(i, m) for subset, i, m in printed if subset != name]))
 
     def test_trend_line_block_flags_exclude_drive(self, report):
         block = build_cross_checks(report)["published_trend_line"]
@@ -239,9 +259,11 @@ class TestRenderReport:
         "escaped_metadata", "non_finite_rates", "empty_groups"])
     def test_matches_json_module_byte_for_byte(self, bundled, case):
         doc = _RENDER_CASES[case](bundled)
-        want = json.dumps(pipeline.report_document_dict(doc), indent=2,
+        want = json.dumps(oracles.report_document_dict(doc), indent=2,
                           ensure_ascii=False) + "\n"
         assert render_report_json(doc) == want
+        assert json.dumps(pipeline.report_document_dict(doc), indent=2,
+                          ensure_ascii=False) + "\n" == want
         if case == "non_finite_rates":
             assert all(s in want for s in ("NaN", " Infinity", "-Infinity"))
 
@@ -372,8 +394,8 @@ class TestSharedAggregation:
         calls = []
 
         def counting(trials):
-            calls.append(trials)
-            return aggregate(trials)
+            calls.append(list(trials))
+            return aggregate(calls[-1])
 
         for module in (stats, pipeline, cli):
             monkeypatch.setattr(module, "aggregate", counting)
@@ -384,7 +406,21 @@ class TestSharedAggregation:
                     "fit": ["fit", "--model", "squash"],
                     "figures": ["figures", "--output", str(tmp_path)]}[consumer]
             assert main(argv + ["--input", "bundled"]) == 0
-        assert len(calls) == 1
+        assert len(calls[0]) == 36
+        assert set(calls[0]) == {derive_trial(t) for t in bundled.trials}
+        if consumer != "report":
+            assert len(calls) == 1
+            return
+        # the cross-checks' as-published basis: the run's trials carrying
+        # the printed v, ID and IR
+        assert len(calls) == 2
+        printed = {(r.person_id, r.shot, r.trial_index):
+                   (r.v_mps.value, r.id_bits.value, r.ir_bps.value)
+                   for r in published_rows()}
+        assert len(calls[1]) == len(printed) == 36
+        assert {t.base for t in calls[1]} == set(bundled.trials)
+        for t in calls[1]:
+            assert (t.ball_speed_mps, t.id_bits, t.info_rate_bps) == printed[t.base.key]
 
 def _synthetic(seed: int, persons: int, trials: int) -> Dataset:
     rng = random.Random(seed)

@@ -78,6 +78,14 @@ def test_pointing_trial_validation():
 def test_model_kind_parse_and_names():
     assert ModelKind.parse("SQUASH") is ModelKind.SQUASH_ID
     assert ModelKind.parse(" welford ") is ModelKind.WELFORD
+    for kind in ModelKind:
+        for name in (kind, kind.value, kind.value.upper(), f" {kind.value}\t"):
+            assert ModelKind.parse(name) is kind
+    for name in ("", "SQUASH_ID", "fitts2", None):
+        with pytest.raises(UsageError) as exc:
+            ModelKind.parse(name)
+        assert str(exc.value) == (f"unknown model {name!r} (valid models: "
+                                  "squash, fitts, mackenzie, welford, steering)")
     with pytest.raises(UsageError) as exc:
         ModelKind.parse("nosuch")
     # the error must list the valid names for the CLI to relay

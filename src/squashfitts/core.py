@@ -39,6 +39,7 @@ class ShotKind(Enum):
     DROP = "Drop"
     LOB = "Lob"
     BOAST = "Boast"
+    __hash__ = object.__hash__  # members are singletons; Enum's hashes the name in Python
 
     def __str__(self) -> str:
         return self.value
@@ -222,12 +223,16 @@ def validate_against_court(record: TrialRecord) -> list[str]:
     PLAUSIBLE_SPEED_BAND_MPS, and non-positive difficulty (v*D <= 1).
     Every warning is at most 100 characters long.
     """
+    return _court_warnings(record.player_distance_cm, *speed_and_product(record))
+
+
+def _court_warnings(player_distance_cm: float, v: float, vd: float) -> list[str]:
+    """validate_against_court of a trial with this distance and (v, v*D)."""
     warnings = []
-    player_m = record.player_distance_cm / 100.0
+    player_m = player_distance_cm / 100.0
     if player_m > MAX_PLAYER_REACH_M:
         warnings.append(f"player_distance {_short(player_m)} m exceeds court "
                         f"reach {MAX_PLAYER_REACH_M:.2f} m")
-    v, vd = speed_and_product(record)
     lo, hi = PLAUSIBLE_SPEED_BAND_MPS
     if not lo <= v <= hi:
         warnings.append(

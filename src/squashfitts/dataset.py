@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .core import (ShotKind, TrialRecord, derive_trial, speed_and_product,
-                   validate_against_court)
+from .core import (ShotKind, TrialRecord, _court_warnings, derive_trial,
+                   speed_and_product)
 from .errors import DomainError, UsageError
 from .variants import PointingTrial
 
@@ -84,24 +84,27 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _parse_positive_int(cell: str, column: str, row: int, errors) -> int | None:
+def _parse_number(cell: str, column: str, row: int, errors, kind=float) -> float | None:
+    """kind (float or int) of the stripped cell, or None after recording
+    an error. The cell must be ASCII without "_": int and float would also
+    take digit separators and non-ASCII digits, which the grammar does not."""
+    text = cell.strip()
     try:
-        value = int(cell.strip())
+        if text.isascii() and "_" not in text:
+            return kind(text)
     except ValueError:
-        errors.append((row, column, f"expected an integer, got {cell!r}"))
-        return None
-    if value < 1:
+        pass
+    noun = "an integer" if kind is int else "a number"
+    errors.append((row, column, f"expected {noun}, got {cell!r}"))
+    return None
+
+
+def _parse_positive_int(cell: str, column: str, row: int, errors) -> int | None:
+    value = _parse_number(cell, column, row, errors, int)
+    if value is not None and value < 1:
         errors.append((row, column, f"expected a positive integer, got {value}"))
         return None
     return value
-
-
-def _parse_number(cell: str, column: str, row: int, errors) -> float | None:
-    try:
-        return float(cell.strip())
-    except ValueError:
-        errors.append((row, column, f"expected a number, got {cell!r}"))
-        return None
 
 
 def _parse_positive_float(cell: str, column: str, row: int, errors,
@@ -159,7 +162,7 @@ def _data_rows(records: list, ncols: int, errors):
     for idx, cells in enumerate(records, start=2):
         if isinstance(cells, csv.Error):
             errors.append((idx, "row", str(cells)))
-        elif not any(cell.strip() for cell in cells):
+        elif not "".join(cells).strip():
             continue
         elif len(cells) != ncols:
             errors.append((idx, "row", f"expected {ncols} cells, got {len(cells)}"))
@@ -167,10 +170,9 @@ def _data_rows(records: list, ncols: int, errors):
             yield idx, cells
 
 
-def _underivable(record: TrialRecord) -> tuple[str, str] | None:
-    """(column, message) when the trial's speed or difficulty is not a
-    finite number (the measurements overflow or underflow), else None."""
-    v, vd = speed_and_product(record)
+def _underivable(v: float, vd: float) -> tuple[str, str] | None:
+    """(column, message) when a trial's speed v or its v*D is not a finite
+    number > 0 (the measurements overflow or underflow), else None."""
     if not (math.isfinite(v) and v > 0.0):
         return ("v_mps", f"derived ball speed must be finite and > 0, got {v!r}")
     if not (math.isfinite(vd) and vd > 0.0):
@@ -201,7 +203,6 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
         return Dataset(trials=()), report
     header, records = split
     ncols = len(header)
-    header_ok = True
     if tuple(header[:len(REQUIRED_COLUMNS)]) != REQUIRED_COLUMNS:
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         for col in missing:
@@ -213,17 +214,16 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
             report.errors.append(
                 (1, "header", f"columns out of order: expected "
                               f"{','.join(REQUIRED_COLUMNS)} first, got {','.join(header)}"))
-        header_ok = False
     else:
         for col in header[len(REQUIRED_COLUMNS):]:
             if col not in DERIVED_COLUMNS:
                 report.errors.append((1, col, "unexpected column"))
-                header_ok = False
-    if not header_ok:
+    if report.errors:  # every header defect is an error of row 1
         return Dataset(trials=()), report
 
     trials: list[TrialRecord] = []
     seen: dict[tuple, int] = {}
+    new, set_field = object.__new__, object.__setattr__
     for idx, cells in _data_rows(records, ncols, report.errors):
         errs_before = len(report.errors)
         person = _parse_positive_int(cells[0], "person", idx, report.errors)
@@ -252,19 +252,29 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
                 (idx, "trial", f"duplicate trial key {(person, str(shot), trial)} "
                                f"first seen at row {seen[key]}"))
             continue
-        record = TrialRecord(person_id=person, shot=shot, trial_index=trial,
-                             ball_distance_cm=db, ball_time_s=t,
-                             player_distance_cm=dp, movement_time_s=mt)
-        derived_error = _underivable(record)
+        # checked above, so no __post_init__; set like __init__ (not via __dict__)
+        record = new(TrialRecord)
+        set_field(record, "person_id", person)
+        set_field(record, "shot", shot)
+        set_field(record, "trial_index", trial)
+        set_field(record, "ball_distance_cm", db)
+        set_field(record, "ball_time_s", t)
+        set_field(record, "player_distance_cm", dp)
+        set_field(record, "movement_time_s", mt)
+        v, vd = speed_and_product(record)
+        derived_error = _underivable(v, vd)
         if derived_error:
             report.errors.append((idx, *derived_error))
             continue
         seen[key] = idx
-        for warning in validate_against_court(record):
+        for warning in _court_warnings(dp, v, vd):
             report.warnings.append((idx, warning))
         trials.append(record)
 
-    return Dataset(trials=tuple(trials), metadata=dict(metadata or {})), report
+    dataset = new(Dataset)  # seen kept the keys unique: no second scan
+    set_field(dataset, "trials", tuple(trials))
+    set_field(dataset, "metadata", dict(metadata or {}))
+    return dataset, report
 
 
 def parse_pointing_csv(text: str) -> tuple[list[PointingTrial], ValidationReport]:

@@ -66,17 +66,17 @@ class AnalysisOptions:
     stats_tolerance: float = STATS_TOLERANCE
 
     def __post_init__(self):
-        if isinstance(self.exclude_shots, str):
-            raise UsageError("exclude_shots must be a collection of shot "
-                             f"labels, got the string {self.exclude_shots!r}")
-        shots = frozenset(ShotKind.parse(s) for s in self.exclude_shots)
+        labels, tolerance = self.exclude_shots, self.stats_tolerance
+        if isinstance(labels, str) or not hasattr(labels, "__iter__"):
+            raise UsageError("exclude_shots must be a collection of shot labels, "
+                             f"got {labels!r}")
+        shots = frozenset(ShotKind.parse(s) for s in labels)
         object.__setattr__(self, "exclude_shots", shots)
         if len(shots) >= len(ShotKind):
             raise UsageError("cannot exclude all four shot kinds")
-        if not (isinstance(self.stats_tolerance, (int, float))
-                and self.stats_tolerance > 0):
-            raise UsageError("stats_tolerance must be a number > 0, got "
-                             f"{self.stats_tolerance!r}")
+        if isinstance(tolerance, bool) or not (isinstance(tolerance, (int, float))
+                                               and tolerance > 0):
+            raise UsageError(f"stats_tolerance must be a number > 0, got {tolerance!r}")
 
     @property
     def overall_subset(self) -> str:

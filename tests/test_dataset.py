@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import itertools
 import math
 import random
 
 import pytest
 
 from squashfitts import (Dataset, ShotKind, TrialRecord, UsageError,
-                         derive_trial, parse_csv, write_csv)
+                         derive_trial, parse_csv, validate_against_court,
+                         write_csv)
+from squashfitts import dataset as dataset_module
 from squashfitts.dataset import (BUNDLED_TRIALS, DERIVED_COLUMNS,
                                  MOVEMENT_TIME_RANGE_S, REQUIRED_COLUMNS,
                                  bundled_text, parse_pointing_csv)
@@ -92,6 +96,30 @@ class TestParseCsv:
         text = VALID_HEADER + "\n1,Drive,1,fast,0.197,374,1.22\n"
         _, report = parse_csv(text)
         assert [(r, c) for r, c, _ in report.errors] == [(2, "db_cm")]
+
+    @pytest.mark.parametrize("cell", ["1_0", "5_00", "\uff18", "\u0661"])
+    def test_digit_separators_and_non_ascii_digits_are_row_errors(self, cell):
+        # int and float accept "1_0", a full-width 8 and an Arabic-Indic 1
+        rows = [f"{cell},Drive,1,586,0.197,374,1.22",
+                f"1,Drive,{cell},586,0.197,374,1.22",
+                f"1,Drive,2,{cell},0.197,374,1.22",
+                "1,Drive,3,586,0.197,374,1.22"]
+        dataset, report = parse_csv(VALID_HEADER + "\n" + "\n".join(rows) + "\n")
+        assert report.errors == [(2, "person", f"expected an integer, got {cell!r}"),
+                                 (3, "trial", f"expected an integer, got {cell!r}"),
+                                 (4, "db_cm", f"expected a number, got {cell!r}")]
+        assert [t.trial_index for t in dataset.trials] == [3]
+        trials, report = parse_pointing_csv(
+            f"{POINTING_HEADER}\n{cell},1,0.5\n2,1,0.5\n")
+        assert report.errors == [(2, "amplitude", f"expected a number, got {cell!r}")]
+        assert [t.amplitude for t in trials] == [2.0]
+
+    def test_ascii_sign_fraction_and_exponent_still_parse(self):
+        text = VALID_HEADER + "\n +1 ,Drive,0002,5.86E2,.197,+374.,1.22e0\n"
+        dataset, report = parse_csv(text)
+        assert report.ok
+        assert dataset.trials == (TrialRecord(1, ShotKind.DRIVE, 2, 586.0, 0.197,
+                                              374.0, 1.22),)
 
     def test_unknown_shot_label(self):
         text = VALID_HEADER + "\n1,Smash,1,586,0.197,374,1.22\n"
@@ -296,6 +324,28 @@ class TestWriteCsv:
         assert report.ok
         assert parsed.trials == ds.trials
 
+    def test_round_trip_of_random_values_stays_inside_the_number_grammar(self):
+        # within 2**-61..2**61 every speed, v*D and movement time is in range
+        rng = random.Random(5)
+
+        def value():
+            if rng.random() < 0.2:
+                return float(rng.randint(1, 10 ** 6))  # written without ".0"
+            return math.ldexp(rng.random() + 0.5, rng.randint(-60, 60))
+
+        trials = tuple(TrialRecord(rng.randint(1, 10 ** 30), rng.choice(list(ShotKind)),
+                                   i, value(), value(), value(), value())
+                       for i in range(1, 400))
+        text = write_csv(Dataset(trials=trials))
+        body = text.split("\n", 1)[1]
+        assert body.isascii() and "_" not in body
+        parsed, report = parse_csv(text)
+        assert report.ok
+        assert parsed.trials == trials
+        field_types = [int, ShotKind, int] + [float] * 4
+        assert all([type(getattr(t, f.name)) for f in dataclasses.fields(t)]
+                   == field_types for t in parsed.trials)
+
     def test_derived_written_at_six_decimals(self, bundled):
         line = write_csv(bundled, include_derived=True).splitlines()[1]
         v, idb, ir = line.split(",")[-3:]
@@ -317,3 +367,92 @@ class TestDatasetInvariants:
         rec = TrialRecord(1, ShotKind.DRIVE, 1, 586, 0.197, 374, 1.22)
         with pytest.raises(UsageError):
             Dataset(trials=(rec, rec))
+
+
+#: Cell values for the fuzz below: extremes, non-numbers, digit separators,
+#: non-ASCII digits and characters that the csv module treats specially.
+FUZZ_CELLS = ["1e308", "-1e308", "5e-324", "1e-320", "2.5e-308", "nan", "-inf",
+              "inf", "0", "-0", "+7", ".5", "1.", "1e", "9" * 400, "1_0", "5_00",
+              "\uff18", "3\u0661\u0660", "\x00", '"', '""', "\ufeff", "", " ",
+              "drive", " LOB ", "Smash", "1e100", "1e-100", "1e101", "999999"]
+
+
+def _fuzzed(rng: random.Random, lines: list[str]) -> str:
+    """The CSV lines after 1-4 random cell or row edits."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(1, len(lines))
+        cells = lines[i].split(",")
+        edit = rng.randrange(6)
+        if edit <= 1:
+            cells[rng.randrange(len(cells))] = rng.choice(FUZZ_CELLS)
+        elif edit == 2:  # a duplicate key
+            cells[:3] = lines[rng.randrange(1, len(lines))].split(",")[:3]
+        elif edit == 3:  # a character the csv module treats specially
+            at = rng.randrange(len(lines[i]) + 1)
+            char = rng.choice('"\x00\ufeff\r')
+            cells = (lines[i][:at] + char + lines[i][at:]).split(",")
+        elif edit == 4:  # a truncated row
+            cells = lines[i][:rng.randrange(len(lines[i]))].split(",")
+        else:  # a repeated row
+            lines.insert(i, lines[i])
+        lines[i] = ",".join(cells)
+    text = "\n".join(lines) + "\n"
+    if rng.random() < 0.1:
+        text = "\ufeff" + text
+    if rng.random() < 0.1:
+        text = text[:rng.randrange(len(text))]
+    return text
+
+
+class TestTrustedParsePath:
+    """parse_csv builds its records without TrialRecord's and Dataset's
+    checks; it must accept exactly what those checks accept."""
+
+    def test_fuzzed_bundled_csv_gives_what_the_public_constructors_give(self):
+        rng = random.Random(8)
+        lines = bundled_text().splitlines()
+        records = warnings = 0
+        for _ in range(1000):
+            dataset, report = parse_csv(_fuzzed(rng, lines),
+                                        slowdown_factor=rng.choice((1.0, 10.0)))
+            for t in dataset.trials:
+                fields = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
+                again = TrialRecord(**fields)
+                assert again == t
+                assert [type(v) for v in fields.values()] == [
+                    type(getattr(again, name)) for name in fields]
+                derive_trial(t)
+            assert Dataset(trials=dataset.trials).trials == dataset.trials
+            by_row = [[w for _, w in group] for _, group
+                      in itertools.groupby(report.warnings, key=lambda w: w[0])]
+            assert by_row == [w for w in map(validate_against_court, dataset.trials) if w]
+            records += len(dataset)
+            warnings += len(report.warnings)
+        assert records > 25_000 and warnings > 2_500
+
+    def test_each_row_is_checked_once(self, monkeypatch):
+        counts = {"post_init": 0, "speed_and_product": 0}
+        post_init = TrialRecord.__post_init__
+        speed_and_product = dataset_module.speed_and_product
+
+        def counted_post_init(record):
+            counts["post_init"] += 1
+            post_init(record)
+
+        def counted_speed_and_product(record):
+            counts["speed_and_product"] += 1
+            return speed_and_product(record)
+
+        monkeypatch.setattr(TrialRecord, "__post_init__", counted_post_init)
+        monkeypatch.setattr(dataset_module, "speed_and_product",
+                            counted_speed_and_product)
+        TrialRecord(1, ShotKind.DRIVE, 1, 586, 0.197, 374, 1.22)
+        assert counts == {"post_init": 1, "speed_and_product": 0}
+        counts["post_init"] = 0
+        text = bundled_text() + ("1,Drive,9,586,x,374,1.22,,,\n"  # a cell error
+                                 "1,Drive,1,586,0.197,374,1.22,,,\n"  # a duplicate key
+                                 "1,Drive,8,1e308,1e-308,374,1.22,,,\n")  # underivable
+        dataset, report = parse_csv(text)
+        assert len(dataset) == BUNDLED_TRIALS and len(report.errors) == 3
+        assert counts == {"post_init": 0, "speed_and_product": BUNDLED_TRIALS + 1}

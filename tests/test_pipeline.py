@@ -93,8 +93,9 @@ class TestRunAnalysis:
             AnalysisOptions(stats_tolerance=0.0)
 
     @pytest.mark.parametrize("name,value", [
-        ("exclude_shots", "drive"), ("stats_tolerance", "0.1"),
-        ("stats_tolerance", None)])
+        ("exclude_shots", "drive"), ("exclude_shots", None), ("exclude_shots", 5),
+        ("stats_tolerance", "0.1"), ("stats_tolerance", None),
+        ("stats_tolerance", True)])
     def test_option_of_the_wrong_type_is_a_usage_error_naming_it(self, name,
                                                                   value):
         with pytest.raises(UsageError) as exc:

@@ -19,7 +19,8 @@ from .dataset import (BUNDLED_METADATA, POINTING_COLUMNS, bundled_text,
                       parse_csv, parse_pointing_csv, write_csv)
 from .errors import SquashFittsError, UsageError
 from .pipeline import (AnalysisOptions, FIGURES, figure_series, fit_overall,
-                       render_report_json, run_analysis, summarize_report)
+                       render_report_json, require_fittable, run_analysis,
+                       summarize_report)
 from .plot import emit_series_csv, emit_svg
 from .published import STATS_TOLERANCE
 from .stats import WelfordFit, aggregate, fit_model
@@ -121,6 +122,11 @@ def _write_output(args, text: str):
 
 def cmd_validate(args, options: AnalysisOptions) -> int:
     dataset, report = _read_input(args)
+    if report.ok:  # rows that all parse must also be analysable as a set
+        try:
+            require_fittable((t.shot, derive_trial(t).id_bits) for t in dataset.trials)
+        except SquashFittsError as exc:
+            report.errors.append((0, "shot", str(exc)))
     print(f"{args.input}: {len(dataset)} valid trial(s)", file=sys.stderr)
     print(report.format_text(), file=sys.stderr)
     return 0 if report.ok else 1

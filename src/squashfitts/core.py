@@ -71,7 +71,7 @@ def _require_positive(value: float, name: str) -> float:
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}", field=name) from None
     if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be > 0, got {value!r}", field=name)
+        raise DomainError(f"{name} must be a finite number > 0, got {value!r}", field=name)
     return value
 
 

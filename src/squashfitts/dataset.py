@@ -20,6 +20,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from .core import (ShotKind, TrialRecord, _court_warnings, derive_trial,
@@ -334,10 +335,11 @@ def write_csv(dataset: Dataset, include_derived: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache
 def bundled_text() -> str:
     """Raw text of the bundled reference CSV (verbatim transcription of
     the published squash retrieval table, including its printed derived
-    columns)."""
+    columns), read from the package once per process."""
     return (resources.files("squashfitts.data")
             .joinpath(_BUNDLED_RESOURCE).read_text(encoding="utf-8"))
 

@@ -22,7 +22,7 @@ on both bases.)
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring
 
 from .core import DerivedTrial, ShotKind, derive_trial
@@ -95,6 +95,11 @@ class FigureSeries:
     points: tuple
     fit: LinearFit | None
 
+    @cached_property
+    def sorted_points(self) -> tuple:
+        """points ascending by id then mt, as both figure files list them."""
+        return tuple(sorted(self.points))
+
 
 @dataclass(frozen=True)
 class ReportDocument:
@@ -143,14 +148,30 @@ def fit_overall(columns: dict, options: AnalysisOptions) -> LinearFit:
 
 def _subset_fits(columns: dict) -> dict:
     """The line of every single-shot-excluded subset, by subset name."""
-    fits = {}
+    return {f"exclude_{kind.value.lower()}": fit_columns(*_joined(columns, (kind,)))
+            for kind in ShotKind}
+
+
+def require_fittable(shot_ids) -> None:
+    """The rule of analysis: every shot has 2 trials with distinct IDs, so
+    that every line a run fits is determined. shot_ids yields each trial's
+    (shot, ID); the scan stops once every shot passes. A shot with < 2
+    trials is a UsageError, equal IDs a DegenerateDesignError; both name it."""
+    first, counts, passed = {}, dict.fromkeys(ShotKind, 0), set()
+    for shot, idb in shot_ids:
+        counts[shot] += 1
+        if first.setdefault(shot, idb) != idb:
+            passed.add(shot)
+            if len(passed) == len(ShotKind):
+                return
+    rule = "every shot needs 2 trials with distinct IDs to fit its line"
     for kind in ShotKind:
-        xs, ys = _joined(columns, (kind,))
-        if len(xs) < 2:
-            raise UsageError(
-                f"subset excluding {kind} leaves too few trials to fit")
-        fits[f"exclude_{kind.value.lower()}"] = fit_columns(xs, ys)
-    return fits
+        n = counts[kind]
+        if n < 2:
+            raise UsageError(f"shot {kind} has {n} trial(s); {rule}")
+        if kind not in passed:
+            raise DegenerateDesignError(
+                f"all {n} trials of shot {kind} have ID {first[kind]!r}; {rule}")
 
 
 def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
@@ -161,26 +182,13 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
     One :func:`aggregate` pass groups the derived trials; every statistic
     and fit is then computed from its columns, so each result is
     bit-identical to the same formula applied to the trials in any order.
+    A dataset that breaks :func:`require_fittable` raises from it.
     """
     options = options or AnalysisOptions()
-    if not dataset.trials:
-        raise UsageError("cannot analyze an empty dataset")
     groups = aggregate(derive_trial(r) for r in dataset.trials)
+    require_fittable((t.base.shot, t.id_bits) for t in groups.table)
     columns = {kind: (tuple(ids), tuple(mts))
                for kind, (ids, mts) in groups.columns.items()}
-    overall_fit = fit_overall(columns, options)
-    subset_fits = _subset_fits(columns)
-
-    per_shot_fits = {}
-    for kind in ShotKind:
-        ids, mts = columns[kind]
-        if not ids:
-            raise UsageError(f"no trials for shot {kind}; cannot fit its line")
-        try:
-            per_shot_fits[kind] = fit_columns(ids, mts)
-        except DegenerateDesignError as exc:
-            raise DegenerateDesignError(f"per-shot fit for {kind}: {exc}")
-
     return ReportDocument(
         options=options,
         dataset_metadata=dict(dataset.metadata),
@@ -188,9 +196,9 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
         per_person_shot_stats=groups.per_person_shot,
         per_shot_stats=groups.per_shot,
         columns=columns,
-        overall_fit=overall_fit,
-        subset_fits=subset_fits,
-        per_shot_fits=per_shot_fits,
+        overall_fit=fit_overall(columns, options),
+        subset_fits=_subset_fits(columns),
+        per_shot_fits={kind: fit_columns(*columns[kind]) for kind in ShotKind},
     )
 
 
@@ -220,9 +228,14 @@ def _fit_dict(fit: LinearFit) -> dict:
                         f"{sign} {abs(fit.intercept):.3f}"}
 
 
+@cache
+def _bundled_trial_set() -> frozenset:
+    return frozenset(bundled_dataset().trials)
+
+
 def _is_bundled(report: ReportDocument) -> bool:
     return (len(report.derived_table) == BUNDLED_TRIALS
-            and {t.base for t in report.derived_table} == set(bundled_dataset().trials))
+            and {t.base for t in report.derived_table} == _bundled_trial_set())
 
 
 def build_cross_checks(report: ReportDocument) -> dict:
@@ -476,29 +489,30 @@ def _num(x: float) -> str:
     return float.__repr__(x)
 
 
+#: Kind -> its JSON string, so no row reads Enum's Python-level .value.
+_SHOT_JSON = {kind: encode_basestring(kind.value) for kind in ShotKind}
+
+
 def _trial_json(t: DerivedTrial) -> str:
     b = t.base
     v, idb, ir = t.ball_speed_mps, t.id_bits, t.info_rate_bps
-    return _TRIAL_ROW % (
-        b.person_id, encode_basestring(b.shot.value), b.trial_index,
-        _num(b.ball_distance_cm), _num(b.ball_time_s),
-        _num(b.player_distance_cm), _num(b.movement_time_s),
-        _num(v), _num(idb), _num(ir),
-        _num(round(v, 2)), _num(round(idb, 2)), _num(round(ir, 2)))
+    values = (b.ball_distance_cm, b.ball_time_s, b.player_distance_cm,
+              b.movement_time_s, v, idb, ir, round(v, 2), round(idb, 2), round(ir, 2))
+    if not math.isfinite(sum(values)):  # NaN, +-inf, or a sum that overflows
+        values = map(_num, values)
+    return _TRIAL_ROW % (b.person_id, _SHOT_JSON[b.shot], b.trial_index, *values)
 
 
 def _group_json(g: GroupStats) -> str:
     person, shot = g.key.person_id, g.key.shot
-    return _GROUP_ROW % (
-        encode_basestring(str(g.key)),
-        "null" if person is None else person,
-        encode_basestring(shot.value) if shot else "null",
-        g.n,
-        _num(g.mean_id), _num(g.sd_id), _num(g.mean_mt), _num(g.sd_mt),
-        _num(g.mean_ir),
-        _num(round(g.mean_id, 2)), _num(round(g.sd_id, 2)),
-        _num(round(g.mean_mt, 2)), _num(round(g.sd_mt, 2)),
-        _num(round(g.mean_ir, 2)))
+    values = (g.mean_id, g.sd_id, g.mean_mt, g.sd_mt, g.mean_ir,
+              round(g.mean_id, 2), round(g.sd_id, 2), round(g.mean_mt, 2),
+              round(g.sd_mt, 2), round(g.mean_ir, 2))
+    if not math.isfinite(sum(values)):
+        values = map(_num, values)
+    return _GROUP_ROW % (encode_basestring(str(g.key)),
+                         "null" if person is None else person,
+                         _SHOT_JSON.get(shot, "null"), g.n, *values)
 
 
 def _array(rows: list[str], indent: str) -> str:

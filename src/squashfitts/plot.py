@@ -40,7 +40,7 @@ def emit_series_csv(series: FigureSeries) -> str:
     if not series.points:
         raise UsageError("cannot emit an empty series")
     lines = [f"# series: {series.label}", _fit_comment(series), "id_bits,mt_s"]
-    for x, y in sorted(series.points):
+    for x, y in series.sorted_points:
         lines.append(f"{x!r},{y!r}")
     return "\n".join(lines) + "\n"
 
@@ -106,7 +106,7 @@ def emit_svg(series: FigureSeries) -> str:
         out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
                    f'y2="{y2}" stroke="crimson" stroke-width="1.5"/>')
 
-    for x, y in sorted(series.points):
+    for x, y in series.sorted_points:
         cx, cy = pixel(x, y)
         out.append(f'<circle cx="{cx}" cy="{cy}" r="{POINT_RADIUS_PX}" '
                    f'fill="steelblue" fill-opacity="0.8"/>')

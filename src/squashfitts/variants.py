@@ -40,12 +40,13 @@ class PointingTrial:
 
     def __post_init__(self):
         if not math.isfinite(self.amplitude) or self.amplitude < 0:
-            raise DomainError(f"amplitude must be >= 0, got {self.amplitude!r}",
-                              field="amplitude")
+            raise DomainError(f"amplitude must be a finite number >= 0, got "
+                              f"{self.amplitude!r}", field="amplitude")
         if not math.isfinite(self.width) or self.width <= 0:
-            raise DomainError(f"width must be > 0, got {self.width!r}", field="width")
+            raise DomainError(f"width must be a finite number > 0, got {self.width!r}",
+                              field="width")
         if not math.isfinite(self.movement_time_s) or self.movement_time_s <= 0:
-            raise DomainError(f"movement_time_s must be > 0, got "
+            raise DomainError(f"movement_time_s must be a finite number > 0, got "
                               f"{self.movement_time_s!r}", field="movement_time_s")
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -10,7 +11,10 @@ import pytest
 
 from squashfitts import ols_simple, pipeline
 from squashfitts.cli import main
-from squashfitts.dataset import REQUIRED_COLUMNS, bundled_text
+from squashfitts.dataset import (REQUIRED_COLUMNS, bundled_text, parse_csv,
+                                 parse_pointing_csv)
+
+from test_dataset import _fuzzed
 
 VALID_HEADER = ",".join(REQUIRED_COLUMNS)
 
@@ -360,7 +364,10 @@ class TestHostileInput:
     def test_slow_motion_times_get_no_speed_warning(self, tmp_path, capsys):
         p = tmp_path / "slowmo.csv"
         p.write_text(VALID_HEADER + "\n1,Drive,1,586,19.7,374,1.22\n"
-                     "1,Lob,1,616,39.5,300,1.5\n")
+                     "1,Lob,1,616,39.5,300,1.5\n"  # and 2 trials of every shot:
+                     "1,Drive,2,587,20.4,386,1.21\n1,Drop,1,615,39.5,355,1.06\n"
+                     "1,Drop,2,614,37.75,352,1.09\n1,Lob,2,665,36.25,402,1.63\n"
+                     "1,Boast,1,971,79.2,491,1.013\n1,Boast,2,980,73.2,360,1.208\n")
         assert main(["validate", "--input", str(p), "--slowdown", "10"]) == 0
         assert "0 error(s), 0 warning(s)" in capsys.readouterr().err
 
@@ -397,3 +404,68 @@ def test_module_entry_point_smoke():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "0 error(s)" in proc.stderr
+
+
+#: A pointing-task CSV for the fuzz below.
+POINTING_TEXT = ("amplitude,width,mt_s\n2,1,0.5\n4,1,0.62\n8,1,0.71\n"
+                 "4,0.5,0.69\n8,0.5,0.8\n16,2,0.74\n0,1,0.3\n")
+
+#: The commands that must succeed on data that validate accepts.
+ANALYSIS_COMMANDS = [["derive"], ["stats"], ["fit", "--model", "squash"],
+                     ["report"], ["figures"]]
+
+
+class TestFuzzedCliContract:
+    """Seeded hostile-input fuzz of the CLI contract: the bundled and a
+    pointing CSV after 1-6 cell or row edits (whole shots deleted among
+    them), under a random --slowdown."""
+
+    def _run(self, capsys, argv) -> int:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert "error:" in err, argv
+        return code
+
+    def test_validate_exit_zero_means_every_analysis_runs(self, tmp_path, capsys):
+        rng = random.Random(0x5C0A5)
+        trial_lines = bundled_text().splitlines()
+        pointing_lines = POINTING_TEXT.splitlines()
+        path = str(tmp_path / "fuzzed.csv")
+        accepted = 0
+        for _ in range(100):
+            lines = list(trial_lines)
+            deletions = rng.randint(0, 2)
+            for _ in range(deletions):  # a whole shot, or one trial
+                if rng.random() < 0.3:
+                    shot = rng.choice(("Drive", "Drop", "Lob", "Boast"))
+                    lines = [line for line in lines if f",{shot}," not in line]
+                elif len(lines) > 1:
+                    del lines[rng.randrange(1, len(lines))]
+            if deletions and rng.random() < 0.5:
+                text = "\n".join(lines) + "\n"
+            else:  # 1-4 cell or row edits
+                text = _fuzzed(rng, lines)
+            parse_csv(text, slowdown_factor=rng.choice((1.0, 10.0)))
+            parse_pointing_csv(text)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            slowdown = rng.choice(([], [], ["--slowdown", "10"],
+                                   ["--slowdown", "1e-300"], ["--slowdown", "0.5"]))
+            args = ["--input", path] + slowdown
+            valid = self._run(capsys, ["validate"] + args) == 0
+            accepted += valid
+            for command in ANALYSIS_COMMANDS:
+                out = str(tmp_path / command[0])  # a file, or figures' directory
+                code = self._run(capsys, command + args + ["--output", out])
+                assert code == 0 or not valid, (command, slowdown, text)
+        for _ in range(40):
+            text = _fuzzed(rng, pointing_lines)
+            parse_csv(text)
+            parse_pointing_csv(text)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for model in ("fitts", "mackenzie", "welford", "steering"):
+                self._run(capsys, ["fit", "--model", model, "--input", path])
+        assert 20 < accepted < 80

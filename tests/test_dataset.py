@@ -288,8 +288,8 @@ class TestParsePointingCsv:
         assert report.errors == [
             (2, "row", "expected 3 cells, got 2"),
             (3, "width", "expected a number, got 'x'"),
-            (4, "amplitude", "amplitude must be >= 0, got -1.0"),
-            (5, "width", "width must be > 0, got 0.0"),
+            (4, "amplitude", "amplitude must be a finite number >= 0, got -1.0"),
+            (5, "width", "width must be a finite number > 0, got 0.0"),
             (6, "mt_s", "expected a finite number, got 'nan'"),
             (7, "mt_s", "expected a value within [1e-100, 1e+100], "
                         "got 1e+300"),

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -9,10 +11,11 @@ import pytest
 
 from squashfitts import (AnalysisOptions, Dataset, DomainError, ShotKind,
                          TrialRecord, UsageError, build_cross_checks,
-                         derive_trial, figure_series, mean, ols_simple,
-                         population_sd, render_report_json, run_analysis,
-                         write_csv)
+                         bundled_dataset, derive_trial, figure_series, mean,
+                         ols_simple, population_sd, render_report_json,
+                         run_analysis, write_csv)
 from squashfitts import cli, pipeline, stats
+from squashfitts import dataset as dataset_module
 from squashfitts.cli import main
 from squashfitts.published import PUBLISHED_GROUP_STATS, published_rows
 from squashfitts.stats import aggregate
@@ -212,6 +215,19 @@ class TestCrossChecks:
         subset = Dataset(trials=bundled.trials[:12])
         assert build_cross_checks(run_analysis(subset))["applicable"] is False
 
+    def test_bundled_csv_is_read_and_compared_from_caches(self, bundled, tmp_path,
+                                                          monkeypatch, capsys):
+        build_cross_checks(run_analysis(bundled))  # fills both caches
+        monkeypatch.setattr(pipeline, "bundled_dataset", None)
+        monkeypatch.setattr(dataset_module.resources, "files", None)
+        assert main(["report", "--input", "bundled",
+                     "--output", str(tmp_path / "r.json")]) == 0
+        assert "reproduced by: exclude_drive" in capsys.readouterr().out
+        monkeypatch.undo()
+        first = bundled_dataset()
+        first.metadata["source"] = "changed"
+        assert bundled_dataset().metadata["source"] != "changed"
+
 
 class TestRenderReport:
     def test_json_is_valid_and_versioned(self, report):
@@ -267,6 +283,42 @@ class TestRenderReport:
                           ensure_ascii=False) + "\n" == want
         if case == "non_finite_rates":
             assert all(s in want for s in ("NaN", " Infinity", "-Infinity"))
+
+    def test_non_finite_and_overflowing_rows_match_json_module(self, report):
+        """Every float slot of one trial row and of one group row set in
+        turn to NaN and +-inf, and rows of finite values whose sum
+        overflows: the rows take _num, and the bytes stay the json module's."""
+        rng = random.Random(41)
+        t = rng.choice(report.derived_table)
+        g = rng.choice(report.per_person_shot_stats)
+
+        def with_trial(trial, **raw):
+            base = copy.copy(trial.base)  # TrialRecord would reject the value
+            for name, value in raw.items():
+                object.__setattr__(base, name, value)
+            return replace(trial, base=base)
+
+        raw_fields = ("ball_distance_cm", "ball_time_s", "player_distance_cm",
+                      "movement_time_s")
+        derived_fields = ("ball_speed_mps", "id_bits", "info_rate_bps")
+        group_fields = ("mean_id", "sd_id", "mean_mt", "sd_mt", "mean_ir")
+        cases = []
+        for value in (math.nan, math.inf, -math.inf):
+            cases += [(with_trial(t, **{name: value}), g) for name in raw_fields]
+            cases += [(replace(t, **{name: value}), g) for name in derived_fields]
+            cases += [(t, replace(g, **{name: value})) for name in group_fields]
+        cases.append((with_trial(t, ball_distance_cm=1e308,
+                                 player_distance_cm=1e308),
+                      replace(g, mean_mt=1e308, sd_mt=1e308)))
+        for trial, group in cases:
+            doc = replace(
+                report,
+                derived_table=tuple(trial if x is t else x for x in report.derived_table),
+                per_person_shot_stats=tuple(group if x is g else x
+                                            for x in report.per_person_shot_stats))
+            want = json.dumps(oracles.report_document_dict(doc), indent=2,
+                              ensure_ascii=False) + "\n"
+            assert render_report_json(doc) == want
 
     @pytest.mark.parametrize("name,options", [
         ("default", {}),

@@ -47,6 +47,17 @@ class TestSeriesCsv:
             emit_series_csv(FigureSeries(label="x", points=(), fit=None))
 
 
+class TestPointOrder:
+    def test_figure_files_do_not_depend_on_point_order(self, report):
+        series = figure_series(report, 4)
+        ordered, backwards = (
+            FigureSeries(series.label, points, series.fit)
+            for points in (tuple(sorted(series.points)),
+                           tuple(sorted(series.points, reverse=True))))
+        assert emit_svg(backwards) == emit_svg(ordered)
+        assert emit_series_csv(backwards) == emit_series_csv(ordered)
+
+
 class TestSvg:
     def test_structural_counts_for_overall_figure(self, report):
         svg = emit_svg(figure_series(report, 4))

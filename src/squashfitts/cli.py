@@ -54,7 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(exclude_shot=[], tolerance=STATS_TOLERANCE, model=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_default="-"):
+    def common(name, run, help, output_default="-"):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--input", default="bundled",
                        help="CSV path, or 'bundled' for the reference dataset")
         p.add_argument("--output", default=output_default,
@@ -63,31 +65,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--slowdown", type=_flag(lambda text: _positive(text, finite=True)),
                        default=None, metavar="FACTOR",
                        help="treat t_s as slow-motion observations; divide by FACTOR")
+        return p
 
     def filters(p):
         p.add_argument("--exclude-shot", type=_flag(ShotKind.parse),
                        action="append", default=[], metavar="KIND",
                        help="exclude a shot kind from the overall fit (repeatable)")
+        return p
 
-    common(sub.add_parser("validate", help="validate a dataset; exit 0 iff clean"))
-    common(sub.add_parser("derive", help="emit the dataset with derived columns"))
-    common(sub.add_parser("stats", help="grouped mean/SD summaries"))
-
-    p_fit = sub.add_parser("fit", help="fit a movement-time model")
-    common(p_fit)
-    filters(p_fit)
-    p_fit.add_argument("--model", type=_flag(ModelKind.parse), required=True,
-                       help="one of: " + ", ".join(k.value for k in ModelKind))
-
-    p_fig = sub.add_parser("figures", help="write the five figures (SVG + CSV)")
-    common(p_fig, output_default=".")
-    filters(p_fig)
-
-    p_rep = sub.add_parser("report", help="full JSON report with cross-checks")
-    common(p_rep)
-    filters(p_rep)
-    p_rep.add_argument("--tolerance", type=_flag(_positive), default=STATS_TOLERANCE,
-                       help="base tolerance for published-value cross-checks")
+    common("validate", cmd_validate, "validate a dataset; exit 0 iff clean")
+    common("derive", cmd_derive, "emit the dataset with derived columns")
+    common("stats", cmd_stats, "grouped mean/SD summaries")
+    filters(common("fit", cmd_fit, "fit a movement-time model")).add_argument(
+        "--model", type=_flag(ModelKind.parse), required=True,
+        help="one of: " + ", ".join(k.value for k in ModelKind))
+    filters(common("figures", cmd_figures, "write the five figures (SVG + CSV)",
+                   output_default="."))
+    filters(common("report", cmd_report, "full JSON report with cross-checks")).add_argument(
+        "--tolerance", type=_flag(_positive), default=STATS_TOLERANCE,
+        help="base tolerance for published-value cross-checks")
     return parser
 
 
@@ -112,11 +108,27 @@ def _read_input(args):
     return parse_csv(text, metadata, args.slowdown or 1.0)
 
 
-def _write_output(args, text: str):
-    if args.output == "-":
+class _Rejected(Exception):
+    """Input rejected for its row errors; main prints the text as is (exit 1)."""
+
+
+def _load(args):
+    """The input dataset, if its rows parse without errors and it holds at
+    least one trial; otherwise the input is rejected (exit 1)."""
+    dataset, report = _read_input(args)
+    if not report.ok:
+        raise _Rejected(report.format_text())
+    if not dataset.trials:
+        raise UsageError(f"{args.input}: no trials")
+    return dataset
+
+
+def _write(path: str, text: str):
+    """Write text to the file at path, or to stdout for '-'."""
+    if path == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -133,11 +145,7 @@ def cmd_validate(args, options: AnalysisOptions) -> int:
 
 
 def cmd_derive(args, options: AnalysisOptions) -> int:
-    dataset, report = _read_input(args)
-    if not report.ok:
-        print(report.format_text(), file=sys.stderr)
-        return 1
-    _write_output(args, write_csv(dataset, include_derived=True))
+    _write(args.output, write_csv(_load(args), include_derived=True))
     return 0
 
 
@@ -149,52 +157,35 @@ def _group_line(g) -> str:
 
 
 def cmd_stats(args, options: AnalysisOptions) -> int:
-    dataset, report = _read_input(args)
-    if not report.ok:
-        print(report.format_text(), file=sys.stderr)
-        return 1
-    if not dataset.trials:
-        raise UsageError("group_stats of empty trial sequence")
-    groups = aggregate(derive_trial(t) for t in dataset.trials)
+    groups = aggregate(derive_trial(t) for t in _load(args).trials)
     lines = ["# person x shot groups", *map(_group_line, groups.per_person_shot),
              "# shot groups", *map(_group_line, groups.per_shot)]
-    _write_output(args, "\n".join(lines) + "\n")
+    _write(args.output, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_fit(args, options: AnalysisOptions) -> int:
     if args.model is ModelKind.SQUASH_ID:
-        dataset, report = _read_input(args)
-        if not report.ok:
-            print(report.format_text(), file=sys.stderr)
-            return 1
-        if not dataset.trials:
-            raise UsageError(f"cannot fit model {args.model} to an empty dataset")
-        groups = aggregate(derive_trial(t) for t in dataset.trials)
+        groups = aggregate(derive_trial(t) for t in _load(args).trials)
         fit = fit_overall(groups.columns, options)
         subset = options.overall_subset
     else:
         trials, report = parse_pointing_csv(_read_text(args.input))
         if not report.ok:
-            for row, _, msg in report.errors:
-                print(f"error: row {row}: {msg}", file=sys.stderr)
-            return 1
+            raise _Rejected("\n".join(f"error: row {row}: {msg}"
+                                       for row, _, msg in report.errors))
         fit = fit_model(args.model, trials)
         subset = "all"
     names = (("a", "b1", "b2") if isinstance(fit, WelfordFit)
              else ("slope", "intercept", "pearson_r")) + ("r_squared", "n")
     lines = [f"model: {args.model} (subset: {subset})"]
     lines += [f"{name}: {getattr(fit, name)!r}" for name in names]
-    _write_output(args, "\n".join(lines) + "\n")
+    _write(args.output, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_figures(args, options: AnalysisOptions) -> int:
-    dataset, report = _read_input(args)
-    if not report.ok:
-        print(report.format_text(), file=sys.stderr)
-        return 1
-    doc = run_analysis(dataset, options)
+    doc = run_analysis(_load(args), options)
     os.makedirs(args.output, exist_ok=True)
     written = []
     for figure in sorted(FIGURES):
@@ -202,33 +193,18 @@ def cmd_figures(args, options: AnalysisOptions) -> int:
         for ext, text in ((".svg", emit_svg(series)),
                           (".csv", emit_series_csv(series))):
             path = os.path.join(args.output, series.label + ext)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write(path, text)
             written.append(path)
     print("\n".join(written))
     return 0
 
 
 def cmd_report(args, options: AnalysisOptions) -> int:
-    dataset, report = _read_input(args)
-    if not report.ok:
-        print(report.format_text(), file=sys.stderr)
-        return 1
-    doc = run_analysis(dataset, options)
-    _write_output(args, render_report_json(doc))
+    doc = run_analysis(_load(args), options)
+    _write(args.output, render_report_json(doc))
     summary_stream = sys.stderr if args.output == "-" else sys.stdout
     summary_stream.write(summarize_report(doc))
     return 0
-
-
-_COMMANDS = {
-    "validate": cmd_validate,
-    "derive": cmd_derive,
-    "stats": cmd_stats,
-    "fit": cmd_fit,
-    "figures": cmd_figures,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -240,14 +216,22 @@ def main(argv=None) -> int:
     try:  # flag values that are wrong only in combination
         options = AnalysisOptions(exclude_shots=frozenset(args.exclude_shot),
                                   stats_tolerance=args.tolerance)
-        if args.model not in (None, ModelKind.SQUASH_ID) and args.input == "bundled":
-            raise UsageError(f"model '{args.model}' fits pointing-task data; provide "
-                             f"--input CSV with columns {','.join(POINTING_COLUMNS)}")
+        if args.model not in (None, ModelKind.SQUASH_ID):
+            if args.input == "bundled":
+                raise UsageError(f"model '{args.model}' fits pointing-task data; provide "
+                                 f"--input CSV with columns {','.join(POINTING_COLUMNS)}")
+            if args.slowdown is not None or args.exclude_shot:
+                raise UsageError(f"model '{args.model}' fits pointing-task data, which has "
+                                 "no ball times or shots; --slowdown and --exclude-shot "
+                                 "apply to model squash only")
     except SquashFittsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args, options)
+        return args.run(args, options)
+    except _Rejected as exc:  # row errors, as parsed
+        print(exc, file=sys.stderr)
+        return 1
     except SquashFittsError as exc:  # data or fit failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

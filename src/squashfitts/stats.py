@@ -294,8 +294,9 @@ def fit_model(kind: ModelKind, dataset) -> LinearFit | WelfordFit:
     overall fit, so squash is a UsageError (see model_design_row)."""
     kind = pointing_model(kind)
     trials = list(dataset)
-    if not trials:
-        raise UsageError(f"cannot fit model {kind} to an empty dataset")
+    need = 3 if kind is ModelKind.WELFORD else 2  # rows per fitted coefficient
+    if len(trials) < need:
+        raise UsageError(f"model {kind} needs >= {need} trials, got {len(trials)}")
     designs = [model_design_row(kind, t) for t in trials]
     mts = [t.movement_time_s for t in trials]
     if kind is ModelKind.WELFORD:

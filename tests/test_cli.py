@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from squashfitts import ols_simple, pipeline
+from squashfitts import PointingTrial, UsageError, fit_model, ols_simple, pipeline
 from squashfitts.cli import main
 from squashfitts.dataset import (REQUIRED_COLUMNS, bundled_text, parse_csv,
                                  parse_pointing_csv)
@@ -20,6 +20,12 @@ VALID_HEADER = ",".join(REQUIRED_COLUMNS)
 
 GOOD_ROW = "1,Drive,1,586,0.197,374,1.22"
 BAD_TIME_ROW = "1,Drive,2,587,0,386,1.21"
+
+#: The commands that must succeed on data that validate accepts.
+ANALYSIS_COMMANDS = [["derive"], ["stats"], ["fit", "--model", "squash"],
+                     ["report"], ["figures"]]
+
+POINTING_MODELS = ["fitts", "mackenzie", "welford", "steering"]
 
 
 @pytest.fixture
@@ -398,6 +404,70 @@ class TestHostileInput:
             assert err == ("error: model steering design value [5e+307] exceeds "
                            "1e+100 in magnitude for amplitude=1e+308, width=2.0\n")
 
+
+class TestLoadGate:
+    """derive, stats, fit --model squash, report and figures share one
+    load path: row errors print as validate formats them, and a file
+    without trials is one error line."""
+
+    @pytest.mark.parametrize("command", ANALYSIS_COMMANDS,
+                             ids=[c[0] for c in ANALYSIS_COMMANDS])
+    def test_header_only_file_has_no_trials(self, tmp_path, capsys, command):
+        p = tmp_path / "empty.csv"
+        p.write_text(VALID_HEADER + "\n")
+        assert main(command + ["--input", str(p),
+                               "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", f"error: {p}: no trials\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ANALYSIS_COMMANDS,
+                             ids=[c[0] for c in ANALYSIS_COMMANDS])
+    def test_row_errors_print_as_formatted(self, bad_csv, tmp_path, capsys,
+                                           command):
+        expected = parse_csv(bad_csv.read_text())[1].format_text() + "\n"
+        assert main(command + ["--input", str(bad_csv),
+                               "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", expected)
+        assert not (tmp_path / "out").exists()
+
+
+class TestPointingFitInput:
+    @pytest.mark.parametrize("flag", [["--slowdown", "10"], ["--exclude-shot", "drive"]],
+                             ids=["slowdown", "exclude_shot"])
+    @pytest.mark.parametrize("model", POINTING_MODELS)
+    def test_squash_only_flags_exit_two_before_reading(self, tmp_path, capsys,
+                                                        monkeypatch, model, flag):
+        p = tmp_path / "pointing.csv"  # without the last row's A = 0
+        p.write_text(POINTING_TEXT.rsplit("0,1,0.3\n", 1)[0])
+        assert main(["fit", "--model", model, "--input", str(p)]) == 0
+        capsys.readouterr()
+
+        def no_input(*_):
+            raise AssertionError("input read despite a bad flag")
+        monkeypatch.setattr("squashfitts.cli._read_text", no_input)
+        assert main(["fit", "--model", model, "--input", str(p)] + flag) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: model '{model}' ")
+        assert "--slowdown" in err and "--exclude-shot" in err
+
+    @pytest.mark.parametrize("model,rows", [
+        (model, rows) for model in POINTING_MODELS
+        for rows in range(3 if model == "welford" else 2)])
+    def test_too_few_rows_name_the_model(self, tmp_path, capsys, model, rows):
+        need = 3 if model == "welford" else 2
+        message = f"model {model} needs >= {need} trials, got {rows}"
+        lines = POINTING_TEXT.splitlines()[:rows + 1]
+        p = tmp_path / "pointing.csv"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--model", model, "--input", str(p)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        trials = [PointingTrial(amplitude=2.0 ** i, width=1.0, movement_time_s=0.5 + i)
+                  for i in range(rows)]
+        with pytest.raises(UsageError) as exc:
+            fit_model(model, trials)
+        assert str(exc.value) == message
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "squashfitts", "validate", "--input", "bundled"],
@@ -409,10 +479,6 @@ def test_module_entry_point_smoke():
 #: A pointing-task CSV for the fuzz below.
 POINTING_TEXT = ("amplitude,width,mt_s\n2,1,0.5\n4,1,0.62\n8,1,0.71\n"
                  "4,0.5,0.69\n8,0.5,0.8\n16,2,0.74\n0,1,0.3\n")
-
-#: The commands that must succeed on data that validate accepts.
-ANALYSIS_COMMANDS = [["derive"], ["stats"], ["fit", "--model", "squash"],
-                     ["report"], ["figures"]]
 
 
 class TestFuzzedCliContract:
@@ -426,6 +492,8 @@ class TestFuzzedCliContract:
         assert code in (0, 1, 2), argv
         if code == 1:
             assert "error:" in err, argv
+            for name in ("ols_simple", "ols_two_predictor", "write_csv", "group_stats"):
+                assert name not in err, (argv, err)
         return code
 
     def test_validate_exit_zero_means_every_analysis_runs(self, tmp_path, capsys):
@@ -466,6 +534,15 @@ class TestFuzzedCliContract:
             parse_pointing_csv(text)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            for model in ("fitts", "mackenzie", "welford", "steering"):
+            for model in POINTING_MODELS:
                 self._run(capsys, ["fit", "--model", model, "--input", path])
         assert 20 < accepted < 80
+        # the smallest inputs: a trial file without trials, 0-2 pointing rows
+        for text in [VALID_HEADER + "\n"] + ["\n".join(pointing_lines[:rows + 1]) + "\n"
+                                           for rows in range(3)]:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for command in [["validate"]] + ANALYSIS_COMMANDS + [
+                    ["fit", "--model", model] for model in POINTING_MODELS]:
+                out = str(tmp_path / command[0])
+                self._run(capsys, command + ["--input", path, "--output", out])

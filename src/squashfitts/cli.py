@@ -10,13 +10,12 @@ slow-motion durations and divides them by the given factor before any
 analysis (movement times are untouched; they are measured in real time).
 """
 import argparse
-import math
 import os
 import sys
 
 from .core import ShotKind, derive_trial
-from .dataset import (BUNDLED_METADATA, POINTING_COLUMNS, bundled_text,
-                      parse_csv, parse_pointing_csv, write_csv)
+from .dataset import (BUNDLED_METADATA, POINTING_COLUMNS, _parse_positive_float,
+                      bundled_text, parse_csv, parse_pointing_csv, write_csv)
 from .errors import SquashFittsError, UsageError
 from .pipeline import (AnalysisOptions, FIGURES, figure_series, fit_overall,
                        render_report_json, require_fittable, run_analysis,
@@ -37,11 +36,11 @@ def _flag(parse):
     return convert
 
 
-def _positive(text: str, finite: bool = False) -> float:
-    value = float(text)
-    if not value > 0 or (finite and value == math.inf):
-        raise ValueError(f"expected a {'finite ' if finite else ''}number > 0, "
-                         f"got {text!r}")
+def _positive(text: str) -> float:
+    """A flag value, held to the rule of a measurement cell: a finite number > 0."""
+    value = _parse_positive_float(text, "", 0, [])
+    if value is None:
+        raise ValueError(f"expected a finite number > 0, got {text!r}")
     return value
 
 
@@ -62,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=output_default,
                        help="output path ('-' = stdout)" if output_default == "-"
                        else "output directory")
-        p.add_argument("--slowdown", type=_flag(lambda text: _positive(text, finite=True)),
+        p.add_argument("--slowdown", type=_flag(_positive),
                        default=None, metavar="FACTOR",
                        help="treat t_s as slow-motion observations; divide by FACTOR")
         return p
@@ -97,15 +96,18 @@ def _read_text(path: str) -> str:
 
 
 def _read_input(args):
-    """Parse and validate the input dataset, ball times divided by the
-    --slowdown factor. Returns (dataset, report)."""
+    """(dataset, report) of the input, ball times divided by the --slowdown
+    factor; rows that parse without errors but hold no trial are a UsageError."""
     if args.input == "bundled":
         text, metadata = bundled_text(), dict(BUNDLED_METADATA)
     else:
         text, metadata = _read_text(args.input), {"source": args.input}
     if args.slowdown is not None:
         metadata["slowdown_factor"] = repr(args.slowdown)
-    return parse_csv(text, metadata, args.slowdown or 1.0)
+    dataset, report = parse_csv(text, metadata, args.slowdown or 1.0)
+    if report.ok and not dataset.trials:
+        raise UsageError(f"{args.input}: no trials")
+    return dataset, report
 
 
 class _Rejected(Exception):
@@ -113,13 +115,10 @@ class _Rejected(Exception):
 
 
 def _load(args):
-    """The input dataset, if its rows parse without errors and it holds at
-    least one trial; otherwise the input is rejected (exit 1)."""
+    """The input dataset; rows with errors reject the input (exit 1)."""
     dataset, report = _read_input(args)
     if not report.ok:
         raise _Rejected(report.format_text())
-    if not dataset.trials:
-        raise UsageError(f"{args.input}: no trials")
     return dataset
 
 

@@ -157,11 +157,10 @@ def index_of_difficulty(ball_speed_mps: float, player_distance_m: float) -> floa
     overflows or underflows to 0 has no finite difficulty and is an error.
     """
     v = _require_positive(ball_speed_mps, "ball_speed_mps")
-    d = _require_positive(player_distance_m, "player_distance_m")
-    vd = v * d
-    if not 0.0 < vd < math.inf:
-        raise DomainError(f"v*D must be finite and > 0 for a finite "
-                          f"difficulty, got {vd!r}", field="id_bits")
+    vd = v * _require_positive(player_distance_m, "player_distance_m")
+    underivable = _underivable(v, vd)
+    if underivable:
+        raise DomainError(underivable[1], field=underivable[0])
     return math.log2(vd)
 
 
@@ -169,6 +168,17 @@ def information_rate(id_bits: float, movement_time_s: float) -> float:
     """Information rate (throughput) in bits/s: ID / MT."""
     mt = _require_positive(movement_time_s, "movement_time_s")
     return float(id_bits) / mt
+
+
+def _underivable(v: float, vd: float) -> tuple[str, str] | None:
+    """(column, message) when a trial's speed v or its v*D is not a finite
+    number > 0 (the measurements overflow or underflow), else None."""
+    if not (math.isfinite(v) and v > 0.0):
+        return ("v_mps", f"derived ball speed must be finite and > 0, got {v!r}")
+    if not (math.isfinite(vd) and vd > 0.0):
+        return ("id_bits", f"v*D must be finite and > 0 for a finite "
+                           f"difficulty, got {vd!r}")
+    return None
 
 
 def speed_and_product(record: TrialRecord) -> tuple[float, float]:
@@ -192,7 +202,7 @@ def derive_trial(record: TrialRecord) -> DerivedTrial:
     try:
         v, vd = speed_and_product(record)
         mt = record.movement_time_s
-        in_range = (0.0 < v < math.inf and 0.0 < vd < math.inf
+        in_range = (_underivable(v, vd) is None
                     and record.ball_time_s > 0.0 and 0.0 < mt < math.inf)
     except TypeError:  # a field that is not a number
         in_range = False

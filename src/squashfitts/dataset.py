@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 
-from .core import (ShotKind, TrialRecord, _court_warnings, derive_trial,
-                   speed_and_product)
+from .core import (ShotKind, TrialRecord, _court_warnings, _underivable,
+                   derive_trial, speed_and_product)
 from .errors import DomainError, UsageError
 from .variants import PointingTrial
 
@@ -169,17 +169,6 @@ def _data_rows(records: list, ncols: int, errors):
             errors.append((idx, "row", f"expected {ncols} cells, got {len(cells)}"))
         else:
             yield idx, cells
-
-
-def _underivable(v: float, vd: float) -> tuple[str, str] | None:
-    """(column, message) when a trial's speed v or its v*D is not a finite
-    number > 0 (the measurements overflow or underflow), else None."""
-    if not (math.isfinite(v) and v > 0.0):
-        return ("v_mps", f"derived ball speed must be finite and > 0, got {v!r}")
-    if not (math.isfinite(vd) and vd > 0.0):
-        return ("id_bits", f"v*D must be finite and > 0 for a finite "
-                           f"difficulty, got {vd!r}")
-    return None
 
 
 def parse_csv(text: str, metadata: dict[str, str] | None = None,

@@ -75,8 +75,9 @@ class AnalysisOptions:
         if len(shots) >= len(ShotKind):
             raise UsageError("cannot exclude all four shot kinds")
         if isinstance(tolerance, bool) or not (isinstance(tolerance, (int, float))
-                                               and tolerance > 0):
-            raise UsageError(f"stats_tolerance must be a number > 0, got {tolerance!r}")
+                                               and 0 < tolerance < math.inf):
+            raise UsageError(f"stats_tolerance must be a finite number > 0, "
+                             f"got {tolerance!r}")
 
     @property
     def overall_subset(self) -> str:

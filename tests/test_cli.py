@@ -288,6 +288,9 @@ class TestArgumentErrors:
         ["derive", "--slowdown", "nan"], ["derive", "--slowdown", "inf"],
         ["report", "--tolerance", "0"], ["report", "--tolerance", "-1"],
         ["report", "--tolerance", "nan"],
+        ["report", "--slowdown", "1_0"], ["derive", "--slowdown", "\u0661\u0660"],
+        ["derive", "--slowdown", "\uff18"], ["report", "--tolerance", "1_0"],
+        ["report", "--tolerance", "inf"],
         ["figures", "--exclude-shot", "smash"],
         ["fit", "--model", "squash"] + [a for s in ("drive", "drop", "lob", "boast")
                                         for a in ("--exclude-shot", s)],
@@ -295,6 +298,8 @@ class TestArgumentErrors:
         ["fit", "--model", "fitts"],
     ], ids=["slowdown_zero", "slowdown_negative", "slowdown_nan", "slowdown_inf",
             "tolerance_zero", "tolerance_negative", "tolerance_nan",
+            "slowdown_digit_separator", "slowdown_arabic_indic_digits",
+            "slowdown_fullwidth_digit", "tolerance_digit_separator", "tolerance_inf",
             "unknown_shot", "all_shots_excluded", "unknown_model",
             "pointing_model_on_bundled"])
     def test_bad_flag_values_exit_two_before_any_work(self, args, capsys,
@@ -408,10 +413,10 @@ class TestHostileInput:
 class TestLoadGate:
     """derive, stats, fit --model squash, report and figures share one
     load path: row errors print as validate formats them, and a file
-    without trials is one error line."""
+    without trials is one error line, for validate too."""
 
-    @pytest.mark.parametrize("command", ANALYSIS_COMMANDS,
-                             ids=[c[0] for c in ANALYSIS_COMMANDS])
+    @pytest.mark.parametrize("command", [["validate"]] + ANALYSIS_COMMANDS,
+                             ids=["validate"] + [c[0] for c in ANALYSIS_COMMANDS])
     def test_header_only_file_has_no_trials(self, tmp_path, capsys, command):
         p = tmp_path / "empty.csv"
         p.write_text(VALID_HEADER + "\n")
@@ -476,6 +481,12 @@ def test_module_entry_point_smoke():
     assert "0 error(s)" in proc.stderr
 
 
+#: Values of --slowdown and --tolerance for the argv fuzz below: those in
+#: the number grammar of the CSV cells and finite and > 0, and the rest.
+ACCEPTED_NUMBERS = (" 10 ", "+1e1", ".5", "1e-300")
+REFUSED_NUMBERS = ("1_0", "\u0661", "\uff18", "0", "-1", "nan", "inf", "-inf",
+                   "1e400", "0x10", "")
+
 #: A pointing-task CSV for the fuzz below.
 POINTING_TEXT = ("amplitude,width,mt_s\n2,1,0.5\n4,1,0.62\n8,1,0.71\n"
                  "4,0.5,0.69\n8,0.5,0.8\n16,2,0.74\n0,1,0.3\n")
@@ -490,6 +501,7 @@ class TestFuzzedCliContract:
         code = main(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, (argv, err)
         if code == 1:
             assert "error:" in err, argv
             for name in ("ols_simple", "ols_two_predictor", "write_csv", "group_stats"):
@@ -546,3 +558,33 @@ class TestFuzzedCliContract:
                     ["fit", "--model", model] for model in POINTING_MODELS]:
                 out = str(tmp_path / command[0])
                 self._run(capsys, command + ["--input", path, "--output", out])
+
+    def test_fuzzed_argv_exits_by_contract(self, tmp_path, capsys, monkeypatch):
+        """Flags of the six subcommands repeated, reordered, dropped or left
+        without their value, on bundled input; a refused number exits 2."""
+        monkeypatch.chdir(tmp_path)  # figures writes into its --output
+        numbers = ACCEPTED_NUMBERS * 3 + REFUSED_NUMBERS  # about half refused
+        values = {"--slowdown": numbers, "--tolerance": numbers,
+                  "--output": ("-", "out"),
+                  "--exclude-shot": ("drive", "Lob", "boast", "smash"),
+                  "--model": ("squash", "squash", "fitts", "nosuch")}
+        flags = {"validate": [], "derive": [], "stats": [],
+                 "fit": ["--model", "--exclude-shot"],
+                 "figures": ["--exclude-shot"],
+                 "report": ["--exclude-shot", "--tolerance"]}
+        rng = random.Random(0xA26F)
+        codes = set()
+        for _ in range(200):
+            command = rng.choice(sorted(flags))
+            pairs = [[flag, rng.choice(values[flag])]
+                     for flag in ["--slowdown", "--output"] + flags[command]
+                     for _ in range(rng.choice((0, 1, 1, 2)))]
+            rng.shuffle(pairs)
+            if pairs and rng.random() < 0.15:
+                del rng.choice(pairs)[1:]  # a flag without its value
+            argv = [command, "--input", "bundled"] + [a for pair in pairs for a in pair]
+            code = self._run(capsys, argv)
+            codes.add(code)
+            if any(len(pair) == 1 or pair[1] in REFUSED_NUMBERS for pair in pairs):
+                assert code == 2, argv
+        assert {0, 2} <= codes  # runs that succeed and runs that are refused

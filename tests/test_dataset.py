@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from squashfitts import (Dataset, ShotKind, TrialRecord, UsageError,
-                         derive_trial, parse_csv, validate_against_court,
-                         write_csv)
+from squashfitts import (Dataset, DomainError, ShotKind, TrialRecord,
+                         UsageError, derive_trial, index_of_difficulty,
+                         parse_csv, validate_against_court, write_csv)
 from squashfitts import dataset as dataset_module
 from squashfitts.dataset import (BUNDLED_TRIALS, DERIVED_COLUMNS,
                                  MOVEMENT_TIME_RANGE_S, REQUIRED_COLUMNS,
@@ -193,6 +193,12 @@ class TestParseCsv:
         assert [(row, col) for row, col, _ in report.errors] == [(2, column)]
         assert [t.trial_index for t in dataset.trials] == [2]
         derive_trial(dataset.trials[0])
+        if column == "id_bits":  # the row and the library state one rule
+            v = (float(db_cm) / 100.0) / float(t_s)
+            with pytest.raises(DomainError) as exc:
+                index_of_difficulty(v, float(dp_cm) / 100.0)
+            assert report.errors[0][2] == str(exc.value)
+            assert exc.value.field == column
 
     def test_byte_order_mark_is_skipped(self):
         plain_ds, plain = parse_csv(bundled_text())

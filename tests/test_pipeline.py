@@ -92,8 +92,9 @@ class TestRunAnalysis:
             AnalysisOptions(exclude_shots=frozenset(ShotKind))
 
     def test_tolerances_must_be_positive(self):
-        with pytest.raises(UsageError):
-            AnalysisOptions(stats_tolerance=0.0)
+        for tolerance in (0.0, math.inf):  # inf would pass every cross-check
+            with pytest.raises(UsageError):
+                AnalysisOptions(stats_tolerance=tolerance)
 
     @pytest.mark.parametrize("name,value", [
         ("exclude_shots", "drive"), ("exclude_shots", None), ("exclude_shots", 5),

@@ -15,8 +15,9 @@ range when v is in m/s and the player distance is in meters, so those are
 the canonical units throughout.
 """
 import math
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -65,9 +66,18 @@ _SHOT_LABELS = {kind.value.lower(): kind for kind in ShotKind}
 _SHOT_ORDER = {kind: i for i, kind in enumerate(ShotKind)}
 
 
+def _number(text: str, kind=float):
+    """kind (float or int) of the stripped text, in the one number grammar:
+    int()/float() syntax, but ASCII only and without "_". Else a ValueError."""
+    text = text.strip()
+    if text.isascii() and "_" not in text:
+        return kind(text)
+    raise ValueError(f"not a number: {text!r}")
+
+
 def _require_positive(value: float, name: str) -> float:
     try:
-        value = float(value)
+        value = _number(value) if isinstance(value, str) else float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}", field=name) from None
     if not math.isfinite(value) or value <= 0.0:
@@ -83,35 +93,43 @@ def _require_positive_int(value: int, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class _Checked:
+    """Base of the records whose constructor checks its fields, which _make and
+    _replace call too; tuple.__new__(cls, fields) is the unchecked path."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class TrialRecord(_Checked, NamedTuple("TrialRecord", [
+        ("person_id", int), ("shot", ShotKind), ("trial_index", int),
+        ("ball_distance_cm", float), ("ball_time_s", float),
+        ("player_distance_cm", float), ("movement_time_s", float)])):
     """One raw trial: identifiers plus the four measured quantities."""
 
-    person_id: int
-    shot: ShotKind
-    trial_index: int
-    ball_distance_cm: float
-    ball_time_s: float
-    player_distance_cm: float
-    movement_time_s: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_positive_int(self.person_id, "person_id")
-        if not isinstance(self.shot, ShotKind):
-            object.__setattr__(self, "shot", ShotKind.parse(self.shot))
-        _require_positive_int(self.trial_index, "trial_index")
-        for name in ("ball_distance_cm", "ball_time_s",
-                     "player_distance_cm", "movement_time_s"):
-            object.__setattr__(self, name, _require_positive(getattr(self, name), name))
+    def __new__(cls, person_id, shot, trial_index, ball_distance_cm, ball_time_s,
+                player_distance_cm, movement_time_s):
+        return tuple.__new__(cls, (
+            _require_positive_int(person_id, "person_id"), ShotKind.parse(shot),
+            _require_positive_int(trial_index, "trial_index"),
+            _require_positive(ball_distance_cm, "ball_distance_cm"),
+            _require_positive(ball_time_s, "ball_time_s"),
+            _require_positive(player_distance_cm, "player_distance_cm"),
+            _require_positive(movement_time_s, "movement_time_s")))
 
-    @property
-    def key(self) -> tuple[int, "ShotKind", int]:
-        """(person_id, shot, trial_index), unique within a dataset."""
-        return (self.person_id, self.shot, self.trial_index)
+    key = property(attrgetter("person_id", "shot", "trial_index"),
+                   doc="(person_id, shot, trial_index), unique within a dataset.")
 
 
-@dataclass(frozen=True)
-class DerivedTrial:
+class DerivedTrial(NamedTuple):
     """A trial enriched with ball speed, difficulty and information rate."""
 
     base: TrialRecord
@@ -120,21 +138,10 @@ class DerivedTrial:
     info_rate_bps: float
 
     # passthroughs so downstream code reads naturally
-    @property
-    def person_id(self) -> int:
-        return self.base.person_id
-
-    @property
-    def shot(self) -> ShotKind:
-        return self.base.shot
-
-    @property
-    def trial_index(self) -> int:
-        return self.base.trial_index
-
-    @property
-    def movement_time_s(self) -> float:
-        return self.base.movement_time_s
+    person_id = property(attrgetter("base.person_id"))
+    shot = property(attrgetter("base.shot"))
+    trial_index = property(attrgetter("base.trial_index"))
+    movement_time_s = property(attrgetter("base.movement_time_s"))
 
 
 def ball_speed(ball_distance_cm: float, ball_time_s: float) -> float:
@@ -208,8 +215,7 @@ def derive_trial(record: TrialRecord) -> DerivedTrial:
         in_range = False
     if in_range:
         idb = math.log2(vd)
-        return DerivedTrial(base=record, ball_speed_mps=v, id_bits=idb,
-                            info_rate_bps=idb / mt)
+        return tuple.__new__(DerivedTrial, (record, v, idb, idb / mt))
     try:
         v = ball_speed(record.ball_distance_cm, record.ball_time_s)
         idb = index_of_difficulty(v, record.player_distance_cm / 100.0)
@@ -218,7 +224,7 @@ def derive_trial(record: TrialRecord) -> DerivedTrial:
         raise DomainError(
             f"trial (person={record.person_id}, shot={record.shot}, "
             f"trial={record.trial_index}): {exc}", field=exc.field) from exc
-    return DerivedTrial(base=record, ball_speed_mps=v, id_bits=idb, info_rate_bps=ir)
+    return DerivedTrial(record, v, idb, ir)
 
 
 def _short(x: float) -> str:

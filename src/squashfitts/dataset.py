@@ -19,11 +19,10 @@ go through the same reader and errors, see :func:`parse_pointing_csv`.
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 
-from .core import (ShotKind, TrialRecord, _court_warnings, _underivable,
+from .core import (ShotKind, TrialRecord, _court_warnings, _number, _underivable,
                    derive_trial, speed_and_product)
 from .errors import DomainError, UsageError
 from .variants import PointingTrial
@@ -46,31 +45,56 @@ _BUNDLED_RESOURCE = "squash_trials.csv"
 BUNDLED_TRIALS = 36
 
 
-@dataclass(frozen=True)
-class Dataset:
+class _Fields:
+    """repr and == of a __slots__ record, field by field, as a dataclass's."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
+class Dataset(_Fields):
     """An immutable collection of trials plus free-form provenance notes."""
 
-    trials: tuple[TrialRecord, ...]
-    metadata: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("trials", "metadata")
 
-    def __post_init__(self):
-        object.__setattr__(self, "trials", tuple(self.trials))
-        seen = {}
-        for t in self.trials:
+    def __init__(self, trials, metadata: dict[str, str] | None = None):
+        trials, seen = tuple(trials), set()
+        for t in trials:
             if t.key in seen:
                 raise UsageError(f"duplicate trial key {t.key}")
-            seen[t.key] = t
+            seen.add(t.key)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Dataset is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
+        return Dataset, (self.trials, self.metadata)
 
     def __len__(self) -> int:
         return len(self.trials)
 
 
-@dataclass
-class ValidationReport:
-    """Structured outcome of parsing/validating a dataset."""
+class ValidationReport(_Fields):
+    """Structured outcome of parsing/validating a dataset: (row, column,
+    message) errors and (row, message) warnings."""
 
-    errors: list[tuple[int, str, str]] = field(default_factory=list)
-    warnings: list[tuple[int, str]] = field(default_factory=list)
+    __slots__ = ("errors", "warnings")
+
+    def __init__(self, errors: list | None = None, warnings: list | None = None):
+        self.errors = [] if errors is None else errors
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def ok(self) -> bool:
@@ -86,18 +110,14 @@ class ValidationReport:
 
 
 def _parse_number(cell: str, column: str, row: int, errors, kind=float) -> float | None:
-    """kind (float or int) of the stripped cell, or None after recording
-    an error. The cell must be ASCII without "_": int and float would also
-    take digit separators and non-ASCII digits, which the grammar does not."""
-    text = cell.strip()
+    """kind (float or int) of the cell in core's number grammar, or None
+    after recording an error."""
     try:
-        if text.isascii() and "_" not in text:
-            return kind(text)
+        return _number(cell, kind)
     except ValueError:
-        pass
-    noun = "an integer" if kind is int else "a number"
-    errors.append((row, column, f"expected {noun}, got {cell!r}"))
-    return None
+        noun = "an integer" if kind is int else "a number"
+        errors.append((row, column, f"expected {noun}, got {cell!r}"))
+        return None
 
 
 def _parse_positive_int(cell: str, column: str, row: int, errors) -> int | None:
@@ -213,7 +233,6 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
 
     trials: list[TrialRecord] = []
     seen: dict[tuple, int] = {}
-    new, set_field = object.__new__, object.__setattr__
     for idx, cells in _data_rows(records, ncols, report.errors):
         errs_before = len(report.errors)
         person = _parse_positive_int(cells[0], "person", idx, report.errors)
@@ -242,15 +261,8 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
                 (idx, "trial", f"duplicate trial key {(person, str(shot), trial)} "
                                f"first seen at row {seen[key]}"))
             continue
-        # checked above, so no __post_init__; set like __init__ (not via __dict__)
-        record = new(TrialRecord)
-        set_field(record, "person_id", person)
-        set_field(record, "shot", shot)
-        set_field(record, "trial_index", trial)
-        set_field(record, "ball_distance_cm", db)
-        set_field(record, "ball_time_s", t)
-        set_field(record, "player_distance_cm", dp)
-        set_field(record, "movement_time_s", mt)
+        # fields checked above: the unchecked constructor
+        record = tuple.__new__(TrialRecord, (person, shot, trial, db, t, dp, mt))
         v, vd = speed_and_product(record)
         derived_error = _underivable(v, vd)
         if derived_error:
@@ -261,9 +273,9 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
             report.warnings.append((idx, warning))
         trials.append(record)
 
-    dataset = new(Dataset)  # seen kept the keys unique: no second scan
-    set_field(dataset, "trials", tuple(trials))
-    set_field(dataset, "metadata", dict(metadata or {}))
+    dataset = object.__new__(Dataset)  # seen kept the keys unique: no second scan
+    object.__setattr__(dataset, "trials", tuple(trials))
+    object.__setattr__(dataset, "metadata", dict(metadata or {}))
     return dataset, report
 
 

@@ -21,11 +21,11 @@ on both bases.)
 """
 import json
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
-from .core import DerivedTrial, ShotKind, derive_trial
+from .core import DerivedTrial, ShotKind, _Checked, derive_trial
 from .dataset import BUNDLED_TRIALS, Dataset, bundled_dataset
 from .errors import DegenerateDesignError, UsageError
 from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
@@ -55,29 +55,27 @@ EXPECTED_SLOPE_SIGNS = {
 }
 
 
-@dataclass(frozen=True)
-class AnalysisOptions:
+class AnalysisOptions(_Checked, NamedTuple("AnalysisOptions", [
+        ("exclude_shots", frozenset), ("stats_tolerance", float)])):
     """The two settings of a run: exclude_shots filters the *overall* fit
     only (grouped statistics, per-shot and single-shot-excluded fits and
     per-shot figures cover the full dataset); stats_tolerance is the base
     tolerance of the published-aggregate cross-checks."""
 
-    exclude_shots: frozenset = frozenset()
-    stats_tolerance: float = STATS_TOLERANCE
+    __slots__ = ()
 
-    def __post_init__(self):
-        labels, tolerance = self.exclude_shots, self.stats_tolerance
-        if isinstance(labels, str) or not hasattr(labels, "__iter__"):
+    def __new__(cls, exclude_shots=frozenset(), stats_tolerance=STATS_TOLERANCE):
+        if isinstance(exclude_shots, str) or not hasattr(exclude_shots, "__iter__"):
             raise UsageError("exclude_shots must be a collection of shot labels, "
-                             f"got {labels!r}")
-        shots = frozenset(ShotKind.parse(s) for s in labels)
-        object.__setattr__(self, "exclude_shots", shots)
+                             f"got {exclude_shots!r}")
+        shots = frozenset(ShotKind.parse(s) for s in exclude_shots)
         if len(shots) >= len(ShotKind):
             raise UsageError("cannot exclude all four shot kinds")
-        if isinstance(tolerance, bool) or not (isinstance(tolerance, (int, float))
-                                               and 0 < tolerance < math.inf):
+        if isinstance(stats_tolerance, bool) or not (
+                isinstance(stats_tolerance, (int, float)) and 0 < stats_tolerance < math.inf):
             raise UsageError(f"stats_tolerance must be a finite number > 0, "
-                             f"got {tolerance!r}")
+                             f"got {stats_tolerance!r}")
+        return tuple.__new__(cls, (shots, stats_tolerance))
 
     @property
     def overall_subset(self) -> str:
@@ -87,14 +85,11 @@ class AnalysisOptions:
         return "exclude_" + "+".join(names)
 
 
-@dataclass(frozen=True)
-class FigureSeries:
+class FigureSeries(NamedTuple("FigureSeries", [
+        ("label", str), ("points", tuple), ("fit", LinearFit | None)])):
     """Scatter points plus the fitted line of one figure. fit is None only
-    for hand-built series too small to fit."""
-
-    label: str
-    points: tuple
-    fit: LinearFit | None
+    for hand-built series too small to fit. No __slots__: the instance
+    __dict__ holds the cached_property."""
 
     @cached_property
     def sorted_points(self) -> tuple:
@@ -102,19 +97,13 @@ class FigureSeries:
         return tuple(sorted(self.points))
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    """Everything one analysis run produced."""
-
-    options: AnalysisOptions
-    dataset_metadata: dict
-    derived_table: tuple
-    per_person_shot_stats: tuple
-    per_shot_stats: tuple
-    columns: dict  # ShotKind -> aggregate's (ids, mts) columns, as tuples
-    overall_fit: LinearFit
-    subset_fits: dict
-    per_shot_fits: dict
+class ReportDocument(NamedTuple("ReportDocument", [
+        ("options", AnalysisOptions), ("dataset_metadata", dict), ("derived_table", tuple),
+        ("per_person_shot_stats", tuple), ("per_shot_stats", tuple), ("columns", dict),
+        ("overall_fit", LinearFit), ("subset_fits", dict), ("per_shot_fits", dict)])):
+    """Everything one analysis run produced; columns maps ShotKind to
+    aggregate's (ids, mts) columns, as tuples. No __slots__: the instance
+    __dict__ holds the cached_property."""
 
     @cached_property
     def cross_checks(self) -> dict:

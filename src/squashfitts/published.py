@@ -20,14 +20,13 @@ tolerance assumes (or, for one table row, where the published number is
 inconsistent with its own inputs; see ``self_consistent``).
 """
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ShotKind
 from .dataset import _data_rows, _split_header, bundled_text
 
 
-@dataclass(frozen=True)
-class PublishedValue:
+class PublishedValue(NamedTuple):
     """A number exactly as printed at the source, plus its precision."""
 
     text: str
@@ -61,8 +60,7 @@ DERIVATION_TOLERANCE = 0.02
 STATS_TOLERANCE = 0.01
 
 
-@dataclass(frozen=True)
-class PublishedRow:
+class PublishedRow(NamedTuple):
     """Printed derived columns of one bundled-table row.
 
     ``self_consistent`` is False when the row's printed difficulty

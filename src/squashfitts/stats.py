@@ -11,11 +11,10 @@ Degenerate regression designs raise instead of falling back to a
 pseudo-inverse, so data problems surface loudly.
 """
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import _SHOT_ORDER, DerivedTrial, ShotKind
+from .core import _SHOT_ORDER, DerivedTrial, ShotKind, _Checked
 from .errors import DegenerateDesignError, UndefinedCorrelationError, UsageError
 from .variants import ModelKind, model_design_row, pointing_model
 
@@ -58,16 +57,16 @@ def population_sd(values: Iterable[float]) -> float:
     return math.sqrt(_centred(vals)[1] / len(vals))
 
 
-@dataclass(frozen=True)
-class GroupKey:
+class GroupKey(_Checked, NamedTuple("GroupKey", [("person_id", int | None),
+                                                 ("shot", ShotKind | None)])):
     """Identifies a statistics group; an absent field is marginalized over."""
 
-    person_id: int | None = None
-    shot: ShotKind | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.person_id is None and self.shot is None:
+    def __new__(cls, person_id: int | None = None, shot: ShotKind | None = None):
+        if person_id is None and shot is None:
             raise UsageError("GroupKey needs at least one of person_id, shot")
+        return tuple.__new__(cls, (person_id, shot))
 
     def __str__(self) -> str:
         parts = []
@@ -78,8 +77,7 @@ class GroupKey:
         return " / ".join(parts)
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     """Mean/SD aggregates of one group of derived trials."""
 
     key: GroupKey
@@ -91,8 +89,7 @@ class GroupStats:
     mean_ir: float
 
 
-@dataclass(frozen=True)
-class LinearFit:
+class LinearFit(NamedTuple):
     """Slope/intercept of a single-predictor least-squares line plus
     goodness of fit. r_squared equals pearson_r**2 by construction."""
 
@@ -106,8 +103,7 @@ class LinearFit:
         return self.slope * x + self.intercept
 
 
-@dataclass(frozen=True)
-class WelfordFit:
+class WelfordFit(NamedTuple):
     """Intercept and two slopes of the two-predictor movement-time model."""
 
     a: float
@@ -126,15 +122,14 @@ def _columns(points) -> tuple[list[float], list[float]]:
 
 
 def cell_stats(cell: tuple, ids, mts, irs) -> GroupStats:
-    """GroupStats of one (person_id, shot) cell from its difficulty,
-    movement-time and information-rate columns."""
+    """GroupStats of one (person_id, shot) cell from its ID, MT and IR
+    columns, built unchecked: a cell is always a valid GroupKey."""
     n = len(ids)
     mean_id, ss_id = _centred(ids)
     mean_mt, ss_mt = _centred(mts)
-    return GroupStats(key=GroupKey(*cell), n=n,
-                      mean_id=mean_id, sd_id=math.sqrt(ss_id / n),
-                      mean_mt=mean_mt, sd_mt=math.sqrt(ss_mt / n),
-                      mean_ir=_mean(irs))
+    return tuple.__new__(GroupStats, (
+        tuple.__new__(GroupKey, cell), n, mean_id, math.sqrt(ss_id / n),
+        mean_mt, math.sqrt(ss_mt / n), _mean(irs)))
 
 
 class Aggregation(NamedTuple):

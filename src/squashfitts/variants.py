@@ -20,9 +20,10 @@ bivariate, cognitive, 3D) have no single agreed closed form and are
 catalogued in the README only.
 """
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
+from .core import _Checked
 from .errors import DomainError, UsageError
 
 #: Largest design-value magnitude a pointing model accepts: below it no centred
@@ -30,24 +31,23 @@ from .errors import DomainError, UsageError
 DESIGN_VALUE_BOUND = 1e100
 
 
-@dataclass(frozen=True)
-class PointingTrial:
+class PointingTrial(_Checked, NamedTuple("PointingTrial", [
+        ("amplitude", float), ("width", float), ("movement_time_s", float)])):
     """One pointing-task observation: target distance A, width W, and MT."""
 
-    amplitude: float
-    width: float
-    movement_time_s: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.amplitude) or self.amplitude < 0:
-            raise DomainError(f"amplitude must be a finite number >= 0, got "
-                              f"{self.amplitude!r}", field="amplitude")
-        if not math.isfinite(self.width) or self.width <= 0:
-            raise DomainError(f"width must be a finite number > 0, got {self.width!r}",
-                              field="width")
-        if not math.isfinite(self.movement_time_s) or self.movement_time_s <= 0:
-            raise DomainError(f"movement_time_s must be a finite number > 0, got "
-                              f"{self.movement_time_s!r}", field="movement_time_s")
+    def __new__(cls, amplitude: float, width: float, movement_time_s: float):
+        for name, value, rule in (("amplitude", amplitude, ">= 0"), ("width", width, "> 0"),
+                                  ("movement_time_s", movement_time_s, "> 0")):
+            try:
+                ok = math.isfinite(value) and (value > 0 or value == 0 and rule == ">= 0")
+            except TypeError:  # not a number
+                ok = False
+            if not ok:
+                raise DomainError(f"{name} must be a finite number {rule}, got {value!r}",
+                                  field=name)
+        return tuple.__new__(cls, (amplitude, width, movement_time_s))
 
 
 class ModelKind(Enum):

@@ -67,8 +67,40 @@ class TestTrialRecord:
             TrialRecord(**kwargs)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("text", ["1_000", "\uff11_\uff10\uff10\uff10",
+                                      "\u0661\u0660"],
+                             ids=["digit_separator", "fullwidth", "arabic_indic"])
+    @pytest.mark.parametrize("field", ["ball_distance_cm", "ball_time_s",
+                                       "player_distance_cm", "movement_time_s"])
+    def test_string_measurement_takes_the_csv_number_grammar(self, field, text):
+        # float() reads these three as 1000 or 10; a CSV cell may not hold them
+        kwargs = dict(person_id=1, shot=ShotKind.DRIVE, trial_index=1,
+                      ball_distance_cm=586.0, ball_time_s=0.197,
+                      player_distance_cm=374.0, movement_time_s=1.22)
+        kwargs[field] = text
+        with pytest.raises(DomainError) as exc:
+            TrialRecord(**kwargs)
+        assert exc.value.field == field
+        assert str(exc.value) == f"{field} must be a number, got {text!r}"
+
+    def test_ascii_string_measurements_still_accepted(self):
+        rec = TrialRecord(1, "Drive", 1, "586", " 0.197 ", "374", "1.22")
+        assert rec == TrialRecord(1, ShotKind.DRIVE, 1, 586.0, 0.197, 374.0, 1.22)
+        assert [type(value) for value in rec[3:]] == [float] * 4
+
 
 class TestBallSpeed:
+    @pytest.mark.parametrize("text", ["1_000", "\uff11_\uff10\uff10\uff10",
+                                      "\u0661\u0660"],
+                             ids=["digit_separator", "fullwidth", "arabic_indic"])
+    def test_string_input_takes_the_csv_number_grammar(self, text):
+        for args, field in (((text, "0.2"), "ball_distance_cm"),
+                            (("586", text), "ball_time_s")):
+            with pytest.raises(DomainError) as exc:
+                ball_speed(*args)
+            assert exc.value.field == field
+        assert ball_speed("586", "0.2") == ball_speed(586, 0.2) == 29.3
+
     def test_reference_row_one(self):
         assert ball_speed(586, 0.197) == pytest.approx(29.75, abs=0.01)
 
@@ -184,12 +216,10 @@ class TestDeriveTrial:
     def test_out_of_range_fields_fail_as_components_do(self, fields, field):
         # a record that dodged construction-time validation still fails on
         # the first component operation that rejects it
-        rec = TrialRecord.__new__(TrialRecord)
         values = {"person_id": 2, "shot": ShotKind.LOB, "trial_index": 3,
                   "ball_distance_cm": 586.0, "ball_time_s": 0.2,
                   "player_distance_cm": 300.0, "movement_time_s": 1.5, **fields}
-        for name, value in values.items():
-            object.__setattr__(rec, name, value)
+        rec = tuple.__new__(TrialRecord, values.values())  # the unchecked constructor
         with pytest.raises(DomainError) as exc:
             derive_trial(rec)
         assert str(exc.value).startswith("trial (person=2, shot=Lob, trial=3): ")
@@ -212,12 +242,7 @@ class TestDeriveTrial:
     def test_component_errors_annotated_with_trial_key(self):
         # a record that dodged construction-time validation (e.g. built by
         # deserialization code gone wrong) still fails loudly, with context
-        rec = TrialRecord.__new__(TrialRecord)
-        for name, value in (("person_id", 2), ("shot", ShotKind.LOB),
-                            ("trial_index", 3), ("ball_distance_cm", -1.0),
-                            ("ball_time_s", 0.2), ("player_distance_cm", 300.0),
-                            ("movement_time_s", 1.5)):
-            object.__setattr__(rec, name, value)
+        rec = tuple.__new__(TrialRecord, (2, ShotKind.LOB, 3, -1.0, 0.2, 300.0, 1.5))
         with pytest.raises(DomainError) as exc:
             derive_trial(rec)
         msg = str(exc.value)

@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -208,7 +206,7 @@ class TestCrossChecks:
         assert block["candidates"]["all/recomputed"]["match"] is False
 
     def test_not_applicable_for_other_data(self, bundled, monkeypatch):
-        changed = replace(bundled.trials[0], movement_time_s=1.5)
+        changed = bundled.trials[0]._replace(movement_time_s=1.5)
         same_size = Dataset(trials=(changed,) + bundled.trials[1:])
         assert build_cross_checks(run_analysis(same_size))["applicable"] is False
         # a table of another size is ruled out without loading the bundled one
@@ -294,10 +292,8 @@ class TestRenderReport:
         g = rng.choice(report.per_person_shot_stats)
 
         def with_trial(trial, **raw):
-            base = copy.copy(trial.base)  # TrialRecord would reject the value
-            for name, value in raw.items():
-                object.__setattr__(base, name, value)
-            return replace(trial, base=base)
+            fields = {**trial.base._asdict(), **raw}  # TrialRecord would reject the value
+            return trial._replace(base=tuple.__new__(TrialRecord, fields.values()))
 
         raw_fields = ("ball_distance_cm", "ball_time_s", "player_distance_cm",
                       "movement_time_s")
@@ -306,14 +302,13 @@ class TestRenderReport:
         cases = []
         for value in (math.nan, math.inf, -math.inf):
             cases += [(with_trial(t, **{name: value}), g) for name in raw_fields]
-            cases += [(replace(t, **{name: value}), g) for name in derived_fields]
-            cases += [(t, replace(g, **{name: value})) for name in group_fields]
+            cases += [(t._replace(**{name: value}), g) for name in derived_fields]
+            cases += [(t, g._replace(**{name: value})) for name in group_fields]
         cases.append((with_trial(t, ball_distance_cm=1e308,
                                  player_distance_cm=1e308),
-                      replace(g, mean_mt=1e308, sd_mt=1e308)))
+                      g._replace(mean_mt=1e308, sd_mt=1e308)))
         for trial, group in cases:
-            doc = replace(
-                report,
+            doc = report._replace(
                 derived_table=tuple(trial if x is t else x for x in report.derived_table),
                 per_person_shot_stats=tuple(group if x is g else x
                                             for x in report.per_person_shot_stats))
@@ -394,7 +389,7 @@ class TestCellAggregation:
         bad = TrialRecord(2, ShotKind.LOB, 7, 1e308, 1e-308, 374.0, 1.22)
         with pytest.raises(DomainError) as want:
             derive_trial(bad)
-        later_bad = replace(bad, person_id=1)
+        later_bad = bad._replace(person_id=1)
         dataset = Dataset(trials=bundled.trials[:5] + (bad, later_bad)
                           + bundled.trials[5:])
         with pytest.raises(DomainError) as got:
@@ -490,13 +485,13 @@ def _non_finite_rates(bundled):
     """IR overflows to +inf (a drive) and to -inf (a drop with v*D < 1);
     one more trial is hand-set to a NaN IR."""
     trials = list(_synthetic(7, persons=2, trials=3).trials)
-    trials[0] = replace(trials[0], movement_time_s=5e-324)
+    trials[0] = trials[0]._replace(movement_time_s=5e-324)
     drop = trials.index(next(t for t in trials if t.shot is ShotKind.DROP))
-    trials[drop] = replace(trials[drop], ball_distance_cm=50.0, ball_time_s=1.0,
+    trials[drop] = trials[drop]._replace(ball_distance_cm=50.0, ball_time_s=1.0,
                            player_distance_cm=100.0, movement_time_s=5e-324)
     doc = run_analysis(Dataset(trials=tuple(trials)))
-    last = replace(doc.derived_table[-1], info_rate_bps=float("nan"))
-    return replace(doc, derived_table=doc.derived_table[:-1] + (last,))
+    last = doc.derived_table[-1]._replace(info_rate_bps=float("nan"))
+    return doc._replace(derived_table=doc.derived_table[:-1] + (last,))
 
 
 _RENDER_CASES = {
@@ -508,7 +503,6 @@ _RENDER_CASES = {
         trials=b.trials, metadata={"source": 'café "π" \\ x.csv',
                                    "note\u2028": "tab\tline\nend\x00"})),
     "non_finite_rates": _non_finite_rates,
-    "empty_groups": lambda b: replace(
-        run_analysis(_synthetic(3, persons=1, trials=3)),
+    "empty_groups": lambda b: run_analysis(_synthetic(3, persons=1, trials=3))._replace(
         per_person_shot_stats=(), per_shot_stats=()),
 }

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
-import dataclasses
 import inspect
+from enum import Enum
 
 import squashfitts
 
 #: Every settable library value: the defaulted parameters of the functions
-#: in __all__ and the defaulted fields of the dataclasses in __all__. A new
-#: knob has to be added here, in its own diff.
+#: and of the record constructors in __all__. A new knob has to be added
+#: here, in its own diff.
 SETTABLE_VALUES = [
     "AnalysisOptions.exclude_shots", "AnalysisOptions.stats_tolerance",
     "Dataset.metadata", "GroupKey.person_id", "GroupKey.shot",
@@ -22,12 +22,11 @@ def _settable_values() -> list[str]:
     names = []
     for name in squashfitts.__all__:
         obj = getattr(squashfitts, name)
-        if dataclasses.is_dataclass(obj):
-            names += [f"{name}.{f.name}" for f in dataclasses.fields(obj)
-                      if f.default is not dataclasses.MISSING
-                      or f.default_factory is not dataclasses.MISSING]
-        elif inspect.isfunction(obj):
-            names += [f"{name}({p.name}=)"
+        if inspect.isclass(obj) and issubclass(obj, (Enum, Exception)):
+            continue  # members and errors, not settings
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            spell = "{}.{}" if inspect.isclass(obj) else "{}({}=)"
+            names += [spell.format(name, p.name)
                       for p in inspect.signature(obj).parameters.values()
                       if p.default is not p.empty]
     return names

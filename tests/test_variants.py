@@ -75,6 +75,18 @@ def test_pointing_trial_validation():
         PointingTrial(amplitude=1.0, width=1.0, movement_time_s=0.0)
 
 
+@pytest.mark.parametrize("value", [None, "2", [1.0], complex(1, 0)],
+                         ids=["none", "string", "list", "complex"])
+@pytest.mark.parametrize("field,rule", [("amplitude", ">= 0"), ("width", "> 0"),
+                                        ("movement_time_s", "> 0")])
+def test_pointing_trial_non_number_is_domain_error(field, rule, value):
+    fields = {"amplitude": 1.0, "width": 1.0, "movement_time_s": 1.0, field: value}
+    with pytest.raises(DomainError) as exc:
+        PointingTrial(**fields)
+    assert exc.value.field == field
+    assert str(exc.value) == f"{field} must be a finite number {rule}, got {value!r}"
+
+
 def test_model_kind_parse_and_names():
     assert ModelKind.parse("SQUASH") is ModelKind.SQUASH_ID
     assert ModelKind.parse(" welford ") is ModelKind.WELFORD

@@ -66,11 +66,16 @@ _SHOT_LABELS = {kind.value.lower(): kind for kind in ShotKind}
 _SHOT_ORDER = {kind: i for i, kind in enumerate(ShotKind)}
 
 
+def _plain(text: str) -> bool:
+    """The number grammar's precondition on text: ASCII only, without "_"."""
+    return text.isascii() and "_" not in text
+
+
 def _number(text: str, kind=float):
     """kind (float or int) of the stripped text, in the one number grammar:
-    int()/float() syntax, but ASCII only and without "_". Else a ValueError."""
+    int()/float() syntax, but _plain. Else a ValueError."""
     text = text.strip()
-    if text.isascii() and "_" not in text:
+    if _plain(text):
         return kind(text)
     raise ValueError(f"not a number: {text!r}")
 

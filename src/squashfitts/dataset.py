@@ -19,11 +19,12 @@ go through the same reader and errors, see :func:`parse_pointing_csv`.
 import csv
 import io
 import math
+import sys
 from functools import cache
 from importlib import resources
 
-from .core import (ShotKind, TrialRecord, _court_warnings, _number, _underivable,
-                   derive_trial, speed_and_product)
+from .core import (_SHOT_LABELS, ShotKind, TrialRecord, _court_warnings, _number,
+                   _plain, _underivable, derive_trial, speed_and_product)
 from .errors import DomainError, UsageError
 from .variants import PointingTrial
 
@@ -72,7 +73,7 @@ class Dataset(_Fields):
                 raise UsageError(f"duplicate trial key {t.key}")
             seen.add(t.key)
         object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+        object.__setattr__(self, "metadata", dict(metadata or {}))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"Dataset is frozen: cannot set or delete {name!r}")
@@ -178,17 +179,34 @@ def _split_header(text: str, errors) -> tuple[list[str], list] | None:
 
 
 def _data_rows(records: list, ncols: int, errors):
-    """(row number, cells) of each non-blank data record with ncols cells;
-    any other non-blank record is a row error."""
+    """(row number, cells, the cells joined) of each non-blank data record
+    with ncols cells; any other non-blank record is a row error."""
     for idx, cells in enumerate(records, start=2):
         if isinstance(cells, csv.Error):
             errors.append((idx, "row", str(cells)))
-        elif not "".join(cells).strip():
+        elif not (text := "".join(cells)).strip():
             continue
         elif len(cells) != ncols:
             errors.append((idx, "row", f"expected {ncols} cells, got {len(cells)}"))
         else:
-            yield idx, cells
+            yield idx, cells, text
+
+
+def _clean_row(cells: list[str], text: str, slowdown_factor: float) -> tuple | None:
+    """TrialRecord's seven fields (ball time divided) of a data row whose
+    cells all meet parse_csv's cell rules, else None; text is the cells joined."""
+    try:
+        person, trial = int(cells[0]), int(cells[2])
+        db, t, dp, mt = float(cells[3]), float(cells[4]), float(cells[5]), float(cells[6])
+    except ValueError:  # int() and float() strip less than str.strip(), never more
+        return None
+    t /= slowdown_factor  # in (0, inf) only where the undivided t is too
+    shot = _SHOT_LABELS.get(cells[1].strip().lower())
+    lo, hi = MOVEMENT_TIME_RANGE_S
+    if (not _plain(text) or shot is None or person < 1 or trial < 1 or not 0.0 < db < math.inf
+            or not 0.0 < t < math.inf or not 0.0 < dp < math.inf or not lo <= mt <= hi):
+        return None
+    return person, shot, trial, db, t, dp, mt
 
 
 def parse_csv(text: str, metadata: dict[str, str] | None = None,
@@ -199,77 +217,77 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     Returns every successfully parsed trial even when other rows fail;
     callers gate analysis on ``report.ok``. Ball times are divided by
     slowdown_factor (for t_s read off slowed-down footage) before any row
-    check. Plausibility warnings (court reach, speed band, non-positive
-    difficulty) are attached per row. One leading byte order mark
-    (U+FEFF) is skipped. A movement time outside MOVEMENT_TIME_RANGE_S,
-    or a divided ball time not finite and > 0, is a row error.
+    check; a factor that is not an int or float, finite and > 0, is a
+    UsageError. Plausibility warnings (court reach, speed band, non-positive
+    difficulty) are attached per row. One leading byte order mark (U+FEFF)
+    is skipped. A movement time outside MOVEMENT_TIME_RANGE_S, or a divided
+    ball time not finite and > 0, is a row error.
     """
-    if not 0.0 < slowdown_factor < math.inf:
+    if (isinstance(slowdown_factor, bool) or not isinstance(slowdown_factor, (int, float))
+            or not 0.0 < slowdown_factor <= sys.float_info.max):
         raise UsageError(f"slowdown_factor must be a finite number > 0, "
                          f"got {slowdown_factor!r}")
     report = ValidationReport()
-    split = _split_header(text, report.errors)
+    errors = report.errors
+    split = _split_header(text, errors)
     if split is None:
         return Dataset(trials=()), report
     header, records = split
     ncols = len(header)
     if tuple(header[:len(REQUIRED_COLUMNS)]) != REQUIRED_COLUMNS:
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        for col in missing:
-            report.errors.append((1, col, "missing required column"))
+        errors.extend((1, col, "missing required column") for col in missing)
         unexpected = [c for c in header if c not in REQUIRED_COLUMNS + DERIVED_COLUMNS]
-        for col in unexpected:
-            report.errors.append((1, col, "unexpected column"))
+        errors.extend((1, col, "unexpected column") for col in unexpected)
         if not missing and not unexpected:
-            report.errors.append(
-                (1, "header", f"columns out of order: expected "
-                              f"{','.join(REQUIRED_COLUMNS)} first, got {','.join(header)}"))
+            errors.append((1, "header", f"columns out of order: expected "
+                                        f"{','.join(REQUIRED_COLUMNS)} first, "
+                                        f"got {','.join(header)}"))
     else:
-        for col in header[len(REQUIRED_COLUMNS):]:
-            if col not in DERIVED_COLUMNS:
-                report.errors.append((1, col, "unexpected column"))
-    if report.errors:  # every header defect is an error of row 1
+        errors.extend((1, col, "unexpected column") for col in header[len(REQUIRED_COLUMNS):]
+                      if col not in DERIVED_COLUMNS)
+    if errors:  # every header defect is an error of row 1
         return Dataset(trials=()), report
 
     trials: list[TrialRecord] = []
     seen: dict[tuple, int] = {}
-    for idx, cells in _data_rows(records, ncols, report.errors):
-        errs_before = len(report.errors)
-        person = _parse_positive_int(cells[0], "person", idx, report.errors)
-        try:
-            shot = ShotKind.parse(cells[1])
-        except DomainError as exc:
-            report.errors.append((idx, "shot", str(exc)))
-            shot = None
-        trial = _parse_positive_int(cells[2], "trial", idx, report.errors)
-        db = _parse_positive_float(cells[3], "db_cm", idx, report.errors)
-        t = _parse_positive_float(cells[4], "t_s", idx, report.errors)
-        if t is not None:
-            t /= slowdown_factor
-            if not 0.0 < t < math.inf:
-                report.errors.append((idx, "t_s", f"t_s / {slowdown_factor!r} must "
-                                                  f"be finite and > 0, got {t!r}"))
-        dp = _parse_positive_float(cells[5], "dp_cm", idx, report.errors)
-        mt = _parse_positive_float(cells[6], "mt_s", idx, report.errors,
-                                   MOVEMENT_TIME_RANGE_S)
-        # cells beyond the raw seven are derived columns: ignored on input
-        if len(report.errors) > errs_before:
-            continue
-        key = (person, shot, trial)
+    for idx, cells, text in _data_rows(records, ncols, errors):
+        values = _clean_row(cells, text, slowdown_factor)
+        if values is None:  # cell by cell: the one writer of the cell errors
+            errs_before = len(errors)
+            person = _parse_positive_int(cells[0], "person", idx, errors)
+            try:
+                shot = ShotKind.parse(cells[1])
+            except DomainError as exc:
+                errors.append((idx, "shot", str(exc)))
+                shot = None
+            trial = _parse_positive_int(cells[2], "trial", idx, errors)
+            db = _parse_positive_float(cells[3], "db_cm", idx, errors)
+            t = _parse_positive_float(cells[4], "t_s", idx, errors)
+            if t is not None:
+                t /= slowdown_factor
+                if not 0.0 < t < math.inf:
+                    errors.append((idx, "t_s", f"t_s / {slowdown_factor!r} must "
+                                               f"be finite and > 0, got {t!r}"))
+            dp = _parse_positive_float(cells[5], "dp_cm", idx, errors)
+            mt = _parse_positive_float(cells[6], "mt_s", idx, errors, MOVEMENT_TIME_RANGE_S)
+            # cells beyond the raw seven are derived columns: ignored on input
+            if len(errors) > errs_before:
+                continue
+            values = (person, shot, trial, db, t, dp, mt)
+        key = values[:3]
         if key in seen:
-            report.errors.append(
-                (idx, "trial", f"duplicate trial key {(person, str(shot), trial)} "
-                               f"first seen at row {seen[key]}"))
+            errors.append((idx, "trial", f"duplicate trial key {(key[0], str(key[1]), key[2])}"
+                                         f" first seen at row {seen[key]}"))
             continue
-        # fields checked above: the unchecked constructor
-        record = tuple.__new__(TrialRecord, (person, shot, trial, db, t, dp, mt))
+        record = tuple.__new__(TrialRecord, values)  # fields checked: unchecked constructor
         v, vd = speed_and_product(record)
         derived_error = _underivable(v, vd)
         if derived_error:
-            report.errors.append((idx, *derived_error))
+            errors.append((idx, *derived_error))
             continue
         seen[key] = idx
-        for warning in _court_warnings(dp, v, vd):
+        for warning in _court_warnings(values[5], v, vd):
             report.warnings.append((idx, warning))
         trials.append(record)
 
@@ -294,7 +312,7 @@ def parse_pointing_csv(text: str) -> tuple[list[PointingTrial], ValidationReport
                                            f", got {','.join(header)}"))
         return [], report
     trials = []
-    for idx, cells in _data_rows(records, len(POINTING_COLUMNS), report.errors):
+    for idx, cells, _ in _data_rows(records, len(POINTING_COLUMNS), report.errors):
         values = [_parse_number(cells[0], "amplitude", idx, report.errors),
                   _parse_number(cells[1], "width", idx, report.errors),
                   _parse_positive_float(cells[2], "mt_s", idx, report.errors,
@@ -323,10 +341,7 @@ def write_csv(dataset: Dataset, include_derived: bool = False) -> str:
     header = REQUIRED_COLUMNS + (DERIVED_COLUMNS if include_derived else ())
     lines = [",".join(header)]
     for record in dataset.trials:
-        cells = [str(record.person_id), str(record.shot), str(record.trial_index),
-                 _format_raw(record.ball_distance_cm), _format_raw(record.ball_time_s),
-                 _format_raw(record.player_distance_cm),
-                 _format_raw(record.movement_time_s)]
+        cells = [*map(str, record[:3]), *map(_format_raw, record[3:])]
         if include_derived:
             d = derive_trial(record)
             cells += [f"{d.ball_speed_mps:.{DERIVED_DECIMALS}f}",

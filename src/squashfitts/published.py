@@ -84,7 +84,7 @@ def published_rows() -> list[PublishedRow]:
     # the packaged text parses without errors (the suite checks it)
     header, records = _split_header(bundled_text(), [])
     col = {name: i for i, name in enumerate(header)}
-    for _, cells in _data_rows(records, len(header), []):
+    for _, cells, _ in _data_rows(records, len(header), []):
         v = PublishedValue.of(cells[col["v_mps"]])
         idb = PublishedValue.of(cells[col["id_bits"]])
         ir = PublishedValue.of(cells[col["ir_bps"]])

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -259,10 +261,18 @@ class TestParseCsv:
         assert [(row, col) for row, col, _ in report.errors] == [(2, column)]
         assert [t.trial_index for t in dataset.trials] == [2]
 
-    @pytest.mark.parametrize("factor", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.inf, math.nan, 0, -1,
+                                        10 ** 400, "2", None, True])
     def test_slowdown_factor_must_be_finite_and_positive(self, factor):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="slowdown_factor must be a finite number > 0"):
             parse_csv(VALID_HEADER + "\n", slowdown_factor=factor)
+
+    @pytest.mark.parametrize("factor", [10, 10.0])
+    def test_slowdown_factor_may_be_int_or_float(self, factor):
+        dataset, report = parse_csv(bundled_text(), slowdown_factor=factor)
+        assert report.ok and len(dataset) == BUNDLED_TRIALS
+        assert [t.ball_time_s for t in dataset.trials] == [
+            t.ball_time_s / 10 for t in parse_csv(bundled_text())[0].trials]
 
 POINTING_HEADER = "amplitude,width,mt_s"
 
@@ -372,13 +382,26 @@ class TestDatasetInvariants:
         with pytest.raises(UsageError):
             Dataset(trials=(rec, rec))
 
+    def test_metadata_is_copied_at_construction(self, bundled):
+        notes = {"source": "a"}
+        dataset = Dataset(bundled.trials, notes)
+        notes["source"] = "b"
+        assert dataset.metadata == {"source": "a"}
+        for again in (copy.deepcopy(dataset), pickle.loads(pickle.dumps(dataset))):
+            assert type(again) is Dataset and again == dataset
+            assert again.metadata is not dataset.metadata
+
 
 #: Cell values for the fuzz below: extremes, non-numbers, digit separators,
-#: non-ASCII digits and characters that the csv module treats specially.
+#: non-ASCII digits, characters that the csv module treats specially,
+#: padded, signed and float spellings of integers, and the separators
+#: \x1c-\x1f, which str.strip() removes but int() and float() reject.
 FUZZ_CELLS = ["1e308", "-1e308", "5e-324", "1e-320", "2.5e-308", "nan", "-inf",
               "inf", "0", "-0", "+7", ".5", "1.", "1e", "9" * 400, "1_0", "5_00",
               "\uff18", "3\u0661\u0660", "\x00", '"', '""', "\ufeff", "", " ",
-              "drive", " LOB ", "Smash", "1e100", "1e-100", "1e101", "999999"]
+              "drive", " LOB ", "Smash", "1e100", "1e-100", "1e101", "999999",
+              " 7 ", "\t3", "+5", "01", "1.0", "1e3",
+              "5\x1c", "5\x1d", "5\x1e", "5\x1f"]
 
 
 def _fuzzed(rng: random.Random, lines: list[str]) -> str:
@@ -460,3 +483,38 @@ class TestTrustedParsePath:
         dataset, report = parse_csv(text)
         assert len(dataset) == BUNDLED_TRIALS and len(report.errors) == 3
         assert counts == {"checked_new": 0, "speed_and_product": BUNDLED_TRIALS + 1}
+
+    def test_whole_row_conversion_gives_what_the_cell_rules_give(self, monkeypatch):
+        rng = random.Random(14)
+        lines = bundled_text().splitlines()
+        runs = [(_fuzzed(rng, lines), factor)
+                for _ in range(400) for factor in (1, 10, 1e-300, 1e300)]
+
+        def outcome(text, factor):
+            dataset, report = parse_csv(text, slowdown_factor=factor)
+            return repr(dataset), report.errors, report.warnings  # repr: types too
+
+        expected = [outcome(*run) for run in runs]
+        monkeypatch.setattr(dataset_module, "_clean_row", lambda *row: None)
+        assert [outcome(*run) for run in runs] == expected
+
+    @pytest.mark.parametrize("cell", ["5\x1c", "5\x1d", "5\x1e", "5\x1f", "\uff15"])
+    def test_cells_the_whole_row_conversion_refuses_are_read_cell_by_cell(self, cell):
+        row = f"1,Drive,{cell},586,0.197,374,1.22"
+        cells = row.split(",")
+        assert dataset_module._clean_row(cells, "".join(cells), 1.0) is None
+        dataset, report = parse_csv(f"{VALID_HEADER}\n1,Drive,1,586,0.197,374,1.22\n{row}\n")
+        if cell.isascii():  # str.strip() removes it: a valid trial number 5
+            assert report.ok and [t.trial_index for t in dataset.trials] == [1, 5]
+        else:
+            assert report.errors == [(3, "trial", f"expected an integer, got {cell!r}")]
+
+    def test_clean_rows_take_the_whole_row_path(self, monkeypatch):
+        calls = []
+        parse_number = dataset_module._parse_number
+        monkeypatch.setattr(dataset_module, "_parse_number",
+                            lambda *args: calls.append(args) or parse_number(*args))
+        dataset, report = parse_csv(bundled_text())
+        assert report.ok and len(dataset) == BUNDLED_TRIALS and calls == []
+        parse_csv(VALID_HEADER + "\n1,Drive,1,586,x,374,1.22\n")
+        assert len(calls) == 6  # a refused row is read cell by cell

@@ -10,6 +10,7 @@ slow-motion durations and divides them by the given factor before any
 analysis (movement times are untouched; they are measured in real time).
 """
 import argparse
+import gc
 import os
 import sys
 
@@ -239,5 +240,22 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_main():
+    """The process entry of the squashfitts command and python -m squashfitts:
+    main() without the cyclic GC (a run's records are acyclic and live until
+    exit), stdout flushed inside the exit contract (a failed flush is exit 2
+    with one error line), and os._exit, skipping interpreter teardown."""
+    gc.disable()
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -15,11 +15,12 @@ range when v is in m/s and the player distance is in meters, so those are
 the canonical units throughout.
 """
 import math
+import sys
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 
 #: Speeds outside this band (m/s) are flagged as implausible for squash.
 PLAUSIBLE_SPEED_BAND_MPS = (1.0, 100.0)
@@ -87,6 +88,15 @@ def _require_positive(value: float, name: str) -> float:
         raise DomainError(f"{name} must be a number, got {value!r}", field=name) from None
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be a finite number > 0, got {value!r}", field=name)
+    return value
+
+
+def _require_setting(value, name: str):
+    """value of a numeric setting: an int or float, not a bool, > 0 and at
+    most the largest float (so that it converts to one); else a UsageError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 < value <= sys.float_info.max):
+        raise UsageError(f"{name} must be a finite number > 0, got {value!r}")
     return value
 
 

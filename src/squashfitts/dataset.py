@@ -19,12 +19,12 @@ go through the same reader and errors, see :func:`parse_pointing_csv`.
 import csv
 import io
 import math
-import sys
 from functools import cache
 from importlib import resources
 
 from .core import (_SHOT_LABELS, ShotKind, TrialRecord, _court_warnings, _number,
-                   _plain, _underivable, derive_trial, speed_and_product)
+                   _plain, _require_setting, _underivable, derive_trial,
+                   speed_and_product)
 from .errors import DomainError, UsageError
 from .variants import PointingTrial
 
@@ -223,10 +223,7 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     is skipped. A movement time outside MOVEMENT_TIME_RANGE_S, or a divided
     ball time not finite and > 0, is a row error.
     """
-    if (isinstance(slowdown_factor, bool) or not isinstance(slowdown_factor, (int, float))
-            or not 0.0 < slowdown_factor <= sys.float_info.max):
-        raise UsageError(f"slowdown_factor must be a finite number > 0, "
-                         f"got {slowdown_factor!r}")
+    _require_setting(slowdown_factor, "slowdown_factor")
     report = ValidationReport()
     errors = report.errors
     split = _split_header(text, errors)

@@ -25,7 +25,7 @@ from functools import cache, cached_property
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
-from .core import DerivedTrial, ShotKind, _Checked, derive_trial
+from .core import DerivedTrial, ShotKind, _Checked, _require_setting, derive_trial
 from .dataset import BUNDLED_TRIALS, Dataset, bundled_dataset
 from .errors import DegenerateDesignError, UsageError
 from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
@@ -71,11 +71,8 @@ class AnalysisOptions(_Checked, NamedTuple("AnalysisOptions", [
         shots = frozenset(ShotKind.parse(s) for s in exclude_shots)
         if len(shots) >= len(ShotKind):
             raise UsageError("cannot exclude all four shot kinds")
-        if isinstance(stats_tolerance, bool) or not (
-                isinstance(stats_tolerance, (int, float)) and 0 < stats_tolerance < math.inf):
-            raise UsageError(f"stats_tolerance must be a finite number > 0, "
-                             f"got {stats_tolerance!r}")
-        return tuple.__new__(cls, (shots, stats_tolerance))
+        return tuple.__new__(cls, (shots, _require_setting(stats_tolerance,
+                                                           "stats_tolerance")))
 
     @property
     def overall_subset(self) -> str:

@@ -1,19 +1,29 @@
 from __future__ import annotations
 
+import ast
+import contextlib
 import csv
+import gc
+import hashlib
+import importlib
+import inspect
 import json
 import math
+import os
+import pathlib
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
-from squashfitts import PointingTrial, UsageError, fit_model, ols_simple, pipeline
+from squashfitts import PointingTrial, UsageError, cli, fit_model, ols_simple, pipeline
 from squashfitts.cli import main
 from squashfitts.dataset import (REQUIRED_COLUMNS, bundled_text, parse_csv,
                                  parse_pointing_csv)
 
+import oracles
 from test_dataset import _fuzzed
 
 VALID_HEADER = ",".join(REQUIRED_COLUMNS)
@@ -479,6 +489,109 @@ def test_module_entry_point_smoke():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "0 error(s)" in proc.stderr
+
+
+def _module_run(argv, stdout=subprocess.PIPE, **kwargs):
+    """python -m squashfitts argv, stdout to the given file descriptor, with
+    PYTHONUNBUFFERED unset as in a normal shell: stdout is block-buffered
+    and its last block is written only when the process flushes it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    package_root = str(pathlib.Path(cli.__file__).parents[1])  # found from any cwd
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "squashfitts", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120, **kwargs)
+
+
+def test_console_script_and_module_call_one_entry():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    module, name = re.search(r'^squashfitts = "([\w.]+):(\w+)"$',
+                             pyproject.read_text(), re.M).groups()
+    entry_module = importlib.import_module("squashfitts.__main__")
+    tree = ast.parse(inspect.getsource(entry_module))
+    assert [node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)] == [name]
+    assert getattr(importlib.import_module(module), name) is getattr(entry_module, name)
+
+
+def test_entry_runs_main_without_gc_and_without_teardown():
+    code = ("import atexit, gc, squashfitts.cli as cli\n"
+            "atexit.register(print, 'teardown')\n"
+            "cli.main = lambda: print('gc enabled:', gc.isenabled()) or 1\n"
+            "cli.console_main()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"gc enabled: False\n", b"")
+
+
+def test_main_leaves_the_gc_enabled(capsys):
+    assert main(["stats"]) == 0
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["report", "--input", "bundled", "--output", "report.json"], 0),
+    (["--help"], 0),
+    (["validate", "--input", "drives_lobs.csv"], 1),
+    (["report", "--input", "bundled", "--slowdown", "1_0"], 2)])
+def test_module_entry_gives_what_main_gives(tmp_path, capsys, monkeypatch, argv,
+                                            code):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    (tmp_path / "drives_lobs.csv").write_text(
+        VALID_HEADER + "\n" + GOOD_ROW + "\n1,Drive,2,587,0.204,386,1.21\n"
+        "1,Lob,1,686,0.3125,380,1.89\n1,Lob,2,665,0.3625,402,1.63\n")
+    written = tmp_path / "report.json"
+    proc = _module_run(argv, cwd=tmp_path)
+    child_report = written.read_bytes() if "--output" in argv else None
+    assert main(argv) == proc.returncode == code
+    out, err = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (out.encode(), err.encode())
+    if child_report is not None:
+        for report in (child_report, written.read_bytes()):
+            assert (hashlib.sha256(report).hexdigest()
+                    == oracles.FROZEN_BUNDLED_REPORT_SHA256["default"])
+    if argv == ["--help"]:
+        assert out.startswith("usage: squashfitts") and all(
+            name in out for name in ("validate", "derive", "stats", "fit", "figures"))
+
+
+@contextlib.contextmanager
+def _unwritable(sink):
+    """A file descriptor whose writes fail: /dev/full (ENOSPC), or the write
+    end of a pipe whose read end is closed (EPIPE)."""
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full on this system")
+        with open(sink, "wb") as fh:
+            yield fh.fileno()
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            yield write_end
+        finally:
+            os.close(write_end)
+
+
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize("argv", [
+    ["stats"], ["fit", "--model", "squash"],  # output that fits stdout's buffer,
+    ["report", "--input", "bundled", "--output", "report.json"],  # flushed at exit
+    ["report", "--input", "bundled"]])  # a write that fails while the command runs
+def test_unwritable_stdout_exits_two_with_one_error_line(tmp_path, argv, sink):
+    with _unwritable(sink) as fd:
+        proc = _module_run(argv, stdout=fd, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert re.fullmatch(rb"error: \[Errno \d+\] [^\n]+\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 between fork and exec")
+def test_entry_runs_without_stdout():
+    """A process started with fd 1 closed has sys.stdout None; validate
+    writes only to stderr and still exits 0."""
+    proc = _module_run(["validate"], stdout=None, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (
+        0, b"bundled: 36 valid trial(s)\n0 error(s), 0 warning(s)\n")
 
 
 #: Values of --slowdown and --tolerance for the argv fuzz below: those in

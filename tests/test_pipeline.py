@@ -10,8 +10,8 @@ import pytest
 from squashfitts import (AnalysisOptions, Dataset, DomainError, ShotKind,
                          TrialRecord, UsageError, build_cross_checks,
                          bundled_dataset, derive_trial, figure_series, mean,
-                         ols_simple, population_sd, render_report_json,
-                         run_analysis, write_csv)
+                         ols_simple, parse_csv, population_sd,
+                         render_report_json, run_analysis, write_csv)
 from squashfitts import cli, pipeline, stats
 from squashfitts import dataset as dataset_module
 from squashfitts.cli import main
@@ -104,6 +104,25 @@ class TestRunAnalysis:
             AnalysisOptions(**{name: value})
         assert str(exc.value).startswith(name)
         assert repr(value) in str(exc.value)
+
+    #: The two numeric settings, which core._require_setting checks alike.
+    SETTINGS = {"stats_tolerance": lambda v: AnalysisOptions(stats_tolerance=v),
+                "slowdown_factor": lambda v: parse_csv("", slowdown_factor=v)}
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    @pytest.mark.parametrize("value", [10 ** 400, True, "1", None, math.nan,
+                                       math.inf, 0, -1])
+    def test_setting_that_is_no_finite_number_above_zero_is_refused(self, name,
+                                                                     value):
+        with pytest.raises(UsageError) as exc:
+            self.SETTINGS[name](value)
+        assert str(exc.value) == f"{name} must be a finite number > 0, got {value!r}"
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    @pytest.mark.parametrize("value", [10, 0.5, 1e-300])
+    def test_setting_that_is_a_finite_number_above_zero_is_accepted(self, name,
+                                                                     value):
+        self.SETTINGS[name](value)
 
 
 class TestFigureSeries:

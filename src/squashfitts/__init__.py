@@ -9,8 +9,7 @@ dataset, reproduces the aggregates and trend line published with it
 """
 
 from .core import (DerivedTrial, ShotKind, TrialRecord, ball_speed,
-                   derive_trial, index_of_difficulty, information_rate,
-                   validate_against_court)
+                   derive_trial, index_of_difficulty, information_rate)
 from .dataset import (Dataset, ValidationReport, bundled_dataset, parse_csv,
                       write_csv)
 from .errors import (DegenerateDesignError, DomainError, SquashFittsError,
@@ -40,5 +39,5 @@ __all__ = [
     "information_rate", "mean", "model_design_row", "ols_simple",
     "ols_two_predictor", "parse_csv", "pearson_r", "population_sd",
     "predict_mt_steering", "predict_mt_welford", "render_report_json",
-    "run_analysis", "summarize_report", "validate_against_court", "write_csv",
+    "run_analysis", "summarize_report", "write_csv",
 ]

@@ -207,6 +207,15 @@ def cmd_report(args, options: AnalysisOptions) -> int:
     return 0
 
 
+def _error(text) -> None:
+    """Print text to stderr; a stderr that cannot be written is ignored, so
+    the exit code stays the contract's."""
+    try:
+        print(text, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -225,18 +234,18 @@ def main(argv=None) -> int:
                                  "no ball times or shots; --slowdown and --exclude-shot "
                                  "apply to model squash only")
     except SquashFittsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 2
     try:
         return args.run(args, options)
     except _Rejected as exc:  # row errors, as parsed
-        print(exc, file=sys.stderr)
+        _error(exc)
         return 1
     except SquashFittsError as exc:  # data or fit failure
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 1
     except OSError as exc:  # unreadable input, unwritable output
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 2
 
 
@@ -244,17 +253,22 @@ def console_main():
     """The process entry of the squashfitts command and python -m squashfitts:
     main() without the cyclic GC (a run's records are acyclic and live until
     exit), stdout flushed inside the exit contract (a failed flush is exit 2
-    with one error line), and os._exit, skipping interpreter teardown."""
+    with one error line), and os._exit, skipping interpreter teardown. A
+    stream the process started without is unwritable output, as a full one."""
     gc.disable()
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:  # no fd 1 or 2 at start-up
+            setattr(sys, name, open(os.devnull))  # read-only: a write is an OSError
     code = main()
     try:
-        if sys.stdout is not None:  # None when the process started without fd 1
-            sys.stdout.flush()
+        sys.stdout.flush()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         code = 2
-    sys.stderr.flush()
-    os._exit(code)
+    try:
+        sys.stderr.flush()
+    finally:  # an unwritable stderr leaves the code as it is
+        os._exit(code)
 
 
 if __name__ == "__main__":

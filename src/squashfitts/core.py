@@ -174,9 +174,9 @@ def index_of_difficulty(ball_speed_mps: float, player_distance_m: float) -> floa
 
     v is the ball speed in m/s and D the distance the player must cover in
     meters. The product can drop below 1 for very slow, very close shots;
-    the logarithm is then negative, which is permitted (callers that care
-    flag it, see :func:`validate_against_court`). A product that
-    overflows or underflows to 0 has no finite difficulty and is an error.
+    the logarithm is then negative, which is permitted (parse_csv's report
+    warns on it). A product that overflows or underflows to 0 has no finite
+    difficulty and is an error.
     """
     v = _require_positive(ball_speed_mps, "ball_speed_mps")
     vd = v * _require_positive(player_distance_m, "player_distance_m")
@@ -247,18 +247,11 @@ def _short(x: float) -> str:
     return f"{x:.2f}" if x < 1e6 else f"{x:.3e}"
 
 
-def validate_against_court(record: TrialRecord) -> list[str]:
-    """Plausibility screen for one trial. Returns warnings, never rejects.
-
-    Flags: player distance beyond MAX_PLAYER_REACH_M, ball speed outside
-    PLAUSIBLE_SPEED_BAND_MPS, and non-positive difficulty (v*D <= 1).
-    Every warning is at most 100 characters long.
-    """
-    return _court_warnings(record.player_distance_cm, *speed_and_product(record))
-
-
 def _court_warnings(player_distance_cm: float, v: float, vd: float) -> list[str]:
-    """validate_against_court of a trial with this distance and (v, v*D)."""
+    """Plausibility screen of a trial with this distance and (v, v*D): warns,
+    never rejects. Flags a player distance beyond MAX_PLAYER_REACH_M, a ball
+    speed outside PLAUSIBLE_SPEED_BAND_MPS and a non-positive difficulty
+    (v*D <= 1). Every warning is at most 100 characters long."""
     warnings = []
     player_m = player_distance_cm / 100.0
     if player_m > MAX_PLAYER_REACH_M:

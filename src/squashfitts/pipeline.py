@@ -99,8 +99,8 @@ class ReportDocument(NamedTuple("ReportDocument", [
         ("per_person_shot_stats", tuple), ("per_shot_stats", tuple), ("columns", dict),
         ("overall_fit", LinearFit), ("subset_fits", dict), ("per_shot_fits", dict)])):
     """Everything one analysis run produced; columns maps ShotKind to
-    aggregate's (ids, mts) columns, as tuples. No __slots__: the instance
-    __dict__ holds the cached_property."""
+    aggregate's (ids, mts) lists; callers must not mutate. No __slots__:
+    the instance __dict__ holds the cached_property."""
 
     @cached_property
     def cross_checks(self) -> dict:
@@ -174,18 +174,16 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
     options = options or AnalysisOptions()
     groups = aggregate(derive_trial(r) for r in dataset.trials)
     require_fittable((t.base.shot, t.id_bits) for t in groups.table)
-    columns = {kind: (tuple(ids), tuple(mts))
-               for kind, (ids, mts) in groups.columns.items()}
     return ReportDocument(
         options=options,
         dataset_metadata=dict(dataset.metadata),
         derived_table=groups.table,
         per_person_shot_stats=groups.per_person_shot,
         per_shot_stats=groups.per_shot,
-        columns=columns,
-        overall_fit=fit_overall(columns, options),
-        subset_fits=_subset_fits(columns),
-        per_shot_fits={kind: fit_columns(*columns[kind]) for kind in ShotKind},
+        columns=groups.columns,
+        overall_fit=fit_overall(groups.columns, options),
+        subset_fits=_subset_fits(groups.columns),
+        per_shot_fits={kind: fit_columns(*groups.columns[kind]) for kind in ShotKind},
     )
 
 
@@ -279,7 +277,7 @@ def build_cross_checks(report: ReportDocument) -> dict:
     as_published = aggregate(printed_trials)
 
     # 2. grouped mean/SD of difficulty vs the published summaries
-    bases = [(basis, {(g.key.person_id, g.key.shot): g for g in groups})
+    bases = [(basis, {g.key: g for g in groups})
              for basis, groups in (
                  ("as_published", as_published.per_person_shot + as_published.per_shot),
                  ("recomputed", report.per_person_shot_stats + report.per_shot_stats))]

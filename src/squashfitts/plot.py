@@ -49,9 +49,8 @@ def emit_svg(series: FigureSeries) -> str:
     """Standalone SVG 1.1 scatter plot with axes, ticks, and trend line."""
     if not series.points:
         raise UsageError("cannot plot an empty series")
-    xs = [p[0] for p in series.points]
+    x_min, x_max = series.sorted_points[0][0], series.sorted_points[-1][0]
     ys = [p[1] for p in series.points]
-    x_min, x_max = min(xs), max(xs)
     if series.fit is not None:
         fit_ys = series.fit.predict(x_min), series.fit.predict(x_max)
         ys += fit_ys

@@ -260,15 +260,10 @@ def ols_two_predictor(rows: Sequence[tuple[float, float, float]]) -> WelfordFit:
     s1y = _sxy(x1s, ys, x1bar, ybar)
     s2y = _sxy(x2s, ys, x2bar, ybar)
 
-    if s11 == 0.0 and s22 == 0.0:
-        raise DegenerateDesignError(
-            "both predictors are constant (collinear with the intercept column)")
-    if s11 == 0.0:
-        raise DegenerateDesignError(
-            "predictor x1 is constant (collinear with the intercept column)")
-    if s22 == 0.0:
-        raise DegenerateDesignError(
-            "predictor x2 is constant (collinear with the intercept column)")
+    if s11 == 0.0 or s22 == 0.0:
+        which = ("both predictors are" if s11 == s22 else
+                 "predictor x1 is" if s11 == 0.0 else "predictor x2 is")
+        raise DegenerateDesignError(f"{which} constant (collinear with the intercept column)")
     det = s11 * s22 - s12 * s12
     if det <= _RANK_TOL * s11 * s22:
         raise DegenerateDesignError(
@@ -292,8 +287,5 @@ def fit_model(kind: ModelKind, dataset) -> LinearFit | WelfordFit:
     need = 3 if kind is ModelKind.WELFORD else 2  # rows per fitted coefficient
     if len(trials) < need:
         raise UsageError(f"model {kind} needs >= {need} trials, got {len(trials)}")
-    designs = [model_design_row(kind, t) for t in trials]
-    mts = [t.movement_time_s for t in trials]
-    if kind is ModelKind.WELFORD:
-        return ols_two_predictor([(d[0], d[1], mt) for d, mt in zip(designs, mts)])
-    return ols_simple([(d[0], mt) for d, mt in zip(designs, mts)])
+    rows = [(*model_design_row(kind, t), t.movement_time_s) for t in trials]
+    return (ols_two_predictor if kind is ModelKind.WELFORD else ols_simple)(rows)

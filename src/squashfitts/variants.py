@@ -77,38 +77,36 @@ class ModelKind(Enum):
 _MODEL_NAMES = {kind.value: kind for kind in ModelKind}
 
 
+def _check_sizes(amplitude: float, width: float, amplitude_rule: str = "> 0") -> None:
+    """A DomainError naming the first of amplitude (held to amplitude_rule:
+    "> 0", ">= 0", or "" for none) and width (> 0) that breaks its rule."""
+    for name, value, rule in (("amplitude", amplitude, amplitude_rule), ("width", width, "> 0")):
+        if rule and not (value >= 0 if rule == ">= 0" else value > 0):
+            raise DomainError(f"{name} must be {rule}, got {value!r}", field=name)
+
+
 def id_fitts_original(amplitude: float, width: float) -> float:
     """Classic difficulty log2(2A/W). Goes negative exactly when 2A < W."""
-    if not amplitude > 0:
-        raise DomainError(f"amplitude must be > 0, got {amplitude!r}", field="amplitude")
-    if not width > 0:
-        raise DomainError(f"width must be > 0, got {width!r}", field="width")
+    _check_sizes(amplitude, width)
     return math.log2(2.0 * amplitude / width)
 
 
 def id_mackenzie(amplitude: float, width: float) -> float:
     """Shannon-style difficulty log2(2A/W + 1); non-negative for A >= 0."""
-    if not amplitude >= 0:
-        raise DomainError(f"amplitude must be >= 0, got {amplitude!r}", field="amplitude")
-    if not width > 0:
-        raise DomainError(f"width must be > 0, got {width!r}", field="width")
+    _check_sizes(amplitude, width, ">= 0")
     return math.log2(2.0 * amplitude / width + 1.0)
 
 
 def predict_mt_welford(a: float, b1: float, b2: float,
                        amplitude: float, width: float) -> float:
     """Two-coefficient movement-time prediction a + b1*log2(A) + b2*log2(1/W)."""
-    if not amplitude > 0:
-        raise DomainError(f"amplitude must be > 0, got {amplitude!r}", field="amplitude")
-    if not width > 0:
-        raise DomainError(f"width must be > 0, got {width!r}", field="width")
+    _check_sizes(amplitude, width)
     return a + b1 * math.log2(amplitude) + b2 * math.log2(1.0 / width)
 
 
 def predict_mt_steering(a: float, b: float, amplitude: float, width: float) -> float:
     """Steering-law movement-time prediction a + b*(A/W)."""
-    if not width > 0:
-        raise DomainError(f"width must be > 0, got {width!r}", field="width")
+    _check_sizes(amplitude, width, "")
     return a + b * (amplitude / width)
 
 

@@ -594,6 +594,38 @@ def test_entry_runs_without_stdout():
         0, b"bundled: 36 valid trial(s)\n0 error(s), 0 warning(s)\n")
 
 
+#: Exit codes of each subcommand on the bundled data when the process starts
+#: with fd 1 closed and with fd 2 closed: a command that cannot write its
+#: output (stdout, or validate's stderr) exits 2.
+MISSING_STREAM_CODES = {
+    ("validate",): (0, 2), ("derive",): (2, 0), ("stats",): (2, 0),
+    ("fit", "--model", "squash"): (2, 0), ("figures", "--output", "figs"): (2, 0),
+    ("report",): (2, 2)}
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 or 2 between fork and exec")
+@pytest.mark.parametrize("fd", [1, 2], ids=["fd1_closed", "fd2_closed"])
+@pytest.mark.parametrize("argv,codes", MISSING_STREAM_CODES.items(),
+                         ids=[argv[0] for argv in MISSING_STREAM_CODES])
+def test_missing_standard_stream_keeps_the_exit_contract(tmp_path, argv, codes, fd):
+    proc = _module_run([*argv, "--input", "bundled"], cwd=tmp_path,
+                       preexec_fn=lambda: os.close(fd))
+    assert proc.returncode == codes[fd - 1]  # 0, 1 or 2, never a traceback's 1
+    assert b"Traceback" not in (proc.stderr if fd == 1 else proc.stdout)
+    if fd == 1 and proc.returncode == 2:
+        assert proc.stderr == b"error: not writable\n"
+
+
+def test_unwritable_stderr_keeps_the_exit_code(monkeypatch, bad_csv, capsys):
+    """main's own stderr writes cannot raise: the code is the contract's."""
+    with open(os.devnull) as read_only:
+        monkeypatch.setattr(sys, "stderr", read_only)
+        assert main(["validate"]) == 2  # its output cannot be written
+        assert main(["derive", "--input", str(bad_csv)]) == 1
+        assert main(["stats", "--input", str(bad_csv) + ".missing"]) == 2
+        assert main(["fit", "--model", "fitts", "--input", "bundled"]) == 2
+
+
 #: Values of --slowdown and --tolerance for the argv fuzz below: those in
 #: the number grammar of the CSV cells and finite and > 0, and the rest.
 ACCEPTED_NUMBERS = (" 10 ", "+1e1", ".5", "1e-300")

@@ -7,8 +7,9 @@ import pytest
 
 from squashfitts import (DomainError, ShotKind, TrialRecord, ball_speed,
                          derive_trial, index_of_difficulty, information_rate,
-                         validate_against_court)
-from squashfitts.core import MAX_PLAYER_REACH_M
+                         parse_csv)
+from squashfitts.core import MAX_PLAYER_REACH_M, _court_warnings
+from squashfitts.dataset import REQUIRED_COLUMNS
 
 import oracles
 
@@ -257,45 +258,56 @@ class TestCourtGeometry:
         assert MAX_PLAYER_REACH_M == pytest.approx(6.41, abs=0.01)
 
 
-class TestValidateAgainstCourt:
-    def _rec(self, dp_cm=374.0, db_cm=586.0, t_s=0.197):
-        return TrialRecord(1, ShotKind.DRIVE, 1, db_cm, t_s, dp_cm, 1.22)
+class TestCourtScreen:
+    """The plausibility warnings, through parse_csv's report on one row."""
+
+    def _warnings(self, dp_cm=374.0, db_cm=586.0, t_s=0.197) -> list[str]:
+        dataset, report = parse_csv(f"{','.join(REQUIRED_COLUMNS)}\n"
+                                    f"1,Drive,1,{db_cm!r},{t_s!r},{dp_cm!r},1.22\n")
+        assert len(dataset) == 1 and report.ok
+        assert {row for row, _ in report.warnings} <= {2}
+        return [w for _, w in report.warnings]
 
     def test_plausible_trial_has_no_warnings(self):
-        assert validate_against_court(self._rec()) == []
+        assert self._warnings() == []
 
     def test_player_distance_beyond_reach_warns(self):
-        warnings = validate_against_court(self._rec(dp_cm=800.0))
+        warnings = self._warnings(dp_cm=800.0)
         assert len(warnings) == 1
         assert "reach" in warnings[0]
 
     def test_implausible_speed_warns(self):
         # 150 m/s: 15000 cm covered in 1 s
-        warnings = validate_against_court(self._rec(db_cm=15000.0, t_s=1.0))
+        warnings = self._warnings(db_cm=15000.0, t_s=1.0)
         assert any("plausible band" in w for w in warnings)
 
     def test_non_positive_difficulty_warns_but_does_not_reject(self):
         # v = 0.5 m/s over 1 m: v*D = 0.5 -> negative difficulty
+        assert self._warnings(dp_cm=100.0, db_cm=50.0, t_s=1.0) == [
+            "ball speed 0.50 m/s outside plausible band [1, 100] m/s",
+            "v*D = 0.5000 <= 1 gives non-positive difficulty (-1.0000 bits)"]
         rec = TrialRecord(1, ShotKind.DROP, 1, 50, 1.0, 100, 1.0)
-        warnings = validate_against_court(rec)
-        assert any("non-positive difficulty" in w for w in warnings)
         assert derive_trial(rec).id_bits < 0  # still derivable
 
     @pytest.mark.parametrize("db_cm,t_s,dp_cm", [
         (586.0, 1e-300, 374.0),     # speed about 6e300 m/s
-        (1e308, 1.0, 1e308),        # player distance 1e306 m
-        (5e-324, 1e308, 1e-300),    # speed and v*D 0
+        (586.0, 0.197, 1e308),      # player distance 1e306 m
+        (1e-100, 1e100, 1e-100),    # speed and v*D about 1e-202 and 1e-304
     ])
     def test_warnings_are_at_most_100_characters(self, db_cm, t_s, dp_cm):
-        warnings = validate_against_court(self._rec(dp_cm, db_cm, t_s))
+        warnings = self._warnings(dp_cm, db_cm, t_s)
         assert warnings and all(len(w) <= 100 for w in warnings)
 
     def test_moderate_values_keep_two_decimals(self):
-        assert validate_against_court(self._rec(dp_cm=800.0, db_cm=15000.0, t_s=1.0)) == [
+        assert self._warnings(dp_cm=800.0, db_cm=15000.0, t_s=1.0) == [
             "player_distance 8.00 m exceeds court reach 6.41 m",
             "ball speed 150.00 m/s outside plausible band [1, 100] m/s"]
 
     def test_zero_speed_warns_without_raising(self):
-        rec = TrialRecord(1, ShotKind.DROP, 1, 5e-324, 1e308, 100, 1.0)
-        warnings = validate_against_court(rec)
-        assert any("-inf bits" in w for w in warnings)
+        # parse_csv makes such a row a v_mps error before the screen; the
+        # screen itself still words v*D = 0 as -inf bits
+        assert "-inf bits" in _court_warnings(100.0, 0.0, 0.0)[-1]
+        dataset, report = parse_csv(f"{','.join(REQUIRED_COLUMNS)}\n"
+                                    "1,Drop,1,5e-324,1e308,100,1.0\n")
+        assert (len(dataset), report.warnings) == (0, [])
+        assert [e[:2] for e in report.errors] == [(2, "v_mps")]

@@ -11,8 +11,9 @@ import pytest
 
 from squashfitts import (Dataset, DomainError, ShotKind, TrialRecord,
                          UsageError, derive_trial, index_of_difficulty,
-                         parse_csv, validate_against_court, write_csv)
+                         parse_csv, write_csv)
 from squashfitts import dataset as dataset_module
+from squashfitts.core import _court_warnings, speed_and_product
 from squashfitts.dataset import (BUNDLED_TRIALS, DERIVED_COLUMNS,
                                  MOVEMENT_TIME_RANGE_S, REQUIRED_COLUMNS,
                                  bundled_text, parse_pointing_csv)
@@ -453,7 +454,9 @@ class TestTrustedParsePath:
             assert Dataset(trials=dataset.trials).trials == dataset.trials
             by_row = [[w for _, w in group] for _, group
                       in itertools.groupby(report.warnings, key=lambda w: w[0])]
-            assert by_row == [w for w in map(validate_against_court, dataset.trials) if w]
+            screened = (_court_warnings(t.player_distance_cm, *speed_and_product(t))
+                        for t in dataset.trials)
+            assert by_row == [w for w in screened if w]
             records += len(dataset)
             warnings += len(report.warnings)
         assert records > 25_000 and warnings > 2_500

@@ -175,11 +175,18 @@ class TestOlsTwoPredictor:
             ols_two_predictor(rows)
         assert "collinear" in str(exc.value)
 
-    def test_constant_predictor_names_the_column(self):
-        rows = [(5.0, x, 1.0 + x) for x in range(10)]
+    @pytest.mark.parametrize("rows,message", [
+        ([(5.0, x, 1.0 + x) for x in range(10)],
+         "predictor x1 is constant (collinear with the intercept column)"),
+        ([(x, -2.5, 1.0 + x) for x in range(10)],
+         "predictor x2 is constant (collinear with the intercept column)"),
+        ([(5.0, -2.5, 1.0 + x) for x in range(10)],
+         "both predictors are constant (collinear with the intercept column)"),
+    ], ids=["x1", "x2", "both"])
+    def test_constant_predictor_names_the_column(self, rows, message):
         with pytest.raises(DegenerateDesignError) as exc:
             ols_two_predictor(rows)
-        assert "x1" in str(exc.value)
+        assert str(exc.value) == message
 
     def test_too_few_rows(self):
         with pytest.raises(UsageError):

@@ -29,6 +29,52 @@ def test_fitts_original_rejects_non_positive():
         id_fitts_original(1.0, 0.0)
 
 
+def _welford(amplitude, width):
+    return predict_mt_welford(0.1, 0.2, 0.3, amplitude, width)
+
+
+def _steering(amplitude, width):
+    return predict_mt_steering(0.1, 0.2, amplitude, width)
+
+
+@pytest.mark.parametrize("formula,amplitude,width,message,field", [
+    (id_fitts_original, 0.0, 2.0, "amplitude must be > 0, got 0.0", "amplitude"),
+    (id_fitts_original, -1.5, 2.0, "amplitude must be > 0, got -1.5", "amplitude"),
+    (id_fitts_original, math.nan, 2.0, "amplitude must be > 0, got nan", "amplitude"),
+    (id_fitts_original, 3.0, 0.0, "width must be > 0, got 0.0", "width"),
+    (id_fitts_original, 3.0, -1.5, "width must be > 0, got -1.5", "width"),
+    (id_fitts_original, 3.0, math.nan, "width must be > 0, got nan", "width"),
+    (id_fitts_original, 0, -2, "amplitude must be > 0, got 0", "amplitude"),
+    (id_mackenzie, -1.5, 2.0, "amplitude must be >= 0, got -1.5", "amplitude"),
+    (id_mackenzie, math.nan, 2.0, "amplitude must be >= 0, got nan", "amplitude"),
+    (id_mackenzie, 0.0, 0.0, "width must be > 0, got 0.0", "width"),
+    (id_mackenzie, 3.0, -1.5, "width must be > 0, got -1.5", "width"),
+    (id_mackenzie, 3.0, math.nan, "width must be > 0, got nan", "width"),
+    (id_mackenzie, -1, math.nan, "amplitude must be >= 0, got -1", "amplitude"),
+    (_welford, 0.0, 2.0, "amplitude must be > 0, got 0.0", "amplitude"),
+    (_welford, -1.5, 2.0, "amplitude must be > 0, got -1.5", "amplitude"),
+    (_welford, math.nan, 2.0, "amplitude must be > 0, got nan", "amplitude"),
+    (_welford, 3.0, 0.0, "width must be > 0, got 0.0", "width"),
+    (_welford, 3.0, -1.5, "width must be > 0, got -1.5", "width"),
+    (_welford, 3.0, math.nan, "width must be > 0, got nan", "width"),
+    (_welford, math.nan, 0.0, "amplitude must be > 0, got nan", "amplitude"),
+    (_steering, 3.0, 0.0, "width must be > 0, got 0.0", "width"),
+    (_steering, -1.5, -1.5, "width must be > 0, got -1.5", "width"),
+    (_steering, math.nan, math.nan, "width must be > 0, got nan", "width"),
+])
+def test_formula_domain_error_text(formula, amplitude, width, message, field):
+    """The exact message and field of each formula's argument checks; the
+    amplitude is checked first."""
+    with pytest.raises(DomainError) as exc:
+        formula(amplitude, width)
+    assert (str(exc.value), exc.value.field) == (message, field)
+
+
+def test_steering_checks_only_the_width():
+    assert _steering(0.0, 2.0) == 0.1
+    assert _steering(-4.0, 2.0) == pytest.approx(-0.3)
+
+
 def test_mackenzie_anchors():
     assert id_mackenzie(0.0, 5.0) == 0.0
     assert id_mackenzie(3.5, 1.0) == 3.0               # log2(8)

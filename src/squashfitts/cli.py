@@ -45,8 +45,13 @@ def _positive(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # raises the OSError argparse drops
+        (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="squashfitts",
         description="Difficulty and effort metrics for squash shot retrieval, "
                     "with movement-time model fitting and figure emission.")
@@ -217,12 +222,9 @@ def _error(text) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    failure = 2  # a SquashFittsError before the command runs is a usage error
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse reports usage problems itself
-        return int(exc.code or 0)
-    try:  # flag values that are wrong only in combination
+        args = _build_parser().parse_args(argv)
         options = AnalysisOptions(exclude_shots=frozenset(args.exclude_shot),
                                   stats_tolerance=args.tolerance)
         if args.model not in (None, ModelKind.SQUASH_ID):
@@ -233,18 +235,17 @@ def main(argv=None) -> int:
                 raise UsageError(f"model '{args.model}' fits pointing-task data, which has "
                                  "no ball times or shots; --slowdown and --exclude-shot "
                                  "apply to model squash only")
-    except SquashFittsError as exc:
-        _error(f"error: {exc}")
-        return 2
-    try:
+        failure = 1  # the flags are valid: from here on, a data or fit failure
         return args.run(args, options)
+    except SystemExit as exc:  # argparse has written its usage message or help
+        return int(exc.code or 0)
     except _Rejected as exc:  # row errors, as parsed
         _error(exc)
         return 1
-    except SquashFittsError as exc:  # data or fit failure
+    except SquashFittsError as exc:
         _error(f"error: {exc}")
-        return 1
-    except OSError as exc:  # unreadable input, unwritable output
+        return failure
+    except OSError as exc:  # unreadable input, unwritable output (help included)
         _error(f"error: {exc}")
         return 2
 

@@ -50,8 +50,6 @@ class ShotKind(Enum):
     def parse(cls, label: str) -> "ShotKind":
         """Parse a shot label, case-insensitively. Anything other than
         drive/drop/lob/boast is an error."""
-        if isinstance(label, ShotKind):
-            return label
         kind = _SHOT_LABELS.get(str(label).strip().lower())
         if kind is None:
             valid = ", ".join(k.value for k in cls)
@@ -262,8 +260,6 @@ def _court_warnings(player_distance_cm: float, v: float, vd: float) -> list[str]
         warnings.append(
             f"ball speed {_short(v)} m/s outside plausible band [{lo:g}, {hi:g}] m/s")
     if vd <= 1.0:
-        id_bits = math.log2(vd) if vd > 0.0 else -math.inf
-        warnings.append(
-            f"v*D = {vd:.4f} <= 1 gives non-positive difficulty "
-            f"({id_bits:.4f} bits)")
+        warnings.append(f"v*D = {vd:.4f} <= 1 gives non-positive difficulty "
+                        f"({math.log2(vd):.4f} bits)")
     return warnings

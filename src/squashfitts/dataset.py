@@ -93,9 +93,8 @@ class ValidationReport(_Fields):
 
     __slots__ = ("errors", "warnings")
 
-    def __init__(self, errors: list | None = None, warnings: list | None = None):
-        self.errors = [] if errors is None else errors
-        self.warnings = [] if warnings is None else warnings
+    def __init__(self):
+        self.errors, self.warnings = [], []
 
     @property
     def ok(self) -> bool:
@@ -228,7 +227,7 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     errors = report.errors
     split = _split_header(text, errors)
     if split is None:
-        return Dataset(trials=()), report
+        return Dataset((), metadata), report
     header, records = split
     ncols = len(header)
     if tuple(header[:len(REQUIRED_COLUMNS)]) != REQUIRED_COLUMNS:
@@ -244,7 +243,7 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
         errors.extend((1, col, "unexpected column") for col in header[len(REQUIRED_COLUMNS):]
                       if col not in DERIVED_COLUMNS)
     if errors:  # every header defect is an error of row 1
-        return Dataset(trials=()), report
+        return Dataset((), metadata), report
 
     trials: list[TrialRecord] = []
     seen: dict[tuple, int] = {}

@@ -21,7 +21,7 @@ on both bases.)
 """
 import json
 import math
-from functools import cache, cached_property
+from functools import cached_property
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
@@ -213,14 +213,9 @@ def _fit_dict(fit: LinearFit) -> dict:
                         f"{sign} {abs(fit.intercept):.3f}"}
 
 
-@cache
-def _bundled_trial_set() -> frozenset:
-    return frozenset(bundled_dataset().trials)
-
-
 def _is_bundled(report: ReportDocument) -> bool:
     return (len(report.derived_table) == BUNDLED_TRIALS
-            and {t.base for t in report.derived_table} == _bundled_trial_set())
+            and {t.base for t in report.derived_table} == set(bundled_dataset().trials))
 
 
 def build_cross_checks(report: ReportDocument) -> dict:

@@ -186,6 +186,20 @@ class TestFit:
         err = capsys.readouterr().err
         assert err == f"error: row 3: expected 3 cells, got {cells}\n"
 
+    def test_filters_that_exclude_every_trial_exit_one(self, tmp_path, capsys):
+        p = tmp_path / "drives.csv"
+        p.write_text(VALID_HEADER + "\n" + GOOD_ROW + "\n1,Drive,2,587,0.204,386,1.21\n")
+        assert main(["fit", "--model", "squash", "--exclude-shot", "drive",
+                     "--input", str(p)]) == 1
+        assert capsys.readouterr().err == "error: overall-fit filters exclude every trial\n"
+
+    def test_overall_fit_on_equal_ids_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "equal_ids.csv"
+        p.write_text(VALID_HEADER + "\n" + GOOD_ROW + "\n1,Drive,2,586,0.197,374,1.21\n")
+        assert main(["fit", "--model", "squash", "--input", str(p)]) == 1
+        assert re.fullmatch(r"error: overall fit \(all\): all 2 predictor values equal "
+                            r"\S+; no line is determined\n", capsys.readouterr().err)
+
     def test_squash_fit_works_without_all_four_shots(self, good_csv, capsys):
         # the file holds one drive and one drop; fit must not demand lobs
         assert main(["fit", "--model", "squash",
@@ -491,11 +505,13 @@ def test_module_entry_point_smoke():
     assert "0 error(s)" in proc.stderr
 
 
-def _module_run(argv, stdout=subprocess.PIPE, **kwargs):
-    """python -m squashfitts argv, stdout to the given file descriptor, with
-    PYTHONUNBUFFERED unset as in a normal shell: stdout is block-buffered
-    and its last block is written only when the process flushes it."""
+def _module_run(argv, stdout=subprocess.PIPE, unbuffered=False, **kwargs):
+    """python -m squashfitts argv, stdout to the given file descriptor. Unless
+    unbuffered, PYTHONUNBUFFERED is unset as in a normal shell: stdout is
+    block-buffered and its last block is written only when the process flushes it."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     package_root = str(pathlib.Path(cli.__file__).parents[1])  # found from any cwd
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "squashfitts", *argv], stdout=stdout,
@@ -614,6 +630,46 @@ def test_missing_standard_stream_keeps_the_exit_contract(tmp_path, argv, codes, 
     assert b"Traceback" not in (proc.stderr if fd == 1 else proc.stdout)
     if fd == 1 and proc.returncode == 2:
         assert proc.stderr == b"error: not writable\n"
+
+
+HELP_ARGVS = [["--help"], ["report", "--help"]]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 between fork and exec")
+@pytest.mark.parametrize("sink,unbuffered", [
+    ("fd1_closed", False), ("/dev/full", False), ("/dev/full", True)],
+    ids=["fd1_closed", "dev_full_buffered", "dev_full_unbuffered"])
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=["help", "report_help"])
+def test_unwritable_help_exits_two_with_one_error_line(tmp_path, argv, sink, unbuffered):
+    """argparse drops the OSError of a failed help write; main's parser
+    does not, so help that cannot be written exits 2 as other output does."""
+    if sink == "fd1_closed":
+        proc = _module_run(argv, cwd=tmp_path, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (2, b"error: not writable\n")
+    else:
+        with _unwritable(sink) as fd:
+            proc = _module_run(argv, stdout=fd, unbuffered=unbuffered, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert re.fullmatch(rb"error: \[Errno \d+\] [^\n]+\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=["help", "report_help"])
+def test_help_to_read_only_stdout_returns_two(monkeypatch, capsys, argv):
+    with open(os.devnull) as read_only:
+        monkeypatch.setattr(sys, "stdout", read_only)
+        assert main(argv) == 2
+    assert capsys.readouterr().err == "error: not writable\n"
+
+
+def test_help_that_can_be_written_exits_zero(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    with open(os.devnull, "wb") as null:
+        proc = _module_run(["--help"], stdout=null, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    with open(tmp_path / "help.txt", "wb") as fh:
+        proc = _module_run(["--help"], stdout=fh, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (tmp_path / "help.txt").read_text() == cli._build_parser().format_help()
 
 
 def test_unwritable_stderr_keeps_the_exit_code(monkeypatch, bad_csv, capsys):

@@ -8,7 +8,7 @@ import pytest
 from squashfitts import (DomainError, ShotKind, TrialRecord, ball_speed,
                          derive_trial, index_of_difficulty, information_rate,
                          parse_csv)
-from squashfitts.core import MAX_PLAYER_REACH_M, _court_warnings
+from squashfitts.core import MAX_PLAYER_REACH_M
 from squashfitts.dataset import REQUIRED_COLUMNS
 
 import oracles
@@ -303,10 +303,9 @@ class TestCourtScreen:
             "player_distance 8.00 m exceeds court reach 6.41 m",
             "ball speed 150.00 m/s outside plausible band [1, 100] m/s"]
 
-    def test_zero_speed_warns_without_raising(self):
-        # parse_csv makes such a row a v_mps error before the screen; the
-        # screen itself still words v*D = 0 as -inf bits
-        assert "-inf bits" in _court_warnings(100.0, 0.0, 0.0)[-1]
+    def test_zero_speed_is_a_row_error_not_a_warning(self):
+        # parse_csv makes such a row a v_mps error before the screen, so the
+        # screen only sees rows whose v*D is finite and > 0
         dataset, report = parse_csv(f"{','.join(REQUIRED_COLUMNS)}\n"
                                     "1,Drop,1,5e-324,1e308,100,1.0\n")
         assert (len(dataset), report.warnings) == (0, [])

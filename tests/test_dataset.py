@@ -73,6 +73,14 @@ class TestParseCsv:
         assert report.errors[0][1] == "header"
         assert "no header" in report.errors[0][2]
 
+    @pytest.mark.parametrize("text", ["", "person,shot\n", VALID_HEADER + "\n"],
+                             ids=["empty", "bad_header", "header_only"])
+    def test_metadata_is_kept_without_trials(self, text):
+        notes = {"source": "x"}
+        dataset, _ = parse_csv(text, notes)
+        assert (dataset.trials, dataset.metadata) == ((), notes)
+        assert dataset.metadata is not notes
+
     def test_missing_required_column(self):
         text = "person,shot,trial,db_cm,t_s,dp_cm\n1,Drive,1,586,0.197,374\n"
         _, report = parse_csv(text)

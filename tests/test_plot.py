@@ -75,6 +75,10 @@ class TestSvg:
         assert "Index of Difficulty (bits)" in svg
         assert "Movement Time (s)" in svg
 
+    def test_empty_series_rejected(self):
+        with pytest.raises(UsageError, match="^cannot plot an empty series$"):
+            emit_svg(FigureSeries(label="x", points=(), fit=None))
+
     def test_no_trend_line_without_fit(self):
         svg = emit_svg(_series([(1.0, 2.0)], with_fit=False))
         assert svg.count("<circle") == 1

@@ -131,7 +131,10 @@ class TestImmutability:
         report = ValidationReport()
         report.errors = [(2, "t_s", "bad")]
         assert not report.ok
-        assert report == ValidationReport(errors=[(2, "t_s", "bad")])
+        expected = ValidationReport()
+        expected.errors.append((2, "t_s", "bad"))
+        assert report == expected
+        assert report != ValidationReport()
 
 
 class TestTupleSemantics:

@@ -152,6 +152,10 @@ class TestPearson:
         assert 0.0 < r < 1.0
         assert r == pytest.approx(oracle_r, abs=1e-9)
 
+    def test_one_point_is_a_usage_error(self):
+        with pytest.raises(UsageError, match=r"^pearson_r needs >= 2 points, got 1$"):
+            pearson_r([(1, 2)])
+
     def test_constant_data_is_undefined(self):
         with pytest.raises(UndefinedCorrelationError):
             pearson_r([(1.0, 2.0), (1.0, 3.0)])

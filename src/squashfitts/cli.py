@@ -15,15 +15,15 @@ import os
 import sys
 
 from .core import ShotKind, derive_trial
-from .dataset import (BUNDLED_METADATA, POINTING_COLUMNS, _parse_positive_float,
-                      bundled_text, parse_csv, parse_pointing_csv, write_csv)
+from .dataset import (BUNDLED_METADATA, POINTING_COLUMNS, _measurement, bundled_text,
+                      parse_csv, parse_pointing_csv, write_csv)
 from .errors import SquashFittsError, UsageError
 from .pipeline import (AnalysisOptions, FIGURES, figure_series, fit_overall,
                        render_report_json, require_fittable, run_analysis,
                        summarize_report)
 from .plot import emit_series_csv, emit_svg
 from .published import STATS_TOLERANCE
-from .stats import WelfordFit, aggregate, fit_model
+from .stats import aggregate, fit_model
 from .variants import ModelKind
 
 
@@ -39,10 +39,10 @@ def _flag(parse):
 
 def _positive(text: str) -> float:
     """A flag value, held to the rule of a measurement cell: a finite number > 0."""
-    value = _parse_positive_float(text, "", 0, [])
-    if value is None:
-        raise ValueError(f"expected a finite number > 0, got {text!r}")
-    return value
+    try:
+        return _measurement(text)
+    except ValueError:
+        raise ValueError(f"expected a finite number > 0, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,10 +181,8 @@ def cmd_fit(args, options: AnalysisOptions) -> int:
                                        for row, _, msg in report.errors))
         fit = fit_model(args.model, trials)
         subset = "all"
-    names = (("a", "b1", "b2") if isinstance(fit, WelfordFit)
-             else ("slope", "intercept", "pearson_r")) + ("r_squared", "n")
     lines = [f"model: {args.model} (subset: {subset})"]
-    lines += [f"{name}: {getattr(fit, name)!r}" for name in names]
+    lines += [f"{name}: {value!r}" for name, value in zip(fit._fields, fit)]
     _write(args.output, "\n".join(lines) + "\n")
     return 0
 

@@ -19,7 +19,7 @@ go through the same reader and errors, see :func:`parse_pointing_csv`.
 import csv
 import io
 import math
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 
 from .core import (_SHOT_LABELS, ShotKind, TrialRecord, _court_warnings, _number,
@@ -109,41 +109,48 @@ class ValidationReport(_Fields):
         return "\n".join(lines)
 
 
-def _parse_number(cell: str, column: str, row: int, errors, kind=float) -> float | None:
-    """kind (float or int) of the cell in core's number grammar, or None
-    after recording an error."""
+def _cell_number(cell: str, kind=float) -> float:
+    """kind (float or int) of the cell in core's number grammar."""
     try:
         return _number(cell, kind)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
-        errors.append((row, column, f"expected {noun}, got {cell!r}"))
-        return None
+        raise ValueError(f"expected {noun}, got {cell!r}") from None
 
 
-def _parse_positive_int(cell: str, column: str, row: int, errors) -> int | None:
-    value = _parse_number(cell, column, row, errors, int)
-    if value is not None and value < 1:
-        errors.append((row, column, f"expected a positive integer, got {value}"))
-        return None
+def _positive_int(cell: str) -> int:
+    value = _cell_number(cell, int)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {value}")
     return value
 
 
-def _parse_positive_float(cell: str, column: str, row: int, errors,
-                          bounds: tuple[float, float] | None = None) -> float | None:
-    value = _parse_number(cell, column, row, errors)
-    if value is None:
-        return None
+def _measurement(cell: str, bounds: tuple[float, float] | None = None) -> float:
+    """A measurement cell: a finite number > 0, within bounds if given."""
+    value = _cell_number(cell)
     if not math.isfinite(value):
-        errors.append((row, column, f"expected a finite number, got {cell!r}"))
-        return None
+        raise ValueError(f"expected a finite number, got {cell!r}")
     if value <= 0.0:
-        errors.append((row, column, f"measurements must be > 0, got {value!r}"))
-        return None
+        raise ValueError(f"measurements must be > 0, got {value!r}")
     if bounds and not bounds[0] <= value <= bounds[1]:
-        errors.append((row, column, f"expected a value within "
-                                    f"[{bounds[0]:g}, {bounds[1]:g}], got {value!r}"))
-        return None
+        raise ValueError(f"expected a value within [{bounds[0]:g}, {bounds[1]:g}], got {value!r}")
     return value
+
+
+_MOVEMENT_TIME = ("mt_s", partial(_measurement, bounds=MOVEMENT_TIME_RANGE_S))
+_POINTING_RULES = (("amplitude", _cell_number), ("width", _cell_number), _MOVEMENT_TIME)
+
+
+def _read_cells(idx: int, cells: list[str], rules: tuple, errors) -> tuple | None:
+    """The values of the cells under rules, a (column, rule) each in column
+    order, or None; each cell a rule refuses is an error of row idx."""
+    values = []
+    for cell, (column, rule) in zip(cells, rules):
+        try:
+            values.append(rule(cell))
+        except ValueError as exc:
+            errors.append((idx, column, str(exc)))
+    return tuple(values) if len(values) == len(rules) else None
 
 
 def _records(text: str) -> list:
@@ -245,32 +252,20 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     if errors:  # every header defect is an error of row 1
         return Dataset((), metadata), report
 
+    def ball_time(cell: str) -> float:  # t_s: a measurement, divided by the factor
+        t = _measurement(cell) / slowdown_factor
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"t_s / {slowdown_factor!r} must be finite and > 0, got {t!r}")
+        return t
+    rules = (("person", _positive_int), ("shot", ShotKind.parse), ("trial", _positive_int),
+             ("db_cm", _measurement), ("t_s", ball_time), ("dp_cm", _measurement), _MOVEMENT_TIME)
     trials: list[TrialRecord] = []
     seen: dict[tuple, int] = {}
     for idx, cells, text in _data_rows(records, ncols, errors):
-        values = _clean_row(cells, text, slowdown_factor)
-        if values is None:  # cell by cell: the one writer of the cell errors
-            errs_before = len(errors)
-            person = _parse_positive_int(cells[0], "person", idx, errors)
-            try:
-                shot = ShotKind.parse(cells[1])
-            except DomainError as exc:
-                errors.append((idx, "shot", str(exc)))
-                shot = None
-            trial = _parse_positive_int(cells[2], "trial", idx, errors)
-            db = _parse_positive_float(cells[3], "db_cm", idx, errors)
-            t = _parse_positive_float(cells[4], "t_s", idx, errors)
-            if t is not None:
-                t /= slowdown_factor
-                if not 0.0 < t < math.inf:
-                    errors.append((idx, "t_s", f"t_s / {slowdown_factor!r} must "
-                                               f"be finite and > 0, got {t!r}"))
-            dp = _parse_positive_float(cells[5], "dp_cm", idx, errors)
-            mt = _parse_positive_float(cells[6], "mt_s", idx, errors, MOVEMENT_TIME_RANGE_S)
-            # cells beyond the raw seven are derived columns: ignored on input
-            if len(errors) > errs_before:
-                continue
-            values = (person, shot, trial, db, t, dp, mt)
+        # cell by cell only where the whole row is refused; derived cells are ignored
+        values = _clean_row(cells, text, slowdown_factor) or _read_cells(idx, cells, rules, errors)
+        if values is None:
+            continue
         key = values[:3]
         if key in seen:
             errors.append((idx, "trial", f"duplicate trial key {(key[0], str(key[1]), key[2])}"
@@ -309,11 +304,8 @@ def parse_pointing_csv(text: str) -> tuple[list[PointingTrial], ValidationReport
         return [], report
     trials = []
     for idx, cells, _ in _data_rows(records, len(POINTING_COLUMNS), report.errors):
-        values = [_parse_number(cells[0], "amplitude", idx, report.errors),
-                  _parse_number(cells[1], "width", idx, report.errors),
-                  _parse_positive_float(cells[2], "mt_s", idx, report.errors,
-                                        MOVEMENT_TIME_RANGE_S)]
-        if None in values:
+        values = _read_cells(idx, cells, _POINTING_RULES, report.errors)
+        if values is None:
             continue
         try:
             trials.append(PointingTrial(*values))

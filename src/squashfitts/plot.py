@@ -34,12 +34,19 @@ def _fit_comment(series: FigureSeries) -> str:
             f"(r={fit.pearson_r!r}, r^2={fit.r_squared!r}, n={fit.n})")
 
 
+def _label(series: FigureSeries) -> str:
+    """The label, which both emitters write as is: one printable line without <, > or &."""
+    if not series.label.isprintable() or any(c in series.label for c in "<>&"):
+        raise UsageError(f"figure label must be printable, without <, > or &: {series.label!r}")
+    return series.label
+
+
 def emit_series_csv(series: FigureSeries) -> str:
     """Two-column CSV of the series, sorted ascending by id then mt, with
     a '#'-comment header carrying the fitted equation."""
     if not series.points:
         raise UsageError("cannot emit an empty series")
-    lines = [f"# series: {series.label}", _fit_comment(series), "id_bits,mt_s"]
+    lines = [f"# series: {_label(series)}", _fit_comment(series), "id_bits,mt_s"]
     for x, y in series.sorted_points:
         lines.append(f"{x!r},{y!r}")
     return "\n".join(lines) + "\n"
@@ -70,7 +77,7 @@ def emit_svg(series: FigureSeries) -> str:
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                f'width="{WIDTH_PX}" height="{HEIGHT_PX}" '
                f'viewBox="0 0 {WIDTH_PX} {HEIGHT_PX}">')
-    out.append(f'<title>{series.label}</title>')
+    out.append(f'<title>{_label(series)}</title>')
     out.append(f'<rect width="{WIDTH_PX}" height="{HEIGHT_PX}" fill="white"/>')
 
     # axes and ticks as a single path so point/line element counts stay meaningful

@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .core import ShotKind
-from .dataset import _data_rows, _split_header, bundled_text
+from .dataset import _data_rows, _split_header, bundled_dataset, bundled_text
 
 
 class PublishedValue(NamedTuple):
@@ -84,21 +84,16 @@ def published_rows() -> list[PublishedRow]:
     # the packaged text parses without errors (the suite checks it)
     header, records = _split_header(bundled_text(), [])
     col = {name: i for i, name in enumerate(header)}
-    for _, cells, _ in _data_rows(records, len(header), []):
+    rows = _data_rows(records, len(header), [])
+    for trial, (_, cells, _) in zip(bundled_dataset().trials, rows, strict=True):
         v = PublishedValue.of(cells[col["v_mps"]])
         idb = PublishedValue.of(cells[col["id_bits"]])
         ir = PublishedValue.of(cells[col["ir_bps"]])
-        dp_m = float(cells[col["dp_cm"]]) / 100.0
-        implied_id = math.log2(v.value * dp_m)
+        implied_id = math.log2(v.value * (trial.player_distance_cm / 100.0))
         # printed V and ID each carry their own rounding; allow both
         consistent = abs(implied_id - idb.value) <= idb.half_step + DERIVATION_TOLERANCE
-        out.append(PublishedRow(
-            person_id=int(cells[col["person"]]),
-            shot=ShotKind.parse(cells[col["shot"]]),
-            trial_index=int(cells[col["trial"]]),
-            v_mps=v, id_bits=idb, ir_bps=ir,
-            self_consistent=consistent,
-        ))
+        out.append(PublishedRow(*trial.key, v_mps=v, id_bits=idb, ir_bps=ir,
+                                self_consistent=consistent))
     return out
 
 

@@ -17,6 +17,7 @@ from squashfitts.core import _court_warnings, speed_and_product
 from squashfitts.dataset import (BUNDLED_TRIALS, DERIVED_COLUMNS,
                                  MOVEMENT_TIME_RANGE_S, REQUIRED_COLUMNS,
                                  bundled_text, parse_pointing_csv)
+from squashfitts.published import published_rows
 
 import oracles
 
@@ -64,6 +65,11 @@ class TestBundledDataset:
         assert report.ok
         assert report.warnings == []
         assert dataset.trials == bundled.trials
+
+    def test_printed_rows_follow_the_bundled_trials(self, bundled):
+        rows = published_rows()
+        assert [(r.person_id, r.shot, r.trial_index) for r in rows] == [
+            t.key for t in bundled.trials]
 
 
 class TestParseCsv:
@@ -247,6 +253,23 @@ class TestParseCsv:
                 f"1,Drive,2,586,0.197,374,{hi!r}\n")
         assert parse_csv(text)[1].errors == []
 
+    def test_refused_row_lists_each_refused_cell_once_in_column_order(self):
+        report = parse_csv(VALID_HEADER + "\nx,Serve,0,inf,-1,1_0,1e300\n")[1]
+        assert report.errors == [
+            (2, "person", "expected an integer, got 'x'"),
+            (2, "shot", "unknown shot label 'Serve' (expected one of: "
+                        "Drive, Drop, Lob, Boast)"),
+            (2, "trial", "expected a positive integer, got 0"),
+            (2, "db_cm", "expected a finite number, got 'inf'"),
+            (2, "t_s", "measurements must be > 0, got -1.0"),
+            (2, "dp_cm", "expected a number, got '1_0'"),
+            (2, "mt_s", "expected a value within [1e-100, 1e+100], got 1e+300"),
+        ]
+
+    def test_divided_ball_time_that_overflows_is_its_cells_error(self):
+        text = VALID_HEADER + "\n1,Drive,1,586,1e10,374,1.22\n"
+        report = parse_csv(text, slowdown_factor=1e-300)[1]
+        assert report.errors == [(2, "t_s", "t_s / 1e-300 must be finite and > 0, got inf")]
 
     def test_slowdown_divides_ball_times_before_the_checks(self):
         # t_s read off 10x slow motion: 2.97 and 1.56 m/s in real time
@@ -307,7 +330,7 @@ class TestParsePointingCsv:
         limit = csv.field_size_limit()
         text = "\n".join([POINTING_HEADER, "2,1", "2,x,0.5", "-1,1,0.5",
                           "2,0,0.5", "2,1,nan", "2,1,1e300",
-                          "2,1," + "1" * 200_000, "4,1,0.7"]) + "\n"
+                          "2,1," + "1" * 200_000, "x,1,inf", "4,1,0.7"]) + "\n"
         trials, report = parse_pointing_csv(text)
         assert report.errors == [
             (2, "row", "expected 3 cells, got 2"),
@@ -318,6 +341,8 @@ class TestParsePointingCsv:
             (7, "mt_s", "expected a value within [1e-100, 1e+100], "
                         "got 1e+300"),
             (8, "row", f"field larger than field limit ({limit})"),
+            (9, "amplitude", "expected a number, got 'x'"),  # each refused cell
+            (9, "mt_s", "expected a finite number, got 'inf'"),
         ]
         assert [t.amplitude for t in trials] == [4.0]
         assert csv.field_size_limit() == limit
@@ -522,8 +547,8 @@ class TestTrustedParsePath:
 
     def test_clean_rows_take_the_whole_row_path(self, monkeypatch):
         calls = []
-        parse_number = dataset_module._parse_number
-        monkeypatch.setattr(dataset_module, "_parse_number",
+        parse_number = dataset_module._cell_number
+        monkeypatch.setattr(dataset_module, "_cell_number",
                             lambda *args: calls.append(args) or parse_number(*args))
         dataset, report = parse_csv(bundled_text())
         assert report.ok and len(dataset) == BUNDLED_TRIALS and calls == []

@@ -46,6 +46,11 @@ class TestSeriesCsv:
         with pytest.raises(UsageError):
             emit_series_csv(FigureSeries(label="x", points=(), fit=None))
 
+    @pytest.mark.parametrize("label", ["x\nid_bits,mt_s\n9,9", "a\rb", "a<b&c"])
+    def test_label_that_would_add_lines_or_markup_is_rejected(self, label):
+        with pytest.raises(UsageError, match="figure label must be printable"):
+            emit_series_csv(_series([(1.0, 2.0), (2.0, 3.0)], label=label))
+
 
 class TestPointOrder:
     def test_figure_files_do_not_depend_on_point_order(self, report):
@@ -78,6 +83,11 @@ class TestSvg:
     def test_empty_series_rejected(self):
         with pytest.raises(UsageError, match="^cannot plot an empty series$"):
             emit_svg(FigureSeries(label="x", points=(), fit=None))
+
+    @pytest.mark.parametrize("label", ["a<b&c", "a>b", "line\nbreak", "tab\t"])
+    def test_label_that_is_not_plain_svg_text_is_rejected(self, label):
+        with pytest.raises(UsageError, match="figure label must be printable"):
+            emit_svg(_series([(1.0, 2.0), (2.0, 3.0)], label=label))
 
     def test_no_trend_line_without_fit(self):
         svg = emit_svg(_series([(1.0, 2.0)], with_fit=False))

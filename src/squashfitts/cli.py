@@ -8,22 +8,19 @@ The input is either a CSV path or the sentinel "bundled" for the packaged
 reference dataset. --slowdown treats the file's t_s column as observed
 slow-motion durations and divides them by the given factor before any
 analysis (movement times are untouched; they are measured in real time).
+
+Each command imports the modules it runs, so validate and derive load none
+of stats, pipeline, published and plot.
 """
 import argparse
 import gc
 import os
 import sys
 
-from .core import ShotKind, derive_trial
+from .core import ShotKind, derive_trial, require_fittable
 from .dataset import (BUNDLED_METADATA, POINTING_COLUMNS, _measurement, bundled_text,
                       parse_csv, parse_pointing_csv, write_csv)
 from .errors import SquashFittsError, UsageError
-from .pipeline import (AnalysisOptions, FIGURES, figure_series, fit_overall,
-                       render_report_json, require_fittable, run_analysis,
-                       summarize_report)
-from .plot import emit_series_csv, emit_svg
-from .published import STATS_TOLERANCE
-from .stats import aggregate, fit_model
 from .variants import ModelKind
 
 
@@ -56,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Difficulty and effort metrics for squash shot retrieval, "
                     "with movement-time model fitting and figure emission.")
     # values of the flags that only some subcommands take
-    parser.set_defaults(exclude_shot=[], tolerance=STATS_TOLERANCE, model=None)
+    parser.set_defaults(exclude_shot=[], tolerance=None, model=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(name, run, help, output_default="-"):
@@ -87,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     filters(common("figures", cmd_figures, "write the five figures (SVG + CSV)",
                    output_default="."))
     filters(common("report", cmd_report, "full JSON report with cross-checks")).add_argument(
-        "--tolerance", type=_flag(_positive), default=STATS_TOLERANCE,
+        "--tolerance", type=_flag(_positive),
         help="base tolerance for published-value cross-checks")
     return parser
 
@@ -137,7 +134,7 @@ def _write(path: str, text: str):
             fh.write(text)
 
 
-def cmd_validate(args, options: AnalysisOptions) -> int:
+def cmd_validate(args, options) -> int:
     dataset, report = _read_input(args)
     if report.ok:  # rows that all parse must also be analysable as a set
         try:
@@ -149,7 +146,7 @@ def cmd_validate(args, options: AnalysisOptions) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_derive(args, options: AnalysisOptions) -> int:
+def cmd_derive(args, options) -> int:
     _write(args.output, write_csv(_load(args), include_derived=True))
     return 0
 
@@ -161,7 +158,8 @@ def _group_line(g) -> str:
             f"mean_ir={g.mean_ir:.2f}")
 
 
-def cmd_stats(args, options: AnalysisOptions) -> int:
+def cmd_stats(args, options) -> int:
+    from .stats import aggregate
     groups = aggregate(derive_trial(t) for t in _load(args).trials)
     lines = ["# person x shot groups", *map(_group_line, groups.per_person_shot),
              "# shot groups", *map(_group_line, groups.per_shot)]
@@ -169,7 +167,9 @@ def cmd_stats(args, options: AnalysisOptions) -> int:
     return 0
 
 
-def cmd_fit(args, options: AnalysisOptions) -> int:
+def cmd_fit(args, options) -> int:
+    from .pipeline import fit_overall
+    from .stats import aggregate, fit_model
     if args.model is ModelKind.SQUASH_ID:
         groups = aggregate(derive_trial(t) for t in _load(args).trials)
         fit = fit_overall(groups.columns, options)
@@ -187,7 +187,9 @@ def cmd_fit(args, options: AnalysisOptions) -> int:
     return 0
 
 
-def cmd_figures(args, options: AnalysisOptions) -> int:
+def cmd_figures(args, options) -> int:
+    from .pipeline import FIGURES, figure_series, run_analysis
+    from .plot import emit_series_csv, emit_svg
     doc = run_analysis(_load(args), options)
     os.makedirs(args.output, exist_ok=True)
     written = []
@@ -202,7 +204,8 @@ def cmd_figures(args, options: AnalysisOptions) -> int:
     return 0
 
 
-def cmd_report(args, options: AnalysisOptions) -> int:
+def cmd_report(args, options) -> int:
+    from .pipeline import render_report_json, run_analysis, summarize_report
     doc = run_analysis(_load(args), options)
     _write(args.output, render_report_json(doc))
     summary_stream = sys.stderr if args.output == "-" else sys.stdout
@@ -223,8 +226,11 @@ def main(argv=None) -> int:
     failure = 2  # a SquashFittsError before the command runs is a usage error
     try:
         args = _build_parser().parse_args(argv)
-        options = AnalysisOptions(exclude_shots=frozenset(args.exclude_shot),
-                                  stats_tolerance=args.tolerance)
+        options = None  # the settings of the commands that analyse the data
+        if args.command in ("fit", "figures", "report"):
+            from .pipeline import STATS_TOLERANCE, AnalysisOptions
+            options = AnalysisOptions(frozenset(args.exclude_shot),  # --tolerance is > 0
+                                      args.tolerance or STATS_TOLERANCE)
         if args.model not in (None, ModelKind.SQUASH_ID):
             if args.input == "bundled":
                 raise UsageError(f"model '{args.model}' fits pointing-task data; provide "

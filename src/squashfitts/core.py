@@ -20,7 +20,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import DomainError, UsageError
+from .errors import DegenerateDesignError, DomainError, UsageError
 
 #: Speeds outside this band (m/s) are flagged as implausible for squash.
 PLAUSIBLE_SPEED_BAND_MPS = (1.0, 100.0)
@@ -263,3 +263,25 @@ def _court_warnings(player_distance_cm: float, v: float, vd: float) -> list[str]
         warnings.append(f"v*D = {vd:.4f} <= 1 gives non-positive difficulty "
                         f"({math.log2(vd):.4f} bits)")
     return warnings
+
+
+def require_fittable(shot_ids) -> None:
+    """The rule of analysis: every shot has 2 trials with distinct IDs, so
+    that every line a run fits is determined. shot_ids yields each trial's
+    (shot, ID); the scan stops once every shot passes. A shot with < 2
+    trials is a UsageError, equal IDs a DegenerateDesignError; both name it."""
+    first, counts, passed = {}, dict.fromkeys(ShotKind, 0), set()
+    for shot, idb in shot_ids:
+        counts[shot] += 1
+        if first.setdefault(shot, idb) != idb:
+            passed.add(shot)
+            if len(passed) == len(ShotKind):
+                return
+    rule = "every shot needs 2 trials with distinct IDs to fit its line"
+    for kind in ShotKind:
+        n = counts[kind]
+        if n < 2:
+            raise UsageError(f"shot {kind} has {n} trial(s); {rule}")
+        if kind not in passed:
+            raise DegenerateDesignError(
+                f"all {n} trials of shot {kind} have ID {first[kind]!r}; {rule}")

@@ -20,7 +20,6 @@ import csv
 import io
 import math
 from functools import cache, partial
-from importlib import resources
 
 from .core import (_SHOT_LABELS, ShotKind, TrialRecord, _court_warnings, _number,
                    _plain, _require_setting, _underivable, derive_trial,
@@ -344,6 +343,7 @@ def bundled_text() -> str:
     """Raw text of the bundled reference CSV (verbatim transcription of
     the published squash retrieval table, including its printed derived
     columns), read from the package once per process."""
+    from importlib import resources  # here: only this read needs it
     return (resources.files("squashfitts.data")
             .joinpath(_BUNDLED_RESOURCE).read_text(encoding="utf-8"))
 

@@ -25,7 +25,7 @@ from functools import cached_property
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
-from .core import DerivedTrial, ShotKind, _Checked, _require_setting, derive_trial
+from .core import DerivedTrial, ShotKind, _Checked, _require_setting, derive_trial, require_fittable
 from .dataset import BUNDLED_TRIALS, Dataset, bundled_dataset
 from .errors import DegenerateDesignError, UsageError
 from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
@@ -137,28 +137,6 @@ def _subset_fits(columns: dict) -> dict:
     """The line of every single-shot-excluded subset, by subset name."""
     return {f"exclude_{kind.value.lower()}": fit_columns(*_joined(columns, (kind,)))
             for kind in ShotKind}
-
-
-def require_fittable(shot_ids) -> None:
-    """The rule of analysis: every shot has 2 trials with distinct IDs, so
-    that every line a run fits is determined. shot_ids yields each trial's
-    (shot, ID); the scan stops once every shot passes. A shot with < 2
-    trials is a UsageError, equal IDs a DegenerateDesignError; both name it."""
-    first, counts, passed = {}, dict.fromkeys(ShotKind, 0), set()
-    for shot, idb in shot_ids:
-        counts[shot] += 1
-        if first.setdefault(shot, idb) != idb:
-            passed.add(shot)
-            if len(passed) == len(ShotKind):
-                return
-    rule = "every shot needs 2 trials with distinct IDs to fit its line"
-    for kind in ShotKind:
-        n = counts[kind]
-        if n < 2:
-            raise UsageError(f"shot {kind} has {n} trial(s); {rule}")
-        if kind not in passed:
-            raise DegenerateDesignError(
-                f"all {n} trials of shot {kind} have ID {first[kind]!r}; {rule}")
 
 
 def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,

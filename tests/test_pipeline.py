@@ -12,8 +12,7 @@ from squashfitts import (AnalysisOptions, Dataset, DomainError, ShotKind,
                          bundled_dataset, derive_trial, figure_series, mean,
                          ols_simple, parse_csv, population_sd,
                          render_report_json, run_analysis, write_csv)
-from squashfitts import cli, pipeline, stats
-from squashfitts import dataset as dataset_module
+from squashfitts import pipeline, stats
 from squashfitts.cli import main
 from squashfitts.published import PUBLISHED_GROUP_STATS, published_rows
 from squashfitts.stats import aggregate
@@ -236,7 +235,7 @@ class TestCrossChecks:
     def test_bundled_csv_is_read_from_its_cache(self, bundled, tmp_path, monkeypatch,
                                                 capsys):
         build_cross_checks(run_analysis(bundled))  # fills bundled_text's cache
-        monkeypatch.setattr(dataset_module.resources, "files", None)
+        monkeypatch.setattr("importlib.resources.files", None)
         assert main(["report", "--input", "bundled",
                      "--output", str(tmp_path / "r.json")]) == 0
         assert "reproduced by: exclude_drive" in capsys.readouterr().out
@@ -464,7 +463,7 @@ class TestSharedAggregation:
             calls.append(list(trials))
             return aggregate(calls[-1])
 
-        for module in (stats, pipeline, cli):
+        for module in (stats, pipeline):
             monkeypatch.setattr(module, "aggregate", counting)
         if consumer == "group_stats":
             stats.group_stats([derive_trial(t) for t in bundled.trials], "shot")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import importlib
 import inspect
 from enum import Enum
+
+import pytest
 
 import squashfitts
 
@@ -34,3 +37,30 @@ def _settable_values() -> list[str]:
 def test_settable_library_values_are_pinned():
     assert len(SETTABLE_VALUES) == 10
     assert _settable_values() == SETTABLE_VALUES
+
+
+def test_each_public_name_is_the_object_of_its_home_module():
+    for name in squashfitts.__all__:
+        obj = getattr(squashfitts, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("squashfitts."), name
+        assert getattr(home, name) is obj, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from squashfitts import *", namespace)
+    namespace.pop("__builtins__")
+    assert len(squashfitts.__all__) == 45
+    assert sorted(namespace) == sorted(squashfitts.__all__)
+    assert all(namespace[name] is getattr(squashfitts, name) for name in namespace)
+
+
+def test_dir_lists_every_public_name():
+    assert set(squashfitts.__all__) <= set(dir(squashfitts))
+
+
+def test_unknown_name_is_an_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="'squashfitts'.*'nope'"):
+        squashfitts.nope  # noqa: B018
+    assert not hasattr(squashfitts, "nope")

@@ -174,3 +174,38 @@ def test_cli_import_leaves_dataclasses_out():
          "assert 'dataclasses' not in sys.modules, 'dataclasses imported'"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+#: The modules a subcommand loads only when it analyses, summarises or draws.
+_DEFERRED = ("squashfitts.pipeline", "squashfitts.stats", "squashfitts.published",
+             "squashfitts.plot", "json")
+
+_ANALYSED = set(_DEFERRED) - {"squashfitts.plot"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["validate"], set()),
+    (["derive"], set()),
+    (["stats"], {"squashfitts.stats"}),
+    (["fit", "--model", "squash"], _ANALYSED),
+    (["report"], _ANALYSED),
+    (["figures"], _ANALYSED | {"squashfitts.plot"}),
+], ids=["validate", "derive", "stats", "fit", "report", "figures"])
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded):
+    output = str(tmp_path / ("figures" if argv == ["figures"] else "out.txt"))
+    script = ("import sys\nfrom squashfitts import cli\n"
+              f"code = cli.main({argv + ['--input', 'bundled', '--output', output]!r})\n"
+              f"print(code, sorted(m for m in {_DEFERRED!r} if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {sorted(loaded)}"
+
+
+def test_package_import_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, squashfitts; "
+         "print(sorted(m for m in sys.modules if m.startswith('squashfitts.')))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

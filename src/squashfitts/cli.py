@@ -9,19 +9,17 @@ reference dataset. --slowdown treats the file's t_s column as observed
 slow-motion durations and divides them by the given factor before any
 analysis (movement times are untouched; they are measured in real time).
 
-Each command imports the modules it runs, so validate and derive load none
-of stats, pipeline, published and plot.
+Each command imports the modules it runs: validate and derive load none of
+stats, pipeline, published and plot, and only a pointing-task fit loads variants.
 """
 import argparse
 import gc
 import os
 import sys
 
-from .core import ShotKind, derive_trial, require_fittable
-from .dataset import (BUNDLED_METADATA, POINTING_COLUMNS, _measurement, bundled_text,
-                      parse_csv, parse_pointing_csv, write_csv)
+from .core import ModelKind, ShotKind, derive_trial, require_fittable
+from .dataset import BUNDLED_METADATA, _measurement, bundled_text, parse_csv, write_csv
 from .errors import SquashFittsError, UsageError
-from .variants import ModelKind
 
 
 def _flag(parse):
@@ -168,13 +166,14 @@ def cmd_stats(args, options) -> int:
 
 
 def cmd_fit(args, options) -> int:
-    from .pipeline import fit_overall
-    from .stats import aggregate, fit_model
     if args.model is ModelKind.SQUASH_ID:
+        from .pipeline import fit_overall
+        from .stats import aggregate
         groups = aggregate(derive_trial(t) for t in _load(args).trials)
         fit = fit_overall(groups.columns, options)
         subset = options.overall_subset
     else:
+        from .variants import fit_model, parse_pointing_csv
         trials, report = parse_pointing_csv(_read_text(args.input))
         if not report.ok:
             raise _Rejected("\n".join(f"error: row {row}: {msg}"
@@ -233,6 +232,7 @@ def main(argv=None) -> int:
                                       args.tolerance or STATS_TOLERANCE)
         if args.model not in (None, ModelKind.SQUASH_ID):
             if args.input == "bundled":
+                from .variants import POINTING_COLUMNS
                 raise UsageError(f"model '{args.model}' fits pointing-task data; provide "
                                  f"--input CSV with columns {','.join(POINTING_COLUMNS)}")
             if args.slowdown is not None or args.exclude_shot:

@@ -65,6 +65,29 @@ _SHOT_LABELS = {kind.value.lower(): kind for kind in ShotKind}
 _SHOT_ORDER = {kind: i for i, kind in enumerate(ShotKind)}
 
 
+class ModelKind(Enum):
+    """Which difficulty/movement-time model to use (see variants). Values are
+    the case-insensitive names accepted on the command line."""
+
+    SQUASH_ID = "squash"
+    FITTS_ORIGINAL = "fitts"
+    MACKENZIE_SHANNON = "mackenzie"
+    WELFORD = "welford"
+    STEERING = "steering"
+
+    def __str__(self) -> str:
+        return self.value
+
+    @classmethod
+    def parse(cls, name: str) -> "ModelKind":
+        """Parse a model name (or a ModelKind), case-insensitively."""
+        try:
+            return cls(str(name).strip().lower())  # the values are lower case
+        except ValueError:
+            valid = ", ".join(k.value for k in cls)
+            raise UsageError(f"unknown model {name!r} (valid models: {valid})") from None
+
+
 def _plain(text: str) -> bool:
     """The number grammar's precondition on text: ASCII only, without "_"."""
     return text.isascii() and "_" not in text

@@ -14,7 +14,7 @@ Parsing is total: malformed input produces structured errors with row and
 column coordinates, never an exception. Row numbers are 1-based file lines
 (the header is line 1). A dataset that parsed with any errors must not be
 analyzed; warnings never block. Pointing-task files (amplitude,width,mt_s)
-go through the same reader and errors, see :func:`parse_pointing_csv`.
+go through the same reader and cell rules, see variants.parse_pointing_csv.
 """
 import csv
 import io
@@ -24,12 +24,10 @@ from functools import cache, partial
 from .core import (_SHOT_LABELS, ShotKind, TrialRecord, _court_warnings, _number,
                    _plain, _require_setting, _underivable, derive_trial,
                    speed_and_product)
-from .errors import DomainError, UsageError
-from .variants import PointingTrial
+from .errors import UsageError
 
 REQUIRED_COLUMNS = ("person", "shot", "trial", "db_cm", "t_s", "dp_cm", "mt_s")
 DERIVED_COLUMNS = ("v_mps", "id_bits", "ir_bps")
-POINTING_COLUMNS = ("amplitude", "width", "mt_s")
 
 #: Movement times (s) outside this range are row errors: inside it |IR|
 #: stays below ~1e103 and squared MT deviations below ~4e200, so no sum overflows.
@@ -137,7 +135,6 @@ def _measurement(cell: str, bounds: tuple[float, float] | None = None) -> float:
 
 
 _MOVEMENT_TIME = ("mt_s", partial(_measurement, bounds=MOVEMENT_TIME_RANGE_S))
-_POINTING_RULES = (("amplitude", _cell_number), ("width", _cell_number), _MOVEMENT_TIME)
 
 
 def _read_cells(idx: int, cells: list[str], rules: tuple, errors) -> tuple | None:
@@ -285,32 +282,6 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     object.__setattr__(dataset, "trials", tuple(trials))
     object.__setattr__(dataset, "metadata", dict(metadata or {}))
     return dataset, report
-
-
-def parse_pointing_csv(text: str) -> tuple[list[PointingTrial], ValidationReport]:
-    """Parse a pointing-task CSV (amplitude,width,mt_s) into trials plus a
-    ValidationReport of (row, column, message) errors, as parse_csv does.
-    A movement time outside MOVEMENT_TIME_RANGE_S is a row error; otherwise
-    PointingTrial validates the row (an amplitude of 0 is valid)."""
-    report = ValidationReport()
-    split = _split_header(text, report.errors)
-    if split is None:
-        return [], report
-    header, records = split
-    if tuple(header) != POINTING_COLUMNS:
-        report.errors.append((1, "header", f"expected header {','.join(POINTING_COLUMNS)}"
-                                           f", got {','.join(header)}"))
-        return [], report
-    trials = []
-    for idx, cells, _ in _data_rows(records, len(POINTING_COLUMNS), report.errors):
-        values = _read_cells(idx, cells, _POINTING_RULES, report.errors)
-        if values is None:
-            continue
-        try:
-            trials.append(PointingTrial(*values))
-        except DomainError as exc:  # amplitude or width, named as their columns
-            report.errors.append((idx, exc.field, str(exc)))
-    return trials, report
 
 
 def _format_raw(value: float) -> str:

@@ -129,8 +129,8 @@ def fit_overall(columns: dict, options: AnalysisOptions) -> LinearFit:
         raise UsageError("overall-fit filters exclude every trial")
     try:
         return fit_columns(xs, ys)
-    except DegenerateDesignError as exc:
-        raise DegenerateDesignError(f"overall fit ({options.overall_subset}): {exc}")
+    except (UsageError, DegenerateDesignError) as exc:  # < 2 points, or all IDs equal
+        raise type(exc)(f"overall fit ({options.overall_subset}): {exc}")
 
 
 def _subset_fits(columns: dict) -> dict:

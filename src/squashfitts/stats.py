@@ -16,7 +16,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import _SHOT_ORDER, DerivedTrial, ShotKind, _Checked
 from .errors import DegenerateDesignError, UndefinedCorrelationError, UsageError
-from .variants import ModelKind, model_design_row, pointing_model
 
 #: Relative threshold below which a design's scaled determinant counts as zero.
 _RANK_TOL = 1e-12
@@ -199,7 +198,7 @@ def fit_columns(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     """ols_simple of the points zip(xs, ys), given as float columns."""
     n = len(xs)
     if n < 2:
-        raise UsageError(f"ols_simple needs >= 2 points, got {n}")
+        raise UsageError(f"a line needs >= 2 points, got {n}")
     xbar, sxx = _centred(xs)
     ybar, syy = _centred(ys)
     sxy = _sxy(xs, ys, xbar, ybar)
@@ -277,15 +276,3 @@ def ols_two_predictor(rows: Sequence[tuple[float, float, float]]) -> WelfordFit:
     r_squared = 0.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
     return WelfordFit(a=a, b1=b1, b2=b2, r_squared=r_squared, n=n)
 
-
-def fit_model(kind: ModelKind, dataset) -> LinearFit | WelfordFit:
-    """Fit a pointing-task model's movement-time regression to PointingTrial
-    data through its design rows. The squash line is an analysis run's
-    overall fit, so squash is a UsageError (see model_design_row)."""
-    kind = pointing_model(kind)
-    trials = list(dataset)
-    need = 3 if kind is ModelKind.WELFORD else 2  # rows per fitted coefficient
-    if len(trials) < need:
-        raise UsageError(f"model {kind} needs >= {need} trials, got {len(trials)}")
-    rows = [(*model_design_row(kind, t), t.movement_time_s) for t in trials]
-    return (ols_two_predictor if kind is ModelKind.WELFORD else ols_simple)(rows)

@@ -1,8 +1,9 @@
-"""Aimed-movement difficulty models with an explicit closed form.
+"""The pointing task: aimed-movement models with an explicit closed form,
+read from amplitude,width,mt_s CSV (parse_pointing_csv) and fitted (fit_model).
 
-Five models are named. The four pointing-task models are each usable as a
-difficulty calculator and as the design row of a movement-time regression;
-the squash line is the overall fit of an analysis run (pipeline.fit_overall):
+Five models are named (core.ModelKind). The four pointing-task models are each
+usable as a difficulty calculator and as the design row of a movement-time
+regression; the squash line is an analysis run's overall fit (pipeline.fit_overall):
 
     squash      ID = log2(v * D)            (this package's core metric)
     fitts       ID = log2(2A / W)           (classic reciprocal tapping)
@@ -20,11 +21,16 @@ bivariate, cognitive, 3D) have no single agreed closed form and are
 catalogued in the README only.
 """
 import math
-from enum import Enum
 from typing import NamedTuple
 
-from .core import _Checked
+from .core import ModelKind, _Checked
+from .dataset import (_MOVEMENT_TIME, ValidationReport, _cell_number, _data_rows, _read_cells,
+                      _split_header)
 from .errors import DomainError, UsageError
+from .stats import LinearFit, WelfordFit, ols_simple, ols_two_predictor
+
+POINTING_COLUMNS = ("amplitude", "width", "mt_s")
+_POINTING_RULES = (("amplitude", _cell_number), ("width", _cell_number), _MOVEMENT_TIME)
 
 #: Largest design-value magnitude a pointing model accepts: below it no centred
 #: square or sum in a fit overflows (as dataset.MOVEMENT_TIME_RANGE_S for MT).
@@ -48,33 +54,6 @@ class PointingTrial(_Checked, NamedTuple("PointingTrial", [
                 raise DomainError(f"{name} must be a finite number {rule}, got {value!r}",
                                   field=name)
         return tuple.__new__(cls, (amplitude, width, movement_time_s))
-
-
-class ModelKind(Enum):
-    """Which difficulty/movement-time model to use. Values are the
-    case-insensitive names accepted on the command line."""
-
-    SQUASH_ID = "squash"
-    FITTS_ORIGINAL = "fitts"
-    MACKENZIE_SHANNON = "mackenzie"
-    WELFORD = "welford"
-    STEERING = "steering"
-
-    def __str__(self) -> str:
-        return self.value
-
-    @classmethod
-    def parse(cls, name: str) -> "ModelKind":
-        """Parse a model name (or a ModelKind), case-insensitively."""
-        kind = _MODEL_NAMES.get(str(name).strip().lower())
-        if kind is None:
-            valid = ", ".join(k.value for k in cls)
-            raise UsageError(f"unknown model {name!r} (valid models: {valid})")
-        return kind
-
-
-#: Lower-cased name -> kind, for ModelKind.parse.
-_MODEL_NAMES = {kind.value: kind for kind in ModelKind}
 
 
 def _check_sizes(amplitude: float, width: float, amplitude_rule: str = "> 0") -> None:
@@ -148,3 +127,42 @@ def model_design_row(kind: ModelKind, trial: PointingTrial) -> list[float]:
                           f"amplitude={trial.amplitude!r}, width={trial.width!r}",
                           field="width")
     return row
+
+
+def fit_model(kind: ModelKind, dataset) -> LinearFit | WelfordFit:
+    """Fit a pointing-task model's movement-time regression to PointingTrial
+    data through its design rows. The squash line is an analysis run's
+    overall fit, so squash is a UsageError (see model_design_row)."""
+    kind = pointing_model(kind)
+    trials = list(dataset)
+    need = 3 if kind is ModelKind.WELFORD else 2  # rows per fitted coefficient
+    if len(trials) < need:
+        raise UsageError(f"model {kind} needs >= {need} trials, got {len(trials)}")
+    rows = [(*model_design_row(kind, t), t.movement_time_s) for t in trials]
+    return (ols_two_predictor if kind is ModelKind.WELFORD else ols_simple)(rows)
+
+
+def parse_pointing_csv(text: str) -> tuple[list[PointingTrial], ValidationReport]:
+    """Parse a pointing-task CSV (amplitude,width,mt_s) into trials plus a
+    ValidationReport of (row, column, message) errors, as dataset.parse_csv
+    does. A movement time outside dataset.MOVEMENT_TIME_RANGE_S is a row
+    error; otherwise PointingTrial validates the row (an amplitude of 0 is valid)."""
+    report = ValidationReport()
+    split = _split_header(text, report.errors)
+    if split is None:
+        return [], report
+    header, records = split
+    if tuple(header) != POINTING_COLUMNS:
+        report.errors.append((1, "header", f"expected header {','.join(POINTING_COLUMNS)}"
+                                           f", got {','.join(header)}"))
+        return [], report
+    trials = []
+    for idx, cells, _ in _data_rows(records, len(POINTING_COLUMNS), report.errors):
+        values = _read_cells(idx, cells, _POINTING_RULES, report.errors)
+        if values is None:
+            continue
+        try:
+            trials.append(PointingTrial(*values))
+        except DomainError as exc:  # amplitude or width, named as their columns
+            report.errors.append((idx, exc.field, str(exc)))
+    return trials, report

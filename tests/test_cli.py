@@ -20,8 +20,8 @@ import pytest
 
 from squashfitts import PointingTrial, UsageError, cli, fit_model, ols_simple, pipeline
 from squashfitts.cli import main
-from squashfitts.dataset import (REQUIRED_COLUMNS, bundled_text, parse_csv,
-                                 parse_pointing_csv)
+from squashfitts.dataset import REQUIRED_COLUMNS, bundled_text, parse_csv
+from squashfitts.variants import parse_pointing_csv
 
 import oracles
 from test_dataset import _fuzzed
@@ -199,6 +199,13 @@ class TestFit:
         assert main(["fit", "--model", "squash", "--input", str(p)]) == 1
         assert re.fullmatch(r"error: overall fit \(all\): all 2 predictor values equal "
                             r"\S+; no line is determined\n", capsys.readouterr().err)
+
+    def test_overall_fit_on_one_trial_exits_one_naming_the_fit(self, tmp_path, capsys):
+        p = tmp_path / "one.csv"
+        p.write_text(VALID_HEADER + "\n" + GOOD_ROW + "\n")
+        assert main(["fit", "--model", "squash", "--input", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: overall fit (all): a line needs >= 2 points, got 1\n")
 
     def test_squash_fit_works_without_all_four_shots(self, good_csv, capsys):
         # the file holds one drive and one drop; fit must not demand lobs

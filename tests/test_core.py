@@ -57,7 +57,7 @@ class TestTrialRecord:
     @pytest.mark.parametrize("field,value", [
         ("person_id", 0), ("trial_index", -1), ("ball_distance_cm", 0.0),
         ("ball_time_s", -0.1), ("player_distance_cm", 0.0),
-        ("movement_time_s", 0.0),
+        ("movement_time_s", 0.0), ("person_id", "1"),
     ])
     def test_rejects_non_positive_fields(self, field, value):
         kwargs = dict(person_id=1, shot=ShotKind.DRIVE, trial_index=1,

@@ -16,8 +16,9 @@ from squashfitts import dataset as dataset_module
 from squashfitts.core import _court_warnings, speed_and_product
 from squashfitts.dataset import (BUNDLED_TRIALS, DERIVED_COLUMNS,
                                  MOVEMENT_TIME_RANGE_S, REQUIRED_COLUMNS,
-                                 bundled_text, parse_pointing_csv)
+                                 bundled_text)
 from squashfitts.published import published_rows
+from squashfitts.variants import parse_pointing_csv
 
 import oracles
 
@@ -99,6 +100,12 @@ class TestParseCsv:
         _, report = parse_csv(text)
         cols = {col for _, col, _ in report.errors}
         assert "t_s" in cols and "time_s" in cols
+
+    def test_columns_out_of_order(self):
+        header = "shot,person,trial,db_cm,t_s,dp_cm,mt_s"
+        dataset, report = parse_csv(header + "\nDrive,1,1,586,0.197,374,1.22\n")
+        assert dataset.trials == () and report.errors == [
+            (1, "header", f"columns out of order: expected {VALID_HEADER} first, got {header}")]
 
     def test_zero_ball_time_is_row_error_with_coordinates(self):
         text = (VALID_HEADER + "\n"
@@ -321,6 +328,8 @@ class TestParsePointingCsv:
         ("", (0, "header", "no header: input is empty")),
         ("a,w,mt_s\n2,1,0.5\n",
          (1, "header", "expected header amplitude,width,mt_s, got a,w,mt_s")),
+        ("1" * 200_000 + "\n2,1,0.5\n",
+         (1, "header", f"field larger than field limit ({csv.field_size_limit()})")),
     ])
     def test_header_errors(self, text, error):
         trials, report = parse_pointing_csv(text)

@@ -164,23 +164,29 @@ class TestTupleSemantics:
         assert not isinstance(bundled, tuple)
         assert len(bundled) == len(bundled.trials) == 36
         assert Dataset(()).metadata == {} and Dataset(()).metadata is not Dataset(()).metadata
+        assert (Dataset(()) == 5) is False
         with pytest.raises(TypeError):
             hash(bundled)
 
 
-def test_cli_import_leaves_dataclasses_out():
+@pytest.mark.parametrize("modules, left_out", [
+    ("squashfitts.cli", "dataclasses"),  # the records are built without dataclasses
+    ("squashfitts.dataset, squashfitts.stats", "squashfitts.variants"),  # no pointing code
+], ids=["cli", "dataset_stats"])
+def test_import_leaves_a_module_out(modules, left_out):
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, squashfitts.cli; "
-         "assert 'dataclasses' not in sys.modules, 'dataclasses imported'"],
+        [sys.executable, "-c", f"import sys, {modules}; "
+         f"assert {left_out!r} not in sys.modules, '{left_out} imported'"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
-#: The modules a subcommand loads only when it analyses, summarises or draws.
+#: The modules a subcommand loads only when it analyses, summarises or draws,
+#: or, for variants, fits a pointing-task model.
 _DEFERRED = ("squashfitts.pipeline", "squashfitts.stats", "squashfitts.published",
-             "squashfitts.plot", "json")
+             "squashfitts.plot", "squashfitts.variants", "json")
 
-_ANALYSED = set(_DEFERRED) - {"squashfitts.plot"}
+_ANALYSED = set(_DEFERRED) - {"squashfitts.plot", "squashfitts.variants"}
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -188,13 +194,19 @@ _ANALYSED = set(_DEFERRED) - {"squashfitts.plot"}
     (["derive"], set()),
     (["stats"], {"squashfitts.stats"}),
     (["fit", "--model", "squash"], _ANALYSED),
+    (["fit", "--model", "fitts", "--input", "pointing.csv"],
+     _ANALYSED | {"squashfitts.variants"}),
     (["report"], _ANALYSED),
     (["figures"], _ANALYSED | {"squashfitts.plot"}),
-], ids=["validate", "derive", "stats", "fit", "report", "figures"])
+], ids=["validate", "derive", "stats", "fit", "fit_pointing", "report", "figures"])
 def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, loaded):
     output = str(tmp_path / ("figures" if argv == ["figures"] else "out.txt"))
+    (tmp_path / "pointing.csv").write_text("amplitude,width,mt_s\n2,1,0.5\n4,1,0.62\n")
+    argv = [str(tmp_path / arg) if arg == "pointing.csv" else arg for arg in argv]
+    if "--input" not in argv:
+        argv += ["--input", "bundled"]
     script = ("import sys\nfrom squashfitts import cli\n"
-              f"code = cli.main({argv + ['--input', 'bundled', '--output', output]!r})\n"
+              f"code = cli.main({argv + ['--output', output]!r})\n"
               f"print(code, sorted(m for m in {_DEFERRED!r} if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)

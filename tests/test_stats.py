@@ -31,9 +31,10 @@ class TestMeanAndSd:
         assert mean([5]) == 5
         assert mean([1, 2, 3]) == 2
 
-    def test_mean_empty_is_usage_error(self):
-        with pytest.raises(UsageError):
-            mean([])
+    @pytest.mark.parametrize("function", [mean, population_sd])
+    def test_empty_is_usage_error(self, function):
+        with pytest.raises(UsageError, match=f"^{function.__name__} of empty sequence$"):
+            function([])
 
     def test_population_sd_reproduces_published_spread(self):
         # divide-by-n gives 0.099 (published as 0.1); divide-by-(n-1)
@@ -133,7 +134,7 @@ class TestOlsSimple:
             ols_simple([(2.0, 1.0), (2.0, 3.0), (2.0, 5.0)])
 
     def test_too_few_points(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^a line needs >= 2 points, got 1$"):
             ols_simple([(1.0, 2.0)])
 
 
@@ -172,6 +173,7 @@ class TestOlsTwoPredictor:
         assert fit.b1 == pytest.approx(0.1, abs=1e-9)
         assert fit.b2 == pytest.approx(0.3, abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
+        assert fit.predict(2.0, 3.0) == pytest.approx(0.2 + 0.1 * 2.0 + 0.3 * 3.0, abs=1e-9)
 
     def test_collinear_predictors_raise(self):
         rows = [(x, 2.0 * x, 1.0 + x) for x in range(10)]

@@ -123,13 +123,15 @@ def _load(args):
     return dataset
 
 
-def _write(path: str, text: str):
-    """Write text to the file at path, or to stdout for '-'."""
+def _write(path: str, chunks):
+    """Write chunks, an iterable of strings, to the file at path, or to
+    stdout for '-', flushed: a write that fails ends the command here."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def cmd_validate(args, options) -> int:
@@ -145,7 +147,7 @@ def cmd_validate(args, options) -> int:
 
 
 def cmd_derive(args, options) -> int:
-    _write(args.output, write_csv(_load(args), include_derived=True))
+    _write(args.output, (write_csv(_load(args), include_derived=True),))
     return 0
 
 
@@ -161,7 +163,7 @@ def cmd_stats(args, options) -> int:
     groups = aggregate(derive_trial(t) for t in _load(args).trials)
     lines = ["# person x shot groups", *map(_group_line, groups.per_person_shot),
              "# shot groups", *map(_group_line, groups.per_shot)]
-    _write(args.output, "\n".join(lines) + "\n")
+    _write(args.output, ("\n".join(lines) + "\n",))
     return 0
 
 
@@ -182,31 +184,31 @@ def cmd_fit(args, options) -> int:
         subset = "all"
     lines = [f"model: {args.model} (subset: {subset})"]
     lines += [f"{name}: {value!r}" for name, value in zip(fit._fields, fit)]
-    _write(args.output, "\n".join(lines) + "\n")
+    _write(args.output, ("\n".join(lines) + "\n",))
     return 0
 
 
 def cmd_figures(args, options) -> int:
     from .pipeline import FIGURES, figure_series, run_analysis
-    from .plot import emit_series_csv, emit_svg
+    from .plot import _series_csv_chunks, _svg_chunks
     doc = run_analysis(_load(args), options)
     os.makedirs(args.output, exist_ok=True)
     written = []
     for figure in sorted(FIGURES):
         series = figure_series(doc, figure)
-        for ext, text in ((".svg", emit_svg(series)),
-                          (".csv", emit_series_csv(series))):
+        for ext, chunks in ((".svg", _svg_chunks(series)),  # both checked before a write
+                            (".csv", _series_csv_chunks(series))):
             path = os.path.join(args.output, series.label + ext)
-            _write(path, text)
+            _write(path, chunks)
             written.append(path)
     print("\n".join(written))
     return 0
 
 
 def cmd_report(args, options) -> int:
-    from .pipeline import render_report_json, run_analysis, summarize_report
+    from .pipeline import _report_chunks, run_analysis, summarize_report
     doc = run_analysis(_load(args), options)
-    _write(args.output, render_report_json(doc))
+    _write(args.output, _report_chunks(doc))
     summary_stream = sys.stderr if args.output == "-" else sys.stdout
     summary_stream.write(summarize_report(doc))
     return 0
@@ -226,7 +228,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         options = None  # the settings of the commands that analyse the data
-        if args.command in ("fit", "figures", "report"):
+        if args.command in ("figures", "report") or args.model is ModelKind.SQUASH_ID:
             from .pipeline import STATS_TOLERANCE, AnalysisOptions
             options = AnalysisOptions(frozenset(args.exclude_shot),  # --tolerance is > 0
                                       args.tolerance or STATS_TOLERANCE)
@@ -257,9 +259,10 @@ def main(argv=None) -> int:
 def console_main():
     """The process entry of the squashfitts command and python -m squashfitts:
     main() without the cyclic GC (a run's records are acyclic and live until
-    exit), stdout flushed inside the exit contract (a failed flush is exit 2
-    with one error line), and os._exit, skipping interpreter teardown. A
-    stream the process started without is unwritable output, as a full one."""
+    exit), stdout flushed inside the exit contract (a failed flush after a
+    command that succeeded is exit 2 with one error line), and os._exit,
+    skipping interpreter teardown. A stream the process started without is
+    unwritable output, as a full one."""
     gc.disable()
     for name in ("stdout", "stderr"):
         if getattr(sys, name) is None:  # no fd 1 or 2 at start-up
@@ -268,8 +271,9 @@ def console_main():
     try:
         sys.stdout.flush()
     except OSError as exc:
-        _error(f"error: {exc}")
-        code = 2
+        if code == 0:  # a command that failed has printed its one error line
+            _error(f"error: {exc}")
+            code = 2
     try:
         sys.stderr.flush()
     finally:  # an unwritable stderr leaves the code as it is

@@ -19,6 +19,7 @@ go through the same reader and cell rules, see variants.parse_pointing_csv.
 import csv
 import io
 import math
+from collections.abc import Iterator
 from functools import cache, partial
 
 from .core import (_SHOT_LABELS, ShotKind, TrialRecord, _court_warnings, _number,
@@ -149,38 +150,41 @@ def _read_cells(idx: int, cells: list[str], rules: tuple, errors) -> tuple | Non
     return tuple(values) if len(values) == len(rules) else None
 
 
-def _records(text: str) -> list:
-    """CSV records of text, the one CSV reader of the package. One leading
-    byte order mark (U+FEFF, as spreadsheets write) is skipped; a record
-    the csv module rejects (say, a cell over its field size limit) is kept
-    as the csv.Error in its place."""
+def _records(text: str):
+    """CSV records of text, as read, the one CSV reader of the package. One
+    leading byte order mark (U+FEFF, as spreadsheets write) is skipped; a
+    record the csv module rejects (say, a cell over its field size limit)
+    is yielded as the csv.Error in its place."""
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    records = []
     while True:
         try:
-            records.extend(reader)  # keeps the records read before an error
-            return records
+            yield from reader
+            return
         except csv.Error as exc:
-            records.append(exc)
+            yield exc
 
 
-def _split_header(text: str, errors) -> tuple[list[str], list] | None:
-    """(stripped header cells, data records) of CSV text, or None after
-    recording why there is no header."""
-    rows = _records(text)
-    while rows and isinstance(rows[-1], list) \
-            and not any(cell.strip() for cell in rows[-1]):
-        rows.pop()
-    if not rows:
+def _blank(record) -> bool:
+    return isinstance(record, list) and not any(cell.strip() for cell in record)
+
+
+def _split_header(text: str, errors) -> tuple[list[str], Iterator] | None:
+    """(stripped header cells, iterator of the data records) of CSV text,
+    or None after recording why there is no header. Only a blank first
+    record makes it read on: input with nothing but blank records is
+    empty, else the blank record is the (defective) header."""
+    records = _records(text)
+    first = next(records, None)
+    if first is None or _blank(first) and all(map(_blank, records)):
         errors.append((0, "header", "no header: input is empty"))
-    elif isinstance(rows[0], csv.Error):
-        errors.append((1, "header", str(rows[0])))
+    elif isinstance(first, csv.Error):
+        errors.append((1, "header", str(first)))
     else:
-        return [cell.strip() for cell in rows[0]], rows[1:]
+        return [cell.strip() for cell in first], records
     return None
 
 
-def _data_rows(records: list, ncols: int, errors):
+def _data_rows(records, ncols: int, errors):
     """(row number, cells, the cells joined) of each non-blank data record
     with ncols cells; any other non-blank record is a row error."""
     for idx, cells in enumerate(records, start=2):

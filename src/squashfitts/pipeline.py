@@ -22,6 +22,7 @@ on both bases.)
 import json
 import math
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
@@ -36,6 +37,9 @@ from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
 from .stats import GroupStats, LinearFit, aggregate, fit_columns
 
 SCHEMA_VERSION = "1.0"
+
+#: Rows per chunk of a report or figure file written in pieces.
+_CHUNK_ROWS = 256
 
 #: Figure number -> (series label, shot filter; None = overall).
 FIGURES = {
@@ -473,11 +477,36 @@ def _group_json(g: GroupStats) -> str:
                          _SHOT_JSON.get(shot, "null"), g.n, *values)
 
 
-def _array(rows: list[str], indent: str) -> str:
-    """A JSON array of already-rendered rows, closed at indent."""
-    if not rows:
-        return "[]"
-    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+def _chunks(items, render, sep: str):
+    """sep.join(map(render, items)) for a sequence of items, in pieces of
+    _CHUNK_ROWS items; every piece but the first starts with sep."""
+    lead = ""
+    for start in range(0, len(items), _CHUNK_ROWS):
+        yield lead + sep.join(map(render, items[start:start + _CHUNK_ROWS]))
+        lead = sep
+
+
+def _array(items, render, indent: str):
+    """The chunks of a JSON array of the rendered items, closed at indent."""
+    if not items:
+        return ("[]",)
+    return chain(("[\n",), _chunks(items, render, ",\n"), ("\n" + indent + "]",))
+
+
+def _report_chunks(report: ReportDocument):
+    """The text of :func:`render_report_json` as an iterator of strings.
+    Everything that can raise (the cross-checks, the json module's blocks)
+    runs in this call; the iterator only formats the per-row arrays."""
+    head = json.dumps(_head_dict(report), indent=2, ensure_ascii=False)
+    tail = json.dumps(_tail_dict(report), indent=2, ensure_ascii=False)
+    return chain(
+        (head[:-2], ',\n  "derived_trials": '),  # head without its closing "\n}"
+        _array(report.derived_table, _trial_json, "  "),
+        (',\n  "group_stats": {\n    "person_shot": ',),
+        _array(report.per_person_shot_stats, _group_json, "    "),
+        (',\n    "shot": ',),
+        _array(report.per_shot_stats, _group_json, "    "),
+        ("\n  },", tail[1:], "\n"))  # tail without its opening "{"
 
 
 def render_report_json(report: ReportDocument) -> str:
@@ -489,19 +518,7 @@ def render_report_json(report: ReportDocument) -> str:
     are written from fixed row templates, because indent= forces the json
     module's pure-Python encoder.
     """
-    head = json.dumps(_head_dict(report), indent=2, ensure_ascii=False)
-    tail = json.dumps(_tail_dict(report), indent=2, ensure_ascii=False)
-    return "".join((
-        head[:-2],  # drop the closing "\n}"
-        ',\n  "derived_trials": ',
-        _array([_trial_json(t) for t in report.derived_table], "  "),
-        ',\n  "group_stats": {\n    "person_shot": ',
-        _array([_group_json(g) for g in report.per_person_shot_stats], "    "),
-        ',\n    "shot": ',
-        _array([_group_json(g) for g in report.per_shot_stats], "    "),
-        "\n  },",
-        tail[1:],  # drop the opening "{"
-        "\n"))
+    return "".join(_report_chunks(report))
 
 
 def summarize_report(report: ReportDocument) -> str:

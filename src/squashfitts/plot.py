@@ -7,8 +7,10 @@ observed x-range (no extrapolation). The data-to-pixel mapping is affine
 with the y axis inverted; axis bounds are the data and fit-end bounds
 padded by 5% per side (+-0.5 around a collapsed span).
 """
+from itertools import chain
+
 from .errors import UsageError
-from .pipeline import FigureSeries
+from .pipeline import FigureSeries, _chunks
 
 PAD_FRACTION = 0.05
 WIDTH_PX = 800
@@ -41,19 +43,29 @@ def _label(series: FigureSeries) -> str:
     return series.label
 
 
+def _point_row(point: tuple[float, float]) -> str:
+    return f"{point[0]!r},{point[1]!r}"
+
+
+def _series_csv_chunks(series: FigureSeries):
+    """The text of :func:`emit_series_csv` as an iterator of strings; the
+    series is checked in this call, the iterator only formats its points."""
+    if not series.points:
+        raise UsageError("cannot emit an empty series")
+    head = f"# series: {_label(series)}\n{_fit_comment(series)}\nid_bits,mt_s\n"
+    return chain((head,), _chunks(series.sorted_points, _point_row, "\n"), ("\n",))
+
+
 def emit_series_csv(series: FigureSeries) -> str:
     """Two-column CSV of the series, sorted ascending by id then mt, with
     a '#'-comment header carrying the fitted equation."""
-    if not series.points:
-        raise UsageError("cannot emit an empty series")
-    lines = [f"# series: {_label(series)}", _fit_comment(series), "id_bits,mt_s"]
-    for x, y in series.sorted_points:
-        lines.append(f"{x!r},{y!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(_series_csv_chunks(series))
 
 
-def emit_svg(series: FigureSeries) -> str:
-    """Standalone SVG 1.1 scatter plot with axes, ticks, and trend line."""
+def _svg_chunks(series: FigureSeries):
+    """The text of :func:`emit_svg` as an iterator of strings; the series is
+    checked and everything but the points is drawn in this call, the
+    iterator only formats the points."""
     if not series.points:
         raise UsageError("cannot plot an empty series")
     x_min, x_max = series.sorted_points[0][0], series.sorted_points[-1][0]
@@ -112,9 +124,15 @@ def emit_svg(series: FigureSeries) -> str:
         out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
                    f'y2="{y2}" stroke="crimson" stroke-width="1.5"/>')
 
-    for x, y in series.sorted_points:
-        cx, cy = pixel(x, y)
-        out.append(f'<circle cx="{cx}" cy="{cy}" r="{POINT_RADIUS_PX}" '
-                   f'fill="steelblue" fill-opacity="0.8"/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    def circle(point: tuple[float, float]) -> str:
+        cx, cy = pixel(*point)
+        return (f'<circle cx="{cx}" cy="{cy}" r="{POINT_RADIUS_PX}" '
+                f'fill="steelblue" fill-opacity="0.8"/>')
+
+    return chain(("\n".join(out) + "\n",), _chunks(series.sorted_points, circle, "\n"),
+                 ("\n</svg>\n",))
+
+
+def emit_svg(series: FigureSeries) -> str:
+    """Standalone SVG 1.1 scatter plot with axes, ticks, and trend line."""
+    return "".join(_svg_chunks(series))

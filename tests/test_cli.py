@@ -15,10 +15,12 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from squashfitts import PointingTrial, UsageError, cli, fit_model, ols_simple, pipeline
+from squashfitts import (Dataset, PointingTrial, ShotKind, TrialRecord, UsageError, cli,
+                         fit_model, ols_simple, pipeline, plot)
 from squashfitts.cli import main
 from squashfitts.dataset import REQUIRED_COLUMNS, bundled_text, parse_csv
 from squashfitts.variants import parse_pointing_csv
@@ -692,6 +694,81 @@ def test_unwritable_stderr_keeps_the_exit_code(monkeypatch, bad_csv, capsys):
 #: Values of --slowdown and --tolerance for the argv fuzz below: those in
 #: the number grammar of the CSV cells and finite and > 0, and the rest.
 ACCEPTED_NUMBERS = (" 10 ", "+1e1", ".5", "1e-300")
+@pytest.fixture(scope="module")
+def doc_10k():
+    """run_analysis of 10k seeded trials: 10 persons x 4 shots x 250 trials."""
+    rng = random.Random(21)
+    trials = [TrialRecord(person, shot, trial, rng.uniform(400, 800), rng.uniform(0.15, 0.5),
+                          rng.uniform(250, 450), rng.uniform(0.8, 2.0))
+              for person in range(1, 11) for shot in ShotKind for trial in range(1, 251)]
+    return pipeline.run_analysis(Dataset(trials))
+
+
+def _traced_write(path, make_chunks) -> int:
+    """Bytes by which cli._write(path, make_chunks()) raises the traced peak."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write(str(path), make_chunks())
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedWrites:
+    """report and figures write their files chunk by chunk, after every check."""
+
+    def test_report_write_holds_no_whole_report(self, tmp_path, doc_10k):
+        path = tmp_path / "report.json"
+        rise = _traced_write(path, lambda: pipeline._report_chunks(doc_10k))
+        assert path.stat().st_size > 3_000_000 and rise < 2 ** 20
+        assert path.read_text(encoding="utf-8") == pipeline.render_report_json(doc_10k)
+
+    def test_svg_write_holds_no_whole_figure(self, tmp_path, doc_10k):
+        path = tmp_path / "fig4_overall.svg"
+        series = pipeline.figure_series(doc_10k, 4)
+        rise = _traced_write(path, lambda: plot._svg_chunks(series))
+        assert path.stat().st_size > 500_000 and rise < 2 ** 20
+        assert path.read_text(encoding="utf-8") == plot.emit_svg(series)
+
+    def test_report_to_stdout_equals_report_file(self, tmp_path, capsys):
+        dest = tmp_path / "report.json"
+        assert main(["report", "--input", "bundled", "--output", str(dest)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--input", "bundled"]) == 0
+        assert capsys.readouterr().out == dest.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("output", ["report.json", "-"])
+    def test_failed_report_check_leaves_the_target_alone(self, tmp_path, capsys,
+                                                          monkeypatch, output):
+        def refuse(report):
+            raise UsageError("tail refused")
+        monkeypatch.setattr(pipeline, "_tail_dict", refuse)
+        dest = tmp_path / "report.json"
+        dest.write_bytes(b"old report")
+        output = output if output == "-" else str(dest)
+        assert main(["report", "--input", "bundled", "--output", output]) == 1
+        assert dest.read_bytes() == b"old report"
+        assert capsys.readouterr() == ("", "error: tail refused\n")
+
+    @pytest.mark.parametrize("check", ["_label", "_fit_comment"])  # the SVG's, the CSV's
+    def test_failed_figure_check_leaves_both_files_alone(self, tmp_path, capsys,
+                                                         monkeypatch, check):
+        def refuse(series):
+            raise UsageError("figure refused")
+        monkeypatch.setattr(plot, check, refuse)
+        out_dir = tmp_path / "figs"
+        out_dir.mkdir()
+        for ext in (".svg", ".csv"):
+            (out_dir / ("fig4_overall" + ext)).write_bytes(b"old figure")
+        assert main(["figures", "--input", "bundled", "--output", str(out_dir)]) == 1
+        assert sorted(p.name for p in out_dir.iterdir()) == ["fig4_overall.csv",
+                                                             "fig4_overall.svg"]
+        for ext in (".svg", ".csv"):
+            assert (out_dir / ("fig4_overall" + ext)).read_bytes() == b"old figure"
+        assert capsys.readouterr() == ("", "error: figure refused\n")
+
+
 REFUSED_NUMBERS = ("1_0", "\u0661", "\uff18", "0", "-1", "nan", "inf", "-inf",
                    "1e400", "0x10", "")
 

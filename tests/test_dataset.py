@@ -357,6 +357,72 @@ class TestParsePointingCsv:
         assert csv.field_size_limit() == limit
 
 
+_BIG_CELL = "1" * 200_000  # over the csv module's field size limit: a csv.Error
+_SQUASH_ROW = "1,Drive,{},586,0.197,374,1.22"
+_MISSING_ALL = [(1, col, "missing required column") for col in REQUIRED_COLUMNS]
+_NO_POINTING_HEADER = [(1, "header", "expected header amplitude,width,mt_s, got ")]
+_EMPTY = [(0, "header", "no header: input is empty")]
+
+
+def _field_error(row):
+    return (row, "header" if row == 1 else "row",
+            f"field larger than field limit ({csv.field_size_limit()})")
+
+
+#: name -> (squash text, its trials and errors, pointing text, its trials and errors).
+#: The header is read lazily: only a blank first record makes the reader look
+#: further, and the records it reads then are never data.
+_HEADER_CASES = {
+    "empty": ("", 0, _EMPTY, "", 0, _EMPTY),
+    "blank_lines": ("\n \n\t\n", 0, _EMPTY, "\n \n\t\n", 0, _EMPTY),
+    "blank_cells": (" , \n,\n", 0, _EMPTY, " , \n,\n", 0, _EMPTY),
+    "blank_then_data": (
+        f"\n{VALID_HEADER}\n{_SQUASH_ROW.format(1)}\n", 0, _MISSING_ALL,
+        f"\n{POINTING_HEADER}\n2,1,0.5\n", 0, _NO_POINTING_HEADER),
+    "error_first": (
+        f"{_BIG_CELL}\n{VALID_HEADER}\n{_SQUASH_ROW.format(1)}\n", 0, [_field_error(1)],
+        f"{_BIG_CELL}\n{POINTING_HEADER}\n2,1,0.5\n", 0, [_field_error(1)]),
+    "blanks_then_error": (
+        f"\n\n{_BIG_CELL}\n{_SQUASH_ROW.format(1)}\n", 0, _MISSING_ALL,
+        f"\n\n{_BIG_CELL}\n2,1,0.5\n", 0, _NO_POINTING_HEADER),
+    "error_mid": (
+        "\n".join([VALID_HEADER, _SQUASH_ROW.format(1), _BIG_CELL, _SQUASH_ROW.format(2),
+                   "", _SQUASH_ROW.format("x"), "1,Drive,3"]) + "\n",
+        2, [_field_error(3), (6, "trial", "expected an integer, got 'x'"),
+            (7, "row", "expected 7 cells, got 3")],
+        "\n".join([POINTING_HEADER, "2,1,0.5", _BIG_CELL, "4,1,0.62", "", "x,1,0.5",
+                   "2,1"]) + "\n",
+        2, [_field_error(3), (6, "amplitude", "expected a number, got 'x'"),
+            (7, "row", "expected 3 cells, got 2")]),
+    "bom_trailing_blanks": (
+        f"\ufeff{VALID_HEADER}\n{_SQUASH_ROW.format(1)}\n\n \n", 1, [],
+        f"\ufeff{POINTING_HEADER}\n2,1,0.5\n\n \n", 1, []),
+    "bom_only_blanks": ("\ufeff\n\n", 0, _EMPTY, "\ufeff\n\n", 0, _EMPTY),
+}
+
+
+class TestLazyHeader:
+    @pytest.mark.parametrize("name", _HEADER_CASES)
+    def test_squash_errors(self, name):
+        text, n, errors, *_ = _HEADER_CASES[name]
+        dataset, report = parse_csv(text)
+        assert (len(dataset), report.errors) == (n, errors)
+
+    @pytest.mark.parametrize("name", _HEADER_CASES)
+    def test_pointing_errors(self, name):
+        *_, text, n, errors = _HEADER_CASES[name]
+        trials, report = parse_pointing_csv(text)
+        assert (len(trials), report.errors) == (n, errors)
+
+    def test_records_after_a_header_are_left_unread(self):
+        text = f"{VALID_HEADER}\n{_SQUASH_ROW.format(1)}\n{_BIG_CELL}\n"
+        header, records = dataset_module._split_header(text, [])
+        assert header == list(REQUIRED_COLUMNS)
+        assert next(records) == _SQUASH_ROW.format(1).split(",")
+        assert isinstance(next(records), csv.Error)  # yielded in its record's place
+        assert next(records, None) is None
+
+
 class TestWriteCsv:
     def test_header_and_column_order(self, bundled):
         out = write_csv(bundled)

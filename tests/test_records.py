@@ -195,7 +195,7 @@ _ANALYSED = set(_DEFERRED) - {"squashfitts.plot", "squashfitts.variants"}
     (["stats"], {"squashfitts.stats"}),
     (["fit", "--model", "squash"], _ANALYSED),
     (["fit", "--model", "fitts", "--input", "pointing.csv"],
-     _ANALYSED | {"squashfitts.variants"}),
+     {"squashfitts.stats", "squashfitts.variants"}),
     (["report"], _ANALYSED),
     (["figures"], _ANALYSED | {"squashfitts.plot"}),
 ], ids=["validate", "derive", "stats", "fit", "fit_pointing", "report", "figures"])

@@ -11,6 +11,9 @@ analysis (movement times are untouched; they are measured in real time).
 
 Each command imports the modules it runs: validate and derive load none of
 stats, pipeline, published and plot, and only a pointing-task fit loads variants.
+Each command computes what it prints: report runs run_analysis and stats
+runs aggregate, while figures and fit --model squash file each derived
+trial under its shot in one pass and fit only the lines they draw or print.
 """
 import argparse
 import gc
@@ -170,9 +173,9 @@ def cmd_stats(args, options) -> int:
 def cmd_fit(args, options) -> int:
     if args.model is ModelKind.SQUASH_ID:
         from .pipeline import fit_overall
-        from .stats import aggregate
-        groups = aggregate(derive_trial(t) for t in _load(args).trials)
-        fit = fit_overall(groups.columns, options)
+        from .stats import _shot_columns
+        fit = fit_overall(_shot_columns(derive_trial(t) for t in _load(args).trials),
+                          options)
         subset = options.overall_subset
     else:
         from .variants import fit_model, parse_pointing_csv
@@ -189,13 +192,20 @@ def cmd_fit(args, options) -> int:
 
 
 def cmd_figures(args, options) -> int:
-    from .pipeline import FIGURES, figure_series, run_analysis
+    from .pipeline import FIGURES, _series, fit_overall
     from .plot import _series_csv_chunks, _svg_chunks
-    doc = run_analysis(_load(args), options)
+    from .stats import _shot_columns, fit_columns
+    derived = [derive_trial(t) for t in _load(args).trials]
+    # run_analysis's check, then the lines the figures draw, in its order;
+    # require_fittable stops once every shot passes: in input order, within a few rows
+    require_fittable((t.base.shot, t.id_bits) for t in derived)
+    columns = _shot_columns(derived)
+    fits = {None: fit_overall(columns, options),
+            **{kind: fit_columns(*columns[kind]) for kind in ShotKind}}
     os.makedirs(args.output, exist_ok=True)
     written = []
     for figure in sorted(FIGURES):
-        series = figure_series(doc, figure)
+        series = _series(figure, columns, options, fits)
         for ext, chunks in ((".svg", _svg_chunks(series)),  # both checked before a write
                             (".csv", _series_csv_chunks(series))):
             path = os.path.join(args.output, series.label + ext)

@@ -173,15 +173,19 @@ def figure_series(report: ReportDocument, figure: int) -> FigureSeries:
     """Series for one of the five standard figures: 4 = overall scatter
     plus the overall fit, 5-8 = one shot each (drives, boasts, lobs,
     drops) with that shot's fit."""
+    return _series(figure, report.columns, report.options,
+                   {None: report.overall_fit, **report.per_shot_fits})
+
+
+def _series(figure: int, columns: dict, options: AnalysisOptions,
+            fits: dict) -> FigureSeries:
+    """The series of figure from shot -> (ids, mts) columns; fits maps None
+    to the overall line and each ShotKind to its own line."""
     if figure not in FIGURES:
         raise UsageError(f"unknown figure {figure!r} (valid: 4, 5, 6, 7, 8)")
     label, shot = FIGURES[figure]
-    if shot is None:
-        xs, ys = _joined(report.columns, report.options.exclude_shots)
-        return FigureSeries(label=label, points=tuple(zip(xs, ys)),
-                            fit=report.overall_fit)
-    return FigureSeries(label=label, points=tuple(zip(*report.columns[shot])),
-                        fit=report.per_shot_fits[shot])
+    xs, ys = _joined(columns, options.exclude_shots) if shot is None else columns[shot]
+    return FigureSeries(label=label, points=tuple(zip(xs, ys)), fit=fits[shot])
 
 
 # --- cross-checks against the published reference values ----------------

@@ -176,6 +176,20 @@ def aggregate(trials: Iterable[DerivedTrial]) -> Aggregation:
                        {kind: (ids, mts) for kind, (ids, mts, _) in by_shot.items()})
 
 
+def _shot_columns(trials: Iterable[DerivedTrial]) -> dict:
+    """shot -> (ids, mts) columns of the derived trials in input order, for
+    every ShotKind (empty for a shot without trials): aggregate's columns
+    without its sort and statistics. Every fit is a math.fsum of per-point
+    terms, so a line fitted to them equals, bit for bit, one fitted to
+    aggregate's."""
+    columns = {kind: ([], []) for kind in ShotKind}
+    for t in trials:
+        ids, mts = columns[t.base.shot]
+        ids.append(t.id_bits)
+        mts.append(t.base.movement_time_s)
+    return columns
+
+
 def group_stats(trials: Sequence[DerivedTrial], level: str = "person_shot",
                 ) -> list[GroupStats]:
     """Aggregate derived trials at person-by-shot or shot-only level.

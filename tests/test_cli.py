@@ -19,8 +19,9 @@ import tracemalloc
 
 import pytest
 
-from squashfitts import (Dataset, PointingTrial, ShotKind, TrialRecord, UsageError, cli,
-                         fit_model, ols_simple, pipeline, plot)
+from squashfitts import (Dataset, PointingTrial, ShotKind, TrialRecord, UsageError,
+                         bundled_dataset, cli, derive_trial, fit_model, ols_simple,
+                         pipeline, plot, write_csv)
 from squashfitts.cli import main
 from squashfitts.dataset import REQUIRED_COLUMNS, bundled_text, parse_csv
 from squashfitts.variants import parse_pointing_csv
@@ -237,6 +238,30 @@ class TestFigures:
                    if l.startswith("# fit")][0]
         slope = float(comment.split("mt_s = ")[1].split(" *")[0])
         assert slope > 0
+
+    @pytest.mark.parametrize("edit", ["equal_id_drives", "one_drive"])
+    def test_unfittable_shot_is_the_reports_one_error_line(self, tmp_path, capsys, edit):
+        trials = bundled_dataset().trials
+        drives = [t for t in trials if t.shot is ShotKind.DRIVE]
+        rule = "every shot needs 2 trials with distinct IDs to fit its line"
+        if edit == "equal_id_drives":  # drives keep their own movement times
+            first = drives[0]
+            trials = [t._replace(ball_distance_cm=first.ball_distance_cm,
+                                 ball_time_s=first.ball_time_s,
+                                 player_distance_cm=first.player_distance_cm)
+                      if t.shot is ShotKind.DRIVE else t for t in trials]
+            message = (f"all {len(drives)} trials of shot Drive have ID "
+                       f"{derive_trial(first).id_bits!r}; {rule}")
+        else:
+            trials = [t for t in trials if t.shot is not ShotKind.DRIVE or t is drives[-1]]
+            message = f"shot Drive has 1 trial(s); {rule}"
+        p = tmp_path / "drives.csv"
+        p.write_text(write_csv(Dataset(trials=tuple(trials))))
+        for command in ("report", "figures"):
+            out = tmp_path / command
+            assert main([command, "--input", str(p), "--output", str(out)]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n"), command
+            assert not out.exists()
 
     def test_idempotent_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

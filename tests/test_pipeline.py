@@ -12,7 +12,8 @@ from squashfitts import (AnalysisOptions, Dataset, DomainError, ShotKind,
                          bundled_dataset, derive_trial, figure_series, mean,
                          ols_simple, parse_csv, population_sd,
                          render_report_json, run_analysis, write_csv)
-from squashfitts import pipeline, stats
+from squashfitts import cli, core, pipeline, stats
+from squashfitts import dataset as dataset_module
 from squashfitts.cli import main
 from squashfitts.published import PUBLISHED_GROUP_STATS, published_rows
 from squashfitts.stats import aggregate
@@ -359,6 +360,15 @@ def _ragged(seed: int, persons: int = 60) -> Dataset:
     return Dataset(trials=tuple(trials), metadata={"source": f"ragged {seed}"})
 
 
+def _shuffled_ragged_csv(path) -> str:
+    """Write _ragged(5) to path with write_csv, its rows shuffled once
+    more, and return the path as a --input argument."""
+    header, *rows = write_csv(_ragged(5)).splitlines()
+    random.Random(23).shuffle(rows)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return str(path)
+
+
 class TestCellAggregation:
     """run_analysis aggregates per (person, shot) cell; every number must
     equal, bit for bit, the per-point reference in oracles."""
@@ -427,8 +437,9 @@ _CLI_CASES = {
 
 
 class TestSharedAggregation:
-    """report, figures, stats, fit --model squash and group_stats group
-    trials through the one aggregate pass; the output stays as it was."""
+    """report, stats and group_stats group trials through the one
+    aggregate pass, and figures and fit --model squash file them by shot
+    without it; the output stays as it was."""
 
     @pytest.mark.parametrize("case", list(_CLI_CASES))
     @pytest.mark.parametrize("data", ["bundled", "ragged"])
@@ -442,6 +453,14 @@ class TestSharedAggregation:
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == oracles.FROZEN_CLI_STDOUT_SHA256[(data, case)])
 
+    @pytest.mark.parametrize("case", [c for c in _CLI_CASES if c.startswith("fit")])
+    def test_fit_stdout_on_shuffled_ragged_csv(self, tmp_path, capsys, case):
+        source = _shuffled_ragged_csv(tmp_path / "ragged.csv")
+        assert main(_CLI_CASES[case] + ["--input", source]) == 0
+        out = capsys.readouterr().out
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == oracles.FROZEN_CLI_STDOUT_SHA256[("ragged", case)])
+
     def test_recomputed_group_check_equals_the_recomputed_ids(self, report):
         ids = {}
         for t in report.derived_table:
@@ -453,8 +472,7 @@ class TestSharedAggregation:
             assert entry["recomputed"]["mean"] == mean(ids[key])
             assert entry["recomputed"]["sd"] == population_sd(ids[key])
 
-    @pytest.mark.parametrize("consumer", [
-        "report", "figures", "stats", "fit", "group_stats"])
+    @pytest.mark.parametrize("consumer", ["report", "stats", "group_stats"])
     def test_each_consumer_aggregates_once(self, tmp_path, capsys, monkeypatch,
                                            bundled, consumer):
         calls = []
@@ -468,9 +486,7 @@ class TestSharedAggregation:
         if consumer == "group_stats":
             stats.group_stats([derive_trial(t) for t in bundled.trials], "shot")
         else:
-            argv = {"report": ["report"], "stats": ["stats"],
-                    "fit": ["fit", "--model", "squash"],
-                    "figures": ["figures", "--output", str(tmp_path)]}[consumer]
+            argv = {"report": ["report"], "stats": ["stats"]}[consumer]
             assert main(argv + ["--input", "bundled"]) == 0
         assert len(calls[0]) == 36
         assert set(calls[0]) == {derive_trial(t) for t in bundled.trials}
@@ -487,6 +503,30 @@ class TestSharedAggregation:
         assert {t.base for t in calls[1]} == set(bundled.trials)
         for t in calls[1]:
             assert (t.ball_speed_mps, t.id_bits, t.info_rate_bps) == printed[t.base.key]
+
+    @pytest.mark.parametrize("consumer", ["figures", "fit"])
+    def test_figure_and_fit_commands_derive_once_and_never_aggregate(
+            self, tmp_path, capsys, monkeypatch, bundled, consumer):
+        aggregated, derived = [], []
+
+        def counting_aggregate(trials):
+            aggregated.append(trials)
+            return aggregate(trials)
+
+        def counting_derive(record):
+            derived.append(record)
+            return derive_trial(record)
+
+        for module in (stats, pipeline):
+            monkeypatch.setattr(module, "aggregate", counting_aggregate)
+        for module in (core, dataset_module, pipeline, cli):
+            monkeypatch.setattr(module, "derive_trial", counting_derive)
+        argv = {"fit": ["fit", "--model", "squash"],
+                "figures": ["figures", "--output", str(tmp_path)]}[consumer]
+        assert main(argv + ["--input", "bundled"]) == 0
+        assert aggregated == []
+        assert len(derived) == 36
+        assert set(derived) == set(bundled.trials)
 
 def _synthetic(seed: int, persons: int, trials: int) -> Dataset:
     rng = random.Random(seed)

@@ -8,9 +8,11 @@ import pytest
 from squashfitts import (AnalysisOptions, FigureSeries, UsageError,
                          emit_series_csv, emit_svg, figure_series, ols_simple,
                          run_analysis)
+from squashfitts.cli import main
+from squashfitts.pipeline import FIGURES
 
 import oracles
-from test_pipeline import _ragged
+from test_pipeline import _ragged, _shuffled_ragged_csv
 
 
 def _series(points, with_fit=True, label="test"):
@@ -160,6 +162,20 @@ class TestFrozenFigureBytes:
         for fig in range(4, 9):
             series = figure_series(doc, fig)
             assert ((_sha256(emit_svg(series)), _sha256(emit_series_csv(series)))
+                    == oracles.FROZEN_FIGURE_SHA256[(data, case, fig)]), fig
+
+    @pytest.mark.parametrize("case,flags", [
+        ("default", []), ("exclude_drive", ["--exclude-shot", "drive"])])
+    @pytest.mark.parametrize("data", ["bundled", "ragged"])
+    def test_cli_figure_files_four_to_eight(self, tmp_path, capsys, data, case, flags):
+        source = "bundled"
+        if data == "ragged":
+            source = _shuffled_ragged_csv(tmp_path / "ragged.csv")
+        out = tmp_path / "figs"
+        assert main(["figures", "--input", source, "--output", str(out)] + flags) == 0
+        for fig, (label, _) in FIGURES.items():
+            assert (tuple(hashlib.sha256((out / (label + ext)).read_bytes()).hexdigest()
+                          for ext in (".svg", ".csv"))
                     == oracles.FROZEN_FIGURE_SHA256[(data, case, fig)]), fig
 
     @pytest.mark.parametrize("name", list(_EDGE_SERIES))

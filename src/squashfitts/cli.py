@@ -105,7 +105,9 @@ def _read_input(args):
     if args.input == "bundled":
         text, metadata = bundled_text(), dict(BUNDLED_METADATA)
     else:
-        text, metadata = _read_text(args.input), {"source": args.input}
+        # a path that is not UTF-8 keeps its bytes as \x escapes: the report stays UTF-8
+        source = os.fsencode(args.input).decode("utf-8", "backslashreplace")
+        text, metadata = _read_text(args.input), {"source": source}
     if args.slowdown is not None:
         metadata["slowdown_factor"] = repr(args.slowdown)
     dataset, report = parse_csv(text, metadata, args.slowdown or 1.0)

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .core import DerivedTrial, ShotKind, _Checked, _require_setting, derive_trial, require_fittable
-from .dataset import BUNDLED_TRIALS, Dataset, bundled_dataset
+from .dataset import BUNDLED_TRIALS, DERIVED_COLUMNS, REQUIRED_COLUMNS, Dataset, bundled_dataset
 from .errors import DegenerateDesignError, UsageError
 from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
                         PUBLISHED_TREND_INTERCEPT, PUBLISHED_TREND_SLOPE,
@@ -403,57 +403,21 @@ def report_document_dict(report: ReportDocument) -> dict:
     return json.loads(render_report_json(report))
 
 
-# Row templates of the per-row arrays, laid out exactly as json.dumps(indent=2)
-# lays out a trial row and a group row of report_document_dict at their depth.
-_TRIAL_ROW = """\
-    {
-      "person": %s,
-      "shot": %s,
-      "trial": %s,
-      "db_cm": %s,
-      "t_s": %s,
-      "dp_cm": %s,
-      "mt_s": %s,
-      "v_mps": %s,
-      "id_bits": %s,
-      "ir_bps": %s,
-      "display": {
-        "v_mps": %s,
-        "id_bits": %s,
-        "ir_bps": %s
-      }
-    }"""
+def _row_template(keys, display, depth: int) -> str:
+    """json.dumps(indent=2) of a row of keys plus its "display" dict of the
+    display keys, indented to depth spaces, with a bare %s slot per value."""
+    row = dict.fromkeys(keys, "%s")
+    row["display"] = dict.fromkeys(display, "%s")
+    text = json.dumps(row, indent=2).replace('"%s"', "%s")
+    return " " * depth + text.replace("\n", "\n" + " " * depth)
 
-_GROUP_ROW = """\
-      {
-        "group": %s,
-        "person_id": %s,
-        "shot": %s,
-        "n": %s,
-        "mean_id": %s,
-        "sd_id": %s,
-        "mean_mt": %s,
-        "sd_mt": %s,
-        "mean_ir": %s,
-        "display": {
-          "mean_id": %s,
-          "sd_id": %s,
-          "mean_mt": %s,
-          "sd_mt": %s,
-          "mean_ir": %s
-        }
-      }"""
 
-def _num(x: float) -> str:
-    """A float spelled as the json module spells it."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
+# The trial and group rows of report_document_dict at their depth: a trial
+# row holds the CSV schema that derive writes.
+_TRIAL_ROW = _row_template(REQUIRED_COLUMNS + DERIVED_COLUMNS, DERIVED_COLUMNS, 4)
+_GROUP_STATS = ("mean_id", "sd_id", "mean_mt", "sd_mt", "mean_ir")
+_GROUP_ROW = _row_template(("group", "person_id", "shot", "n", *_GROUP_STATS),
+                           _GROUP_STATS, 6)
 
 #: Kind -> its JSON string, so no row reads Enum's Python-level .value.
 _SHOT_JSON = {kind: encode_basestring(kind.value) for kind in ShotKind}
@@ -465,7 +429,7 @@ def _trial_json(t: DerivedTrial) -> str:
     values = (b.ball_distance_cm, b.ball_time_s, b.player_distance_cm,
               b.movement_time_s, v, idb, ir, round(v, 2), round(idb, 2), round(ir, 2))
     if not math.isfinite(sum(values)):  # NaN, +-inf, or a sum that overflows
-        values = map(_num, values)
+        values = map(json.dumps, values)
     return _TRIAL_ROW % (b.person_id, _SHOT_JSON[b.shot], b.trial_index, *values)
 
 
@@ -475,7 +439,7 @@ def _group_json(g: GroupStats) -> str:
               round(g.mean_id, 2), round(g.sd_id, 2), round(g.mean_mt, 2),
               round(g.sd_mt, 2), round(g.mean_ir, 2))
     if not math.isfinite(sum(values)):
-        values = map(_num, values)
+        values = map(json.dumps, values)
     return _GROUP_ROW % (encode_basestring(str(g.key)),
                          "null" if person is None else person,
                          _SHOT_JSON.get(shot, "null"), g.n, *values)
@@ -519,8 +483,8 @@ def render_report_json(report: ReportDocument) -> str:
     The output is exactly what json.dumps(indent=2, ensure_ascii=False)
     + "\n" writes for the report's dict form. The small blocks go through
     the json module; the per-row arrays, which hold almost all the bytes,
-    are written from fixed row templates, because indent= forces the json
-    module's pure-Python encoder.
+    fill the %s slots of row templates the json module laid out once at
+    import, because indent= forces its pure-Python encoder on every row.
     """
     return "".join(_report_chunks(report))
 

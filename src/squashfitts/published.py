@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .core import ShotKind
-from .dataset import _data_rows, _split_header, bundled_dataset, bundled_text
+from .dataset import _clean_row, _data_rows, _split_header, bundled_text
 
 
 class PublishedValue(NamedTuple):
@@ -84,15 +84,15 @@ def published_rows() -> list[PublishedRow]:
     # the packaged text parses without errors (the suite checks it)
     header, records = _split_header(bundled_text(), [])
     col = {name: i for i, name in enumerate(header)}
-    rows = _data_rows(records, len(header), [])
-    for trial, (_, cells, _) in zip(bundled_dataset().trials, rows, strict=True):
+    for _, cells, text in _data_rows(records, len(header), []):
+        person, shot, trial, _, _, dp, _ = _clean_row(cells, text, 1.0)
         v = PublishedValue.of(cells[col["v_mps"]])
         idb = PublishedValue.of(cells[col["id_bits"]])
         ir = PublishedValue.of(cells[col["ir_bps"]])
-        implied_id = math.log2(v.value * (trial.player_distance_cm / 100.0))
+        implied_id = math.log2(v.value * (dp / 100.0))
         # printed V and ID each carry their own rounding; allow both
         consistent = abs(implied_id - idb.value) <= idb.half_step + DERIVATION_TOLERANCE
-        out.append(PublishedRow(*trial.key, v_mps=v, id_bits=idb, ir_bps=ir,
+        out.append(PublishedRow(person, shot, trial, v_mps=v, id_bits=idb, ir_bps=ir,
                                 self_consistent=consistent))
     return out
 

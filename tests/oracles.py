@@ -250,7 +250,7 @@ def reference_analysis(dataset, exclude_shots=frozenset()):
 
 
 # --- field-by-field dict form of the JSON report --------------------------
-# render_report_json writes the per-row arrays from fixed templates; this is
+# render_report_json fills the per-row arrays into row templates; this is
 # the same report built as a plain dict, field by field, so that
 # json.dumps(report_document_dict(doc), indent=2, ensure_ascii=False) + "\n"
 # is the reference its bytes are compared against.

@@ -605,6 +605,23 @@ def test_module_entry_gives_what_main_gives(tmp_path, capsys, monkeypatch, argv,
             name in out for name in ("validate", "derive", "stats", "fit", "figures"))
 
 
+def test_report_of_a_non_utf8_path_is_utf8_json(tmp_path):
+    """A path whose bytes are not UTF-8 is named in the report with \\x
+    escapes: the file and stdout get the same bytes, valid UTF-8 JSON."""
+    try:
+        name = os.fsdecode(b"bad\xff.csv")
+        (tmp_path / name).write_text(bundled_text(), encoding="utf-8")
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a non-UTF-8 file name")
+    to_file = _module_run(["report", "--input", name, "--output", "r.json"], cwd=tmp_path)
+    to_stdout = _module_run(["report", "--input", name], cwd=tmp_path)
+    assert (to_file.returncode, to_stdout.returncode) == (0, 0)
+    written = (tmp_path / "r.json").read_bytes()
+    assert to_stdout.stdout == written
+    doc = json.loads(written.decode("utf-8"))
+    assert doc["dataset"]["metadata"]["source"] == "bad\\xff.csv"
+
+
 @contextlib.contextmanager
 def _unwritable(sink):
     """A file descriptor whose writes fail: /dev/full (ENOSPC), or the write

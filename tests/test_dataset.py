@@ -17,7 +17,8 @@ from squashfitts.core import _court_warnings, speed_and_product
 from squashfitts.dataset import (BUNDLED_TRIALS, DERIVED_COLUMNS,
                                  MOVEMENT_TIME_RANGE_S, REQUIRED_COLUMNS,
                                  bundled_text)
-from squashfitts.published import published_rows
+from squashfitts.published import (DERIVATION_TOLERANCE, PublishedRow, PublishedValue,
+                                   published_rows)
 from squashfitts.variants import parse_pointing_csv
 
 import oracles
@@ -71,6 +72,20 @@ class TestBundledDataset:
         rows = published_rows()
         assert [(r.person_id, r.shot, r.trial_index) for r in rows] == [
             t.key for t in bundled.trials]
+
+    def test_printed_rows_match_the_parsed_trials(self, bundled):
+        """Each printed row, rebuilt from the parsed trial of its line and
+        the printed cells of that line."""
+        records = list(csv.reader(bundled_text().splitlines()))
+        col = {name: i for i, name in enumerate(records[0])}
+        want = []
+        for trial, cells in zip(bundled.trials, records[1:], strict=True):
+            v, idb, ir = (PublishedValue.of(cells[col[name]]) for name in DERIVED_COLUMNS)
+            implied_id = math.log2(v.value * (trial.player_distance_cm / 100.0))
+            consistent = abs(implied_id - idb.value) <= idb.half_step + DERIVATION_TOLERANCE
+            want.append(PublishedRow(*trial.key, v, idb, ir, consistent))
+        assert published_rows() == want
+        assert [r.self_consistent for r in want].count(False) == 1
 
 
 class TestParseCsv:

@@ -304,7 +304,8 @@ class TestRenderReport:
     def test_non_finite_and_overflowing_rows_match_json_module(self, report):
         """Every float slot of one trial row and of one group row set in
         turn to NaN and +-inf, and rows of finite values whose sum
-        overflows: the rows take _num, and the bytes stay the json module's."""
+        overflows: the rows take json.dumps per value, and the bytes stay the
+        json module's."""
         rng = random.Random(41)
         t = rng.choice(report.derived_table)
         g = rng.choice(report.per_person_shot_stats)
@@ -503,6 +504,21 @@ class TestSharedAggregation:
         assert {t.base for t in calls[1]} == set(bundled.trials)
         for t in calls[1]:
             assert (t.ball_speed_mps, t.id_bits, t.info_rate_bps) == printed[t.base.key]
+
+    def test_bundled_report_parses_the_table_twice(self, tmp_path, capsys, monkeypatch):
+        """Once for the input and once for the cross-checks' bundled test:
+        the printed rows take their keys from their own cells."""
+        texts = []
+
+        def counting(text, *args, **kwargs):
+            texts.append(text)
+            return parse_csv(text, *args, **kwargs)
+
+        for module in (dataset_module, cli):
+            monkeypatch.setattr(module, "parse_csv", counting)
+        output = tmp_path / "report.json"
+        assert main(["report", "--input", "bundled", "--output", str(output)]) == 0
+        assert len(texts) == 2
 
     @pytest.mark.parametrize("consumer", ["figures", "fit"])
     def test_figure_and_fit_commands_derive_once_and_never_aggregate(

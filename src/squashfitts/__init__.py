@@ -16,11 +16,12 @@ _HOME = {name: module for module, names in {
     "dataset": ("Dataset", "ValidationReport", "bundled_dataset", "parse_csv", "write_csv"),
     "errors": ("DegenerateDesignError", "DomainError", "SquashFittsError",
                "UndefinedCorrelationError", "UsageError"),
-    "pipeline": ("AnalysisOptions", "FigureSeries", "ReportDocument", "build_cross_checks",
-                 "figure_series", "render_report_json", "run_analysis", "summarize_report"),
-    "plot": ("emit_series_csv", "emit_svg"),
-    "stats": ("GroupKey", "GroupStats", "LinearFit", "WelfordFit", "group_stats", "mean",
-              "ols_simple", "ols_two_predictor", "pearson_r", "population_sd"),
+    "pipeline": ("ReportDocument", "build_cross_checks", "figure_series",
+                 "render_report_json", "run_analysis", "summarize_report"),
+    "plot": ("FigureSeries", "emit_series_csv", "emit_svg"),
+    "stats": ("AnalysisOptions", "GroupKey", "GroupStats", "LinearFit", "WelfordFit",
+              "group_stats", "mean", "ols_simple", "ols_two_predictor", "pearson_r",
+              "population_sd"),
     "variants": ("PointingTrial", "fit_model", "id_fitts_original", "id_mackenzie",
                  "model_design_row", "predict_mt_steering", "predict_mt_welford"),
 }.items() for name in names}

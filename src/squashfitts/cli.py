@@ -9,11 +9,14 @@ reference dataset. --slowdown treats the file's t_s column as observed
 slow-motion durations and divides them by the given factor before any
 analysis (movement times are untouched; they are measured in real time).
 
-Each command imports the modules it runs: validate and derive load none of
-stats, pipeline, published and plot, and only a pointing-task fit loads variants.
+Each command imports only the modules it runs: none of stats, pipeline,
+published, plot, variants and json for validate and derive; report alone
+loads pipeline, published and json, figures plot, a pointing-task fit variants.
 Each command computes what it prints: report runs run_analysis and stats
 runs aggregate, while figures and fit --model squash file each derived
 trial under its shot in one pass and fit only the lines they draw or print.
+Paths the CLI writes itself spell non-UTF-8 bytes as \\x escapes; errno
+lines raised by open() keep Python's own text.
 """
 import argparse
 import gc
@@ -90,13 +93,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _path_text(path: str) -> str:
+    """path as the CLI writes it: UTF-8, any other byte as a \\x escape."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 def _read_text(path: str) -> str:
     """Text of a UTF-8 file; one that does not decode is unreadable (OSError)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise OSError(f"{path}: not UTF-8 text ({exc})") from None
+        raise OSError(f"{_path_text(path)}: not UTF-8 text ({exc})") from None
 
 
 def _read_input(args):
@@ -105,14 +113,12 @@ def _read_input(args):
     if args.input == "bundled":
         text, metadata = bundled_text(), dict(BUNDLED_METADATA)
     else:
-        # a path that is not UTF-8 keeps its bytes as \x escapes: the report stays UTF-8
-        source = os.fsencode(args.input).decode("utf-8", "backslashreplace")
-        text, metadata = _read_text(args.input), {"source": source}
+        text, metadata = _read_text(args.input), {"source": _path_text(args.input)}
     if args.slowdown is not None:
         metadata["slowdown_factor"] = repr(args.slowdown)
     dataset, report = parse_csv(text, metadata, args.slowdown or 1.0)
     if report.ok and not dataset.trials:
-        raise UsageError(f"{args.input}: no trials")
+        raise UsageError(f"{_path_text(args.input)}: no trials")
     return dataset, report
 
 
@@ -146,7 +152,7 @@ def cmd_validate(args, options) -> int:
             require_fittable((t.shot, derive_trial(t).id_bits) for t in dataset.trials)
         except SquashFittsError as exc:
             report.errors.append((0, "shot", str(exc)))
-    print(f"{args.input}: {len(dataset)} valid trial(s)", file=sys.stderr)
+    print(f"{_path_text(args.input)}: {len(dataset)} valid trial(s)", file=sys.stderr)
     print(report.format_text(), file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -174,8 +180,7 @@ def cmd_stats(args, options) -> int:
 
 def cmd_fit(args, options) -> int:
     if args.model is ModelKind.SQUASH_ID:
-        from .pipeline import fit_overall
-        from .stats import _shot_columns
+        from .stats import _shot_columns, fit_overall
         fit = fit_overall(_shot_columns(derive_trial(t) for t in _load(args).trials),
                           options)
         subset = options.overall_subset
@@ -194,9 +199,8 @@ def cmd_fit(args, options) -> int:
 
 
 def cmd_figures(args, options) -> int:
-    from .pipeline import FIGURES, _series, fit_overall
-    from .plot import _series_csv_chunks, _svg_chunks
-    from .stats import _shot_columns, fit_columns
+    from .plot import FIGURES, _series, _series_csv_chunks, _svg_chunks
+    from .stats import _shot_columns, fit_columns, fit_overall
     derived = [derive_trial(t) for t in _load(args).trials]
     # run_analysis's check, then the lines the figures draw, in its order;
     # require_fittable stops once every shot passes: in input order, within a few rows
@@ -212,7 +216,7 @@ def cmd_figures(args, options) -> int:
                             (".csv", _series_csv_chunks(series))):
             path = os.path.join(args.output, series.label + ext)
             _write(path, chunks)
-            written.append(path)
+            written.append(_path_text(path))
     print("\n".join(written))
     return 0
 
@@ -241,7 +245,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         options = None  # the settings of the commands that analyse the data
         if args.command in ("figures", "report") or args.model is ModelKind.SQUASH_ID:
-            from .pipeline import STATS_TOLERANCE, AnalysisOptions
+            from .stats import STATS_TOLERANCE, AnalysisOptions
             options = AnalysisOptions(frozenset(args.exclude_shot),  # --tolerance is > 0
                                       args.tolerance or STATS_TOLERANCE)
         if args.model not in (None, ModelKind.SQUASH_ID):

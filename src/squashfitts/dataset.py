@@ -313,6 +313,19 @@ def write_csv(dataset: Dataset, include_derived: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Rows per chunk of a report or figure file written in pieces.
+_CHUNK_ROWS = 256
+
+
+def _chunks(items, render, sep: str):
+    """sep.join(map(render, items)) for a sequence of items, in pieces of
+    _CHUNK_ROWS items; every piece but the first starts with sep."""
+    lead = ""
+    for start in range(0, len(items), _CHUNK_ROWS):
+        yield lead + sep.join(map(render, items[start:start + _CHUNK_ROWS]))
+        lead = sep
+
+
 @cache
 def bundled_text() -> str:
     """Raw text of the bundled reference CSV (verbatim transcription of

@@ -26,29 +26,17 @@ from itertools import chain
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
-from .core import DerivedTrial, ShotKind, _Checked, _require_setting, derive_trial, require_fittable
-from .dataset import BUNDLED_TRIALS, DERIVED_COLUMNS, REQUIRED_COLUMNS, Dataset, bundled_dataset
-from .errors import DegenerateDesignError, UsageError
+from .core import DerivedTrial, ShotKind, derive_trial, require_fittable
+from .dataset import (BUNDLED_TRIALS, DERIVED_COLUMNS, REQUIRED_COLUMNS, Dataset, _chunks,
+                      bundled_dataset)
 from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
                         PUBLISHED_TREND_INTERCEPT, PUBLISHED_TREND_SLOPE,
                         REFERENCE_THROUGHPUT_MEAN_BPS,
-                        REFERENCE_THROUGHPUT_SD_BPS, STATS_TOLERANCE,
-                        published_rows)
-from .stats import GroupStats, LinearFit, aggregate, fit_columns
+                        REFERENCE_THROUGHPUT_SD_BPS, published_rows)
+from .stats import (AnalysisOptions, GroupStats, LinearFit, _joined, aggregate, fit_columns,
+                    fit_overall)
 
 SCHEMA_VERSION = "1.0"
-
-#: Rows per chunk of a report or figure file written in pieces.
-_CHUNK_ROWS = 256
-
-#: Figure number -> (series label, shot filter; None = overall).
-FIGURES = {
-    4: ("fig4_overall", None),
-    5: ("fig5_drives", ShotKind.DRIVE),
-    6: ("fig6_boasts", ShotKind.BOAST),
-    7: ("fig7_lobs", ShotKind.LOB),
-    8: ("fig8_drops", ShotKind.DROP),
-}
 
 #: Published qualitative slope signs of the per-shot MT-vs-ID lines.
 EXPECTED_SLOPE_SIGNS = {
@@ -57,45 +45,6 @@ EXPECTED_SLOPE_SIGNS = {
     ShotKind.LOB: +1,
     ShotKind.BOAST: -1,
 }
-
-
-class AnalysisOptions(_Checked, NamedTuple("AnalysisOptions", [
-        ("exclude_shots", frozenset), ("stats_tolerance", float)])):
-    """The two settings of a run: exclude_shots filters the *overall* fit
-    only (grouped statistics, per-shot and single-shot-excluded fits and
-    per-shot figures cover the full dataset); stats_tolerance is the base
-    tolerance of the published-aggregate cross-checks."""
-
-    __slots__ = ()
-
-    def __new__(cls, exclude_shots=frozenset(), stats_tolerance=STATS_TOLERANCE):
-        if isinstance(exclude_shots, str) or not hasattr(exclude_shots, "__iter__"):
-            raise UsageError("exclude_shots must be a collection of shot labels, "
-                             f"got {exclude_shots!r}")
-        shots = frozenset(ShotKind.parse(s) for s in exclude_shots)
-        if len(shots) >= len(ShotKind):
-            raise UsageError("cannot exclude all four shot kinds")
-        return tuple.__new__(cls, (shots, _require_setting(stats_tolerance,
-                                                           "stats_tolerance")))
-
-    @property
-    def overall_subset(self) -> str:
-        if not self.exclude_shots:
-            return "all"
-        names = sorted(s.value.lower() for s in self.exclude_shots)
-        return "exclude_" + "+".join(names)
-
-
-class FigureSeries(NamedTuple("FigureSeries", [
-        ("label", str), ("points", tuple), ("fit", LinearFit | None)])):
-    """Scatter points plus the fitted line of one figure. fit is None only
-    for hand-built series too small to fit. No __slots__: the instance
-    __dict__ holds the cached_property."""
-
-    @cached_property
-    def sorted_points(self) -> tuple:
-        """points ascending by id then mt, as both figure files list them."""
-        return tuple(sorted(self.points))
 
 
 class ReportDocument(NamedTuple("ReportDocument", [
@@ -111,30 +60,6 @@ class ReportDocument(NamedTuple("ReportDocument", [
         """build_cross_checks of this run, computed once and shared by the
         JSON report and the summary (so callers must not mutate it)."""
         return build_cross_checks(self)
-
-
-def _joined(columns: dict, excluded=()) -> tuple[list[float], list[float]]:
-    """The (ids, mts) columns of every shot but the excluded ones,
-    concatenated in shot order."""
-    xs, ys = [], []
-    for kind in ShotKind:
-        if kind not in excluded:
-            ids, mts = columns[kind]
-            xs += ids
-            ys += mts
-    return xs, ys
-
-
-def fit_overall(columns: dict, options: AnalysisOptions) -> LinearFit:
-    """The overall MT-vs-ID line over the shots options keeps, from the
-    columns of :func:`aggregate`: the report's and ``fit --model squash``'s."""
-    xs, ys = _joined(columns, options.exclude_shots)
-    if not xs:
-        raise UsageError("overall-fit filters exclude every trial")
-    try:
-        return fit_columns(xs, ys)
-    except (UsageError, DegenerateDesignError) as exc:  # < 2 points, or all IDs equal
-        raise type(exc)(f"overall fit ({options.overall_subset}): {exc}")
 
 
 def _subset_fits(columns: dict) -> dict:
@@ -169,23 +94,13 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
     )
 
 
-def figure_series(report: ReportDocument, figure: int) -> FigureSeries:
-    """Series for one of the five standard figures: 4 = overall scatter
-    plus the overall fit, 5-8 = one shot each (drives, boasts, lobs,
-    drops) with that shot's fit."""
+def figure_series(report: ReportDocument, figure: int):
+    """The plot.FigureSeries of one of the five standard figures: 4 =
+    overall scatter plus the overall fit, 5-8 = one shot each (drives,
+    boasts, lobs, drops) with that shot's fit."""
+    from .plot import _series  # here: the report draws no figure
     return _series(figure, report.columns, report.options,
                    {None: report.overall_fit, **report.per_shot_fits})
-
-
-def _series(figure: int, columns: dict, options: AnalysisOptions,
-            fits: dict) -> FigureSeries:
-    """The series of figure from shot -> (ids, mts) columns; fits maps None
-    to the overall line and each ShotKind to its own line."""
-    if figure not in FIGURES:
-        raise UsageError(f"unknown figure {figure!r} (valid: 4, 5, 6, 7, 8)")
-    label, shot = FIGURES[figure]
-    xs, ys = _joined(columns, options.exclude_shots) if shot is None else columns[shot]
-    return FigureSeries(label=label, points=tuple(zip(xs, ys)), fit=fits[shot])
 
 
 # --- cross-checks against the published reference values ----------------
@@ -443,15 +358,6 @@ def _group_json(g: GroupStats) -> str:
     return _GROUP_ROW % (encode_basestring(str(g.key)),
                          "null" if person is None else person,
                          _SHOT_JSON.get(shot, "null"), g.n, *values)
-
-
-def _chunks(items, render, sep: str):
-    """sep.join(map(render, items)) for a sequence of items, in pieces of
-    _CHUNK_ROWS items; every piece but the first starts with sep."""
-    lead = ""
-    for start in range(0, len(items), _CHUNK_ROWS):
-        yield lead + sep.join(map(render, items[start:start + _CHUNK_ROWS]))
-        lead = sep
 
 
 def _array(items, render, indent: str):

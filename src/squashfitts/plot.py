@@ -1,4 +1,4 @@
-"""Figure emission: plain data series CSV and standalone SVG scatter plots.
+"""The five figures: their series, plain data series CSV and standalone SVG scatter plots.
 
 The SVG output is deliberately minimal and byte-deterministic: a fixed
 800x600 canvas, axes and ticks drawn as <path> elements, data points as
@@ -7,10 +7,23 @@ observed x-range (no extrapolation). The data-to-pixel mapping is affine
 with the y axis inverted; axis bounds are the data and fit-end bounds
 padded by 5% per side (+-0.5 around a collapsed span).
 """
+from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
+from .core import ShotKind
+from .dataset import _chunks
 from .errors import UsageError
-from .pipeline import FigureSeries, _chunks
+from .stats import AnalysisOptions, LinearFit, _joined
+
+#: Figure number -> (series label, shot filter; None = overall).
+FIGURES = {
+    4: ("fig4_overall", None),
+    5: ("fig5_drives", ShotKind.DRIVE),
+    6: ("fig6_boasts", ShotKind.BOAST),
+    7: ("fig7_lobs", ShotKind.LOB),
+    8: ("fig8_drops", ShotKind.DROP),
+}
 
 PAD_FRACTION = 0.05
 WIDTH_PX = 800
@@ -19,6 +32,29 @@ MARGIN_PX = 60
 POINT_RADIUS_PX = 3
 X_LABEL = "Index of Difficulty (bits)"
 Y_LABEL = "Movement Time (s)"
+
+
+class FigureSeries(NamedTuple("FigureSeries", [
+        ("label", str), ("points", tuple), ("fit", LinearFit | None)])):
+    """Scatter points plus the fitted line of one figure. fit is None only
+    for hand-built series too small to fit. No __slots__: the instance
+    __dict__ holds the cached_property."""
+
+    @cached_property
+    def sorted_points(self) -> tuple:
+        """points ascending by id then mt, as both figure files list them."""
+        return tuple(sorted(self.points))
+
+
+def _series(figure: int, columns: dict, options: AnalysisOptions,
+            fits: dict) -> FigureSeries:
+    """The series of figure from shot -> (ids, mts) columns; fits maps None
+    to the overall line and each ShotKind to its own line."""
+    if figure not in FIGURES:
+        raise UsageError(f"unknown figure {figure!r} (valid: 4, 5, 6, 7, 8)")
+    label, shot = FIGURES[figure]
+    xs, ys = _joined(columns, options.exclude_shots) if shot is None else columns[shot]
+    return FigureSeries(label=label, points=tuple(zip(xs, ys)), fit=fits[shot])
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:

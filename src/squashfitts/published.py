@@ -56,9 +56,6 @@ class PublishedValue(NamedTuple):
 #: table (after rounding to 2 decimals).
 DERIVATION_TOLERANCE = 0.02
 
-#: Base tolerance for comparing computed aggregates against published ones.
-STATS_TOLERANCE = 0.01
-
 
 class PublishedRow(NamedTuple):
     """Printed derived columns of one bundled-table row.

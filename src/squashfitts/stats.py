@@ -1,4 +1,4 @@
-"""Descriptive statistics and closed-form least-squares fitting.
+"""Descriptive statistics, least-squares fitting, and a run's settings and overall line.
 
 Everything here is exact arithmetic over the inputs (math.fsum for the
 accumulations, no iterative solvers). Standard deviations use the
@@ -14,7 +14,7 @@ import math
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import _SHOT_ORDER, DerivedTrial, ShotKind, _Checked
+from .core import _SHOT_ORDER, DerivedTrial, ShotKind, _Checked, _require_setting
 from .errors import DegenerateDesignError, UndefinedCorrelationError, UsageError
 
 #: Relative threshold below which a design's scaled determinant counts as zero.
@@ -229,6 +229,58 @@ def fit_columns(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
         r = max(-1.0, min(1.0, r))
     return LinearFit(slope=slope, intercept=intercept,
                      pearson_r=r, r_squared=r * r, n=n)
+
+
+#: Base tolerance for comparing computed aggregates against published ones.
+STATS_TOLERANCE = 0.01
+
+
+class AnalysisOptions(_Checked, NamedTuple("AnalysisOptions", [
+        ("exclude_shots", frozenset), ("stats_tolerance", float)])):
+    """The two settings of a run: exclude_shots filters the *overall* fit
+    only (grouped statistics, per-shot and single-shot-excluded fits and
+    per-shot figures cover the full dataset); stats_tolerance is the base
+    tolerance of the published-aggregate cross-checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, exclude_shots=frozenset(), stats_tolerance=STATS_TOLERANCE):
+        if isinstance(exclude_shots, str) or not hasattr(exclude_shots, "__iter__"):
+            raise UsageError("exclude_shots must be a collection of shot labels, "
+                             f"got {exclude_shots!r}")
+        shots = frozenset(ShotKind.parse(s) for s in exclude_shots)
+        if len(shots) >= len(ShotKind):
+            raise UsageError("cannot exclude all four shot kinds")
+        return tuple.__new__(cls, (shots, _require_setting(stats_tolerance,
+                                                           "stats_tolerance")))
+
+    @property
+    def overall_subset(self) -> str:
+        if not self.exclude_shots:
+            return "all"
+        names = sorted(s.value.lower() for s in self.exclude_shots)
+        return "exclude_" + "+".join(names)
+
+
+def _joined(columns: dict, excluded=()) -> tuple[list[float], list[float]]:
+    """The (ids, mts) columns of every shot but the excluded ones,
+    concatenated in shot order."""
+    xs, ys = [], []
+    for kind in ShotKind:
+        if kind not in excluded:
+            ids, mts = columns[kind]
+            xs += ids
+            ys += mts
+    return xs, ys
+
+
+def fit_overall(columns: dict, options: AnalysisOptions) -> LinearFit:
+    """The overall MT-vs-ID line over the shots options keeps, from the
+    columns of :func:`aggregate`: the report's and ``fit --model squash``'s."""
+    try:
+        return fit_columns(*_joined(columns, options.exclude_shots))
+    except (UsageError, DegenerateDesignError) as exc:  # < 2 points, or all IDs equal
+        raise type(exc)(f"overall fit ({options.overall_subset}): {exc}")
 
 
 def ols_simple(points: Sequence[tuple[float, float]]) -> LinearFit:

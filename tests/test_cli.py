@@ -194,7 +194,8 @@ class TestFit:
         p.write_text(VALID_HEADER + "\n" + GOOD_ROW + "\n1,Drive,2,587,0.204,386,1.21\n")
         assert main(["fit", "--model", "squash", "--exclude-shot", "drive",
                      "--input", str(p)]) == 1
-        assert capsys.readouterr().err == "error: overall-fit filters exclude every trial\n"
+        assert capsys.readouterr().err == (
+            "error: overall fit (exclude_drive): a line needs >= 2 points, got 0\n")
 
     def test_overall_fit_on_equal_ids_exits_one(self, tmp_path, capsys):
         p = tmp_path / "equal_ids.csv"
@@ -620,6 +621,40 @@ def test_report_of_a_non_utf8_path_is_utf8_json(tmp_path):
     assert to_stdout.stdout == written
     doc = json.loads(written.decode("utf-8"))
     assert doc["dataset"]["metadata"]["source"] == "bad\\xff.csv"
+
+
+def test_figures_to_a_non_utf8_directory_lists_it_on_strict_stdout(tmp_path, monkeypatch):
+    """figures lists the files it wrote with the report's \\x spelling, so a
+    strict UTF-8 stdout takes the list: exit 0, not a traceback."""
+    try:
+        out = os.fsdecode(b"out\xff")
+        (tmp_path / out).mkdir()
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a non-UTF-8 file name")
+    monkeypatch.setenv("PYTHONIOENCODING", "utf-8")  # errors="strict" on stdout
+    proc = _module_run(["figures", "--input", "bundled", "--output", out], cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    listed = proc.stdout.decode("utf-8").splitlines()
+    assert len(listed) == 10 and os.path.join("out\\xff", "fig4_overall.svg") in listed
+    assert len(os.listdir(tmp_path / out)) == 10
+
+
+@pytest.mark.parametrize("content, code, line", [
+    (bundled_text().encode(), 0, "in\\xff.csv: 36 valid trial(s)\n"),
+    (VALID_HEADER.encode() + b"\n", 1, "error: in\\xff.csv: no trials\n"),
+    (VALID_HEADER.encode() + b"\n1,Caf\xe9,1,586,0.197,374,1.22\n", 2,
+     "error: in\\xff.csv: not UTF-8 text ("),
+], ids=["valid", "no_trials", "not_utf8"])
+def test_validate_spells_a_non_utf8_path_as_the_report_does(tmp_path, content, code, line):
+    try:
+        name = os.fsdecode(b"in\xff.csv")
+        (tmp_path / name).write_bytes(content)
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a non-UTF-8 file name")
+    proc = _module_run(["validate", "--input", name], cwd=tmp_path)
+    err = proc.stderr.decode("utf-8")
+    assert proc.returncode == code
+    assert err.startswith(line) and "\\udcff" not in err
 
 
 @contextlib.contextmanager

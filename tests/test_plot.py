@@ -9,7 +9,7 @@ from squashfitts import (AnalysisOptions, FigureSeries, UsageError,
                          emit_series_csv, emit_svg, figure_series, ols_simple,
                          run_analysis)
 from squashfitts.cli import main
-from squashfitts.pipeline import FIGURES
+from squashfitts.plot import FIGURES
 
 import oracles
 from test_pipeline import _ragged, _shuffled_ragged_csv

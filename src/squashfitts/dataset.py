@@ -21,10 +21,12 @@ import io
 import math
 from collections.abc import Iterator
 from functools import cache, partial
+from itertools import chain, compress, count, islice, repeat
+from operator import gt, le, lt, mul, truediv
 
-from .core import (_SHOT_LABELS, ShotKind, TrialRecord, _court_warnings, _number,
-                   _plain, _require_setting, _underivable, derive_trial,
-                   speed_and_product)
+from .core import (_SHOT_LABELS, MAX_PLAYER_REACH_M, PLAUSIBLE_SPEED_BAND_MPS, ShotKind,
+                   TrialRecord, _court_warnings, _number, _plain, _require_setting,
+                   _underivable, derive_trial, speed_and_product)
 from .errors import UsageError
 
 REQUIRED_COLUMNS = ("person", "shot", "trial", "db_cm", "t_s", "dp_cm", "mt_s")
@@ -38,6 +40,10 @@ MOVEMENT_TIME_RANGE_S = (1e-100, 1e100)
 DERIVED_DECIMALS = 6
 
 _BUNDLED_RESOURCE = "squash_trials.csv"
+
+#: Rows per block of CSV records parsed, and per chunk of a report or
+#: figure file written in pieces.
+_CHUNK_ROWS = 256
 
 #: Number of trials in the bundled reference dataset (3 persons x 4 shots
 #: x 3 trials); lets callers rule out the bundled data without parsing it.
@@ -59,6 +65,12 @@ class _Fields:
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
+def _duplicate_key(key: tuple) -> str:
+    """The error of a trial key seen before, as parse_csv and Dataset word it."""
+    person, shot, trial = key
+    return f"duplicate trial key {(person, str(shot), trial)}"
+
+
 class Dataset(_Fields):
     """An immutable collection of trials plus free-form provenance notes."""
 
@@ -68,7 +80,7 @@ class Dataset(_Fields):
         trials, seen = tuple(trials), set()
         for t in trials:
             if t.key in seen:
-                raise UsageError(f"duplicate trial key {t.key}")
+                raise UsageError(_duplicate_key(t.key))
             seen.add(t.key)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "metadata", dict(metadata or {}))
@@ -184,10 +196,11 @@ def _split_header(text: str, errors) -> tuple[list[str], Iterator] | None:
     return None
 
 
-def _data_rows(records, ncols: int, errors):
+def _data_rows(records, ncols: int, errors, start: int = 2):
     """(row number, cells, the cells joined) of each non-blank data record
-    with ncols cells; any other non-blank record is a row error."""
-    for idx, cells in enumerate(records, start=2):
+    with ncols cells, the first record at row start; any other non-blank
+    record is a row error."""
+    for idx, cells in enumerate(records, start):
         if isinstance(cells, csv.Error):
             errors.append((idx, "row", str(cells)))
         elif not (text := "".join(cells)).strip():
@@ -215,6 +228,52 @@ def _clean_row(cells: list[str], text: str, slowdown_factor: float) -> tuple | N
     return person, shot, trial, db, t, dp, mt
 
 
+def _block_trials(block: list, start: int, ncols: int, slowdown_factor: float,
+                  seen: dict, warnings: list, plain: bool) -> list | None:
+    """The TrialRecords of a block of data records, the first at row start,
+    converted a column at a time as _clean_row converts a row; their keys go
+    into seen and their warnings into warnings. None, with nothing recorded,
+    where a record is a csv.Error, blank or not ncols cells wide, or a row
+    that _clean_row refuses, that repeats a key or that is underivable.
+    Where plain, every data record is known to be _plain: no cell is tested."""
+    if any(map(isinstance, block, repeat(csv.Error))) or {*map(len, block)} != {ncols}:
+        return None
+    person_cells, shot_cells, trial_cells, *measurements = islice(zip(*block), 7)
+    try:  # int() and float() strip less than str.strip(), never more
+        persons, indexes = list(map(int, person_cells)), list(map(int, trial_cells))
+        db, t, dp, mt = (list(map(float, cells)) for cells in measurements)
+    except ValueError:
+        return None
+    t = list(map(truediv, t, repeat(slowdown_factor)))
+    shots = list(map(_SHOT_LABELS.get, map(str.lower, map(str.strip, shot_cells))))
+    keys = list(zip(persons, shots, indexes))
+    lo, hi = MOVEMENT_TIME_RANGE_S
+    # sum is finite only where no value is NaN or inf; min and max do the rest
+    if (None in shots or min(persons) < 1 or min(indexes) < 1
+            or not all(math.isfinite(sum(col)) and min(col) > 0.0 for col in (db, t, dp))
+            or not (math.isfinite(sum(mt)) and lo <= min(mt) and max(mt) <= hi)
+            or not (plain or _plain("".join(chain.from_iterable(block))))
+            or len({*keys}) < len(keys) or not seen.keys().isdisjoint(keys)):
+        return None
+    # speed_and_product's float operations, a column at a time
+    v = list(map(truediv, map(truediv, db, repeat(100.0)), t))
+    player_m = list(map(truediv, dp, repeat(100.0)))
+    vd = list(map(mul, v, player_m))
+    if not all(math.isfinite(sum(col)) and min(col) > 0.0 for col in (v, vd)):
+        return None  # _underivable: v or v*D overflows or underflows
+    seen.update(zip(keys, range(start, start + len(keys))))
+    slow, fast = PLAUSIBLE_SPEED_BAND_MPS
+    if max(player_m) > MAX_PLAYER_REACH_M or min(v) < slow or max(v) > fast or min(vd) <= 1.0:
+        # the same tests a row at a time: _court_warnings words a flagged row's warnings
+        flagged = map(any, zip(map(gt, player_m, repeat(MAX_PLAYER_REACH_M)),
+                               map(lt, v, repeat(slow)), map(gt, v, repeat(fast)),
+                               map(le, vd, repeat(1.0))))
+        for idx, *row in compress(zip(count(start), dp, v, vd), flagged):
+            warnings.extend(zip(repeat(idx), _court_warnings(*row)))
+    fields = zip(persons, shots, indexes, db, t, dp, mt)
+    return list(map(tuple.__new__, repeat(TrialRecord), fields))  # checked: no constructor
+
+
 def parse_csv(text: str, metadata: dict[str, str] | None = None,
               slowdown_factor: float = 1.0,
               ) -> tuple[Dataset, ValidationReport]:
@@ -228,6 +287,13 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     difficulty) are attached per row. One leading byte order mark (U+FEFF)
     is skipped. A movement time outside MOVEMENT_TIME_RANGE_S, or a divided
     ball time not finite and > 0, is a row error.
+
+    Data records are read in blocks of _CHUNK_ROWS and converted a column
+    at a time. A block holding any record that is not a clean trial (a CSV
+    error, a blank or short row, a refused cell, a repeated key or an
+    underivable trial) is read row by row instead, and a refused row cell
+    by cell, so the trials, errors and warnings, and their order, are the
+    same on every path.
     """
     _require_setting(slowdown_factor, "slowdown_factor")
     report = ValidationReport()
@@ -261,26 +327,35 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
              ("db_cm", _measurement), ("t_s", ball_time), ("dp_cm", _measurement), _MOVEMENT_TIME)
     trials: list[TrialRecord] = []
     seen: dict[tuple, int] = {}
-    for idx, cells, text in _data_rows(records, ncols, errors):
-        # cell by cell only where the whole row is refused; derived cells are ignored
-        values = _clean_row(cells, text, slowdown_factor) or _read_cells(idx, cells, rules, errors)
-        if values is None:
+    # the header record ends at a newline: no "_" after the first, none in a data record
+    plain = text.isascii() and text.find("_", text.find("\n")) < 0
+    blocks = iter(lambda: list(islice(records, _CHUNK_ROWS)), [])
+    for start, block in zip(count(2, _CHUNK_ROWS), blocks):
+        clean = _block_trials(block, start, ncols, slowdown_factor, seen, report.warnings, plain)
+        if clean is not None:
+            trials += clean
             continue
-        key = values[:3]
-        if key in seen:
-            errors.append((idx, "trial", f"duplicate trial key {(key[0], str(key[1]), key[2])}"
-                                         f" first seen at row {seen[key]}"))
-            continue
-        record = tuple.__new__(TrialRecord, values)  # fields checked: unchecked constructor
-        v, vd = speed_and_product(record)
-        derived_error = _underivable(v, vd)
-        if derived_error:
-            errors.append((idx, *derived_error))
-            continue
-        seen[key] = idx
-        for warning in _court_warnings(values[5], v, vd):
-            report.warnings.append((idx, warning))
-        trials.append(record)
+        for idx, cells, text in _data_rows(block, ncols, errors, start):
+            # cell by cell only where the whole row is refused; derived cells are ignored
+            values = (_clean_row(cells, text, slowdown_factor)
+                      or _read_cells(idx, cells, rules, errors))
+            if values is None:
+                continue
+            key = values[:3]
+            if key in seen:
+                errors.append((idx, "trial",
+                               f"{_duplicate_key(key)} first seen at row {seen[key]}"))
+                continue
+            record = tuple.__new__(TrialRecord, values)  # fields checked: unchecked constructor
+            v, vd = speed_and_product(record)
+            derived_error = _underivable(v, vd)
+            if derived_error:
+                errors.append((idx, *derived_error))
+                continue
+            seen[key] = idx
+            for warning in _court_warnings(values[5], v, vd):
+                report.warnings.append((idx, warning))
+            trials.append(record)
 
     dataset = object.__new__(Dataset)  # seen kept the keys unique: no second scan
     object.__setattr__(dataset, "trials", tuple(trials))
@@ -311,10 +386,6 @@ def write_csv(dataset: Dataset, include_derived: bool = False) -> str:
                       f"{d.info_rate_bps:.{DERIVED_DECIMALS}f}"]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-#: Rows per chunk of a report or figure file written in pieces.
-_CHUNK_ROWS = 256
 
 
 def _chunks(items, render, sep: str):

@@ -3,7 +3,7 @@ read from amplitude,width,mt_s CSV (parse_pointing_csv) and fitted (fit_model).
 
 Five models are named (core.ModelKind). The four pointing-task models are each
 usable as a difficulty calculator and as the design row of a movement-time
-regression; the squash line is an analysis run's overall fit (pipeline.fit_overall):
+regression; the squash line is an analysis run's overall fit (stats.fit_overall):
 
     squash      ID = log2(v * D)            (this package's core metric)
     fitts       ID = log2(2A / W)           (classic reciprocal tapping)
@@ -94,7 +94,7 @@ def pointing_model(kind: ModelKind) -> ModelKind:
     kind = ModelKind.parse(kind)
     if kind is ModelKind.SQUASH_ID:
         raise UsageError("model squash is fitted by the analysis run: use "
-                         "run_analysis(...).overall_fit or pipeline.fit_overall")
+                         "run_analysis(...).overall_fit or stats.fit_overall")
     return kind
 
 

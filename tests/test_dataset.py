@@ -506,6 +506,15 @@ class TestDatasetInvariants:
         with pytest.raises(UsageError):
             Dataset(trials=(rec, rec))
 
+    def test_duplicate_key_is_spelled_as_parse_csv_spells_it(self, bundled):
+        with pytest.raises(UsageError) as exc:
+            Dataset(bundled.trials + bundled.trials[:1])
+        assert str(exc.value) == "duplicate trial key (1, 'Drive', 1)"
+        first = bundled_text().splitlines()[1]
+        _, report = parse_csv(f"{bundled_text()}{first}\n")
+        assert report.errors == [(BUNDLED_TRIALS + 2, "trial",
+                                  "duplicate trial key (1, 'Drive', 1) first seen at row 2")]
+
     def test_metadata_is_copied_at_construction(self, bundled):
         notes = {"source": "a"}
         dataset = Dataset(bundled.trials, notes)
@@ -620,6 +629,7 @@ class TestTrustedParsePath:
             dataset, report = parse_csv(text, slowdown_factor=factor)
             return repr(dataset), report.errors, report.warnings  # repr: types too
 
+        monkeypatch.setattr(dataset_module, "_block_trials", lambda *block: None)
         expected = [outcome(*run) for run in runs]
         monkeypatch.setattr(dataset_module, "_clean_row", lambda *row: None)
         assert [outcome(*run) for run in runs] == expected
@@ -644,3 +654,92 @@ class TestTrustedParsePath:
         assert report.ok and len(dataset) == BUNDLED_TRIALS and calls == []
         parse_csv(VALID_HEADER + "\n1,Drive,1,586,x,374,1.22\n")
         assert len(calls) == 6  # a refused row is read cell by cell
+
+
+def _many_rows(n: int) -> list[str]:
+    """The header and n valid data lines: the bundled measurements again
+    and again under distinct keys, with the bundled derived columns."""
+    bundled = bundled_text().splitlines()[1:]
+    shots = [kind.value for kind in ShotKind]
+    return [bundled_text().splitlines()[0]] + [
+        ",".join([str(i // 12 + 1), shots[i % 4], str(i // 4 % 3 + 1),
+                  *bundled[i % BUNDLED_TRIALS].split(",")[3:]])
+        for i in range(n)]
+
+
+def _row_defect(rng: random.Random, lines: list[str], i: int) -> str:
+    """Data line i of lines with one defect, or made a warning row or an
+    underivable row."""
+    cells = lines[i].split(",")
+    edit = rng.randrange(10)
+    if edit <= 1:  # a bad number, \x1c padding, a full-width digit, 1_0 ...
+        cells[rng.choice((0, 2, 3, 4, 5, 6))] = rng.choice(FUZZ_CELLS)
+    elif edit == 2:
+        cells.pop()
+    elif edit == 3:  # blank
+        cells = [rng.choice(("", " "))] * rng.choice((1, len(cells)))
+    elif edit == 4:  # a csv.Error: a carriage return in an unquoted cell
+        cells[rng.randrange(len(cells))] += "\r1"
+    elif edit == 5:  # the key of an earlier row, often of an earlier block
+        cells[:3] = lines[rng.randrange(1, i)].split(",")[:3]
+    elif edit == 6:  # beyond the court's reach
+        cells[5] = "700"
+    elif edit == 7:  # too fast
+        cells[4] = "0.001"
+    elif edit == 8:  # a movement time at or beyond MOVEMENT_TIME_RANGE_S
+        cells[6] = rng.choice(("1e-100", "9e-101", "1.1e100"))
+    else:  # v overflows, v*D overflows, v*D underflows
+        cells[3:6] = rng.choice((("1e308", "1e-308", cells[5]), ("1e308", "0.01", cells[5]),
+                                 ("1e-300", "1", "1e-30")))
+    return ",".join(cells)
+
+
+class TestBlockPath:
+    """parse_csv converts a block of rows a column at a time and reads a
+    refused block row by row, and a refused row cell by cell; all three
+    give the same trials, errors and warnings, in the same order."""
+
+    @staticmethod
+    def _outcomes(texts, factors):
+        return [(repr(dataset), report.errors, report.warnings)
+                for text in texts for factor in factors
+                for dataset, report in [parse_csv(text, slowdown_factor=factor)]]
+
+    def test_blocks_rows_and_cells_give_the_same_outcome(self, monkeypatch):
+        rng = random.Random(25)
+        block = dataset_module._CHUNK_ROWS
+        texts = []
+        for _ in range(30):
+            lines = _many_rows(rng.randint(600, 1000))
+            ends = [k * block + offset for k in range(1, len(lines) // block + 1)
+                    for offset in (0, 1)]  # the last row of a block, the first of the next
+            spots = [255, 256, 257, *ends, *rng.sample(range(2, len(lines)), 3)]
+            for i in rng.sample(spots, rng.randint(1, 4)):
+                if i < len(lines):
+                    lines[i] = _row_defect(rng, lines, i)
+            texts.append("\n".join(lines) + "\n")
+        factors = (1, 10, 1e-300, 1e300)
+        blocks = self._outcomes(texts, factors)
+        monkeypatch.setattr(dataset_module, "_block_trials", lambda *block: None)
+        assert self._outcomes(texts, factors) == blocks
+        monkeypatch.setattr(dataset_module, "_clean_row", lambda *row: None)
+        assert self._outcomes(texts, factors) == blocks
+        errors = sum(len(e) for _, e, _ in blocks)
+        warnings = sum(len(w) for _, _, w in blocks)
+        assert errors > 100 and warnings > 1000
+
+    def test_only_a_refused_block_is_read_row_by_row(self, monkeypatch):
+        calls = []
+        clean_row = dataset_module._clean_row
+        monkeypatch.setattr(dataset_module, "_clean_row",
+                            lambda cells, *rest: calls.append(cells) or clean_row(cells, *rest))
+        lines = _many_rows(600)
+        dataset, report = parse_csv("\n".join(lines) + "\n")
+        assert report.ok and len(dataset) == 600 and calls == []
+        cells = lines[299].split(",")  # row 300, in the block of rows 258-513
+        cells[4] = "x"
+        lines[299] = ",".join(cells)
+        dataset, report = parse_csv("\n".join(lines) + "\n")
+        assert report.errors == [(300, "t_s", "expected a number, got 'x'")]
+        assert len(dataset) == 599
+        assert calls == [line.split(",") for line in lines[257:513]]

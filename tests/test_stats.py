@@ -219,7 +219,7 @@ class TestFitModel:
             with pytest.raises(UsageError) as exc:
                 call()
             assert "run_analysis(...).overall_fit" in str(exc.value)
-            assert "pipeline.fit_overall" in str(exc.value)
+            assert "stats.fit_overall" in str(exc.value)
 
     def test_welford_noiseless_recovery(self):
         trials = []

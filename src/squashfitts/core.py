@@ -254,7 +254,10 @@ def derive_trial(record: TrialRecord) -> DerivedTrial:
         return tuple.__new__(DerivedTrial, (record, v, idb, idb / mt))
     try:
         v = ball_speed(record.ball_distance_cm, record.ball_time_s)
-        idb = index_of_difficulty(v, record.player_distance_cm / 100.0)
+        dp = record.player_distance_cm
+        if not isinstance(dp, (int, float)):  # judged as the field it is, not in meters
+            dp = _require_positive(dp, "player_distance_cm")
+        idb = index_of_difficulty(v, dp / 100.0)
         ir = information_rate(idb, record.movement_time_s)
     except DomainError as exc:
         raise DomainError(

@@ -22,8 +22,8 @@ inconsistent with its own inputs; see ``self_consistent``).
 import math
 from typing import NamedTuple
 
-from .core import ShotKind
-from .dataset import _clean_row, _data_rows, _split_header, bundled_text
+from .core import ShotKind, TrialRecord
+from .dataset import DERIVED_COLUMNS, _clean_row, _data_rows, _split_header, bundled_text
 
 
 class PublishedValue(NamedTuple):
@@ -75,23 +75,26 @@ class PublishedRow(NamedTuple):
     self_consistent: bool
 
 
-def published_rows() -> list[PublishedRow]:
-    """Printed derived values for every bundled row, in table order."""
+def _bundled_table() -> list[tuple[TrialRecord, PublishedRow]]:
+    """Each bundled row's trial paired with its printed derived values, in
+    table order: the one reader of the packaged table's printed columns."""
     out = []
-    # the packaged text parses without errors (the suite checks it)
+    # the packaged text parses without errors (the suite checks it): unchecked records
     header, records = _split_header(bundled_text(), [])
     col = {name: i for i, name in enumerate(header)}
     for _, cells, text in _data_rows(records, len(header), []):
-        person, shot, trial, _, _, dp, _ = _clean_row(cells, text, 1.0)
-        v = PublishedValue.of(cells[col["v_mps"]])
-        idb = PublishedValue.of(cells[col["id_bits"]])
-        ir = PublishedValue.of(cells[col["ir_bps"]])
-        implied_id = math.log2(v.value * (dp / 100.0))
+        record = tuple.__new__(TrialRecord, _clean_row(cells, text, 1.0))
+        v, idb, ir = (PublishedValue.of(cells[col[name]]) for name in DERIVED_COLUMNS)
+        implied_id = math.log2(v.value * (record.player_distance_cm / 100.0))
         # printed V and ID each carry their own rounding; allow both
         consistent = abs(implied_id - idb.value) <= idb.half_step + DERIVATION_TOLERANCE
-        out.append(PublishedRow(person, shot, trial, v_mps=v, id_bits=idb, ir_bps=ir,
-                                self_consistent=consistent))
+        out.append((record, PublishedRow(*record.key, v, idb, ir, consistent)))
     return out
+
+
+def published_rows() -> list[PublishedRow]:
+    """Printed derived values for every bundled row, in table order."""
+    return [row for _, row in _bundled_table()]
 
 
 def _stats(pairs: dict[tuple[int | None, ShotKind], tuple[str, str]]):

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from squashfitts import (DomainError, ShotKind, TrialRecord, ball_speed,
-                         derive_trial, index_of_difficulty, information_rate,
-                         parse_csv)
-from squashfitts.core import MAX_PLAYER_REACH_M
+from squashfitts import (DegenerateDesignError, DomainError, ShotKind, TrialRecord,
+                         ball_speed, derive_trial, index_of_difficulty,
+                         information_rate, parse_csv)
+from squashfitts.core import MAX_PLAYER_REACH_M, require_fittable
 from squashfitts.dataset import REQUIRED_COLUMNS
 
 import oracles
@@ -226,6 +226,24 @@ class TestDeriveTrial:
         assert str(exc.value).startswith("trial (person=2, shot=Lob, trial=3): ")
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("distance", [None, "x"])
+    def test_non_number_distance_is_a_domain_error_naming_it(self, distance):
+        rec = tuple.__new__(TrialRecord, (1, ShotKind.DRIVE, 1, 586.0, 0.197, distance, 1.22))
+        with pytest.raises(DomainError) as exc:
+            derive_trial(rec)
+        assert str(exc.value) == ("trial (person=1, shot=Drive, trial=1): "
+                                  f"player_distance_cm must be a number, got {distance!r}")
+        assert exc.value.field == "player_distance_cm"
+
+    def test_number_grammar_distance_derives_as_its_number(self):
+        # ball_speed reads a ball distance of this kind; so does the fallback
+        rec = tuple.__new__(TrialRecord, (1, ShotKind.DRIVE, 1, 586.0, 0.197, "374", 1.22))
+        want = derive_trial(TrialRecord(1, ShotKind.DRIVE, 1, 586.0, 0.197, 374.0, 1.22))
+        got = derive_trial(rec)
+        assert got.base is rec
+        assert (got.ball_speed_mps, got.id_bits, got.info_rate_bps) == (
+            want.ball_speed_mps, want.id_bits, want.info_rate_bps)
+
     @pytest.mark.parametrize("db_cm,dp_cm,shown", [
         (1e-300, 1e-300, "0.0"),  # v*D underflows to 0
         (1e308, 1e308, "inf"),    # v*D overflows
@@ -298,6 +316,10 @@ class TestCourtScreen:
         warnings = self._warnings(dp_cm, db_cm, t_s)
         assert warnings and all(len(w) <= 100 for w in warnings)
 
+    def test_a_million_meters_is_written_in_exponent_notation(self):
+        assert self._warnings(dp_cm=1e8) == [
+            "player_distance 1.000e+06 m exceeds court reach 6.41 m"]
+
     def test_moderate_values_keep_two_decimals(self):
         assert self._warnings(dp_cm=800.0, db_cm=15000.0, t_s=1.0) == [
             "player_distance 8.00 m exceeds court reach 6.41 m",
@@ -310,3 +332,13 @@ class TestCourtScreen:
                                     "1,Drop,1,5e-324,1e308,100,1.0\n")
         assert (len(dataset), report.warnings) == (0, [])
         assert [e[:2] for e in report.errors] == [(2, "v_mps")]
+
+
+class TestRequireFittable:
+    def test_two_trials_of_equal_id_are_a_degenerate_design_naming_it(self):
+        shot_ids = [(ShotKind.DRIVE, 6.5), (ShotKind.DRIVE, 6.5),
+                    *((kind, idb) for kind in list(ShotKind)[1:] for idb in (5.0, 6.0))]
+        with pytest.raises(DegenerateDesignError) as exc:
+            require_fittable(shot_ids)
+        assert str(exc.value) == ("all 2 trials of shot Drive have ID 6.5; every shot "
+                                  "needs 2 trials with distinct IDs to fit its line")

@@ -667,11 +667,29 @@ def _many_rows(n: int) -> list[str]:
         for i in range(n)]
 
 
+#: Rows exactly at a bound of the plausibility screen, whose bounds are
+#: inclusive: the cells set, by column index, and the row's warnings.
+SCREEN_BOUNDARIES = {
+    "product_and_speed_1": ({3: "100", 4: "1", 5: "100"},  # v and v*D exactly 1.0
+                            ["v*D = 1.0000 <= 1 gives non-positive difficulty (0.0000 bits)"]),
+    "speed_100": ({3: "10000", 4: "1"}, []),  # v exactly 100.0 m/s
+    "distance_at_reach": ({5: "640.6442070291434"}, []),  # dp / 100 == MAX_PLAYER_REACH_M
+}
+
+
+def _with_cells(line: str, cells: dict[int, str]) -> str:
+    """The CSV line with the cells at the given column indexes replaced."""
+    row = line.split(",")
+    for column, cell in cells.items():
+        row[column] = cell
+    return ",".join(row)
+
+
 def _row_defect(rng: random.Random, lines: list[str], i: int) -> str:
     """Data line i of lines with one defect, or made a warning row or an
     underivable row."""
     cells = lines[i].split(",")
-    edit = rng.randrange(10)
+    edit = rng.randrange(11)
     if edit <= 1:  # a bad number, \x1c padding, a full-width digit, 1_0 ...
         cells[rng.choice((0, 2, 3, 4, 5, 6))] = rng.choice(FUZZ_CELLS)
     elif edit == 2:
@@ -688,6 +706,8 @@ def _row_defect(rng: random.Random, lines: list[str], i: int) -> str:
         cells[4] = "0.001"
     elif edit == 8:  # a movement time at or beyond MOVEMENT_TIME_RANGE_S
         cells[6] = rng.choice(("1e-100", "9e-101", "1.1e100"))
+    elif edit == 9:  # at a bound of the plausibility screen
+        return _with_cells(lines[i], rng.choice(list(SCREEN_BOUNDARIES.values()))[0])
     else:  # v overflows, v*D overflows, v*D underflows
         cells[3:6] = rng.choice((("1e308", "1e-308", cells[5]), ("1e308", "0.01", cells[5]),
                                  ("1e-300", "1", "1e-30")))
@@ -727,6 +747,22 @@ class TestBlockPath:
         errors = sum(len(e) for _, e, _ in blocks)
         warnings = sum(len(w) for _, _, w in blocks)
         assert errors > 100 and warnings > 1000
+
+    @pytest.mark.parametrize("case", list(SCREEN_BOUNDARIES))
+    @pytest.mark.parametrize("bad_row", [None, 100], ids=["block", "rows"])
+    def test_a_row_at_a_screen_bound_warns_alike_on_both_paths(self, case, bad_row):
+        """Row 12 of a 300-line file, in a clean block or in a block that a
+        bad cell at row 100 sends row by row."""
+        cells, want = SCREEN_BOUNDARIES[case]
+        lines = _many_rows(299)
+        lines[11] = _with_cells(lines[11], cells)
+        errors = []
+        if bad_row:
+            lines[bad_row - 1] = _with_cells(lines[bad_row - 1], {4: "x"})
+            errors = [(bad_row, "t_s", "expected a number, got 'x'")]
+        dataset, report = parse_csv("\n".join(lines) + "\n")
+        assert report.errors == errors
+        assert report.warnings == [(12, warning) for warning in want]
 
     def test_only_a_refused_block_is_read_row_by_row(self, monkeypatch):
         calls = []

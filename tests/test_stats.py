@@ -158,10 +158,12 @@ class TestPearson:
             pearson_r([(1, 2)])
 
     def test_constant_data_is_undefined(self):
-        with pytest.raises(UndefinedCorrelationError):
-            pearson_r([(1.0, 2.0), (1.0, 3.0)])
-        with pytest.raises(UndefinedCorrelationError):
-            pearson_r([(1.0, 2.0), (3.0, 2.0)])
+        for points, axis in (([(1.0, 2.0), (1.0, 3.0)], "x"),
+                             ([(1.0, 2.0), (3.0, 2.0)], "y"),
+                             ([(1.0, 2.0), (1.0, 2.0)], "x")):  # both constant: x is named
+            with pytest.raises(UndefinedCorrelationError) as exc:
+                pearson_r(points)
+            assert str(exc.value) == f"correlation undefined: {axis} is constant"
 
 
 class TestOlsTwoPredictor:
@@ -197,6 +199,12 @@ class TestOlsTwoPredictor:
     def test_too_few_rows(self):
         with pytest.raises(UsageError):
             ols_two_predictor([(1, 2, 3), (2, 3, 4)])
+
+    def test_three_rows_that_are_not_collinear_are_enough(self):
+        fit = ols_two_predictor([(0.0, 0.0, 1.0), (1.0, 0.0, 3.0), (0.0, 1.0, 4.0)])
+        assert fit.n == 3
+        assert (fit.a, fit.b1, fit.b2) == pytest.approx((1.0, 2.0, 3.0), abs=1e-12)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_monte_carlo_recovery_within_three_standard_errors(self):
         rows = oracles.mc_welford_rows()

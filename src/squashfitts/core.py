@@ -247,7 +247,7 @@ def derive_trial(record: TrialRecord) -> DerivedTrial:
         mt = record.movement_time_s
         in_range = (_underivable(v, vd) is None
                     and record.ball_time_s > 0.0 and 0.0 < mt < math.inf)
-    except TypeError:  # a field that is not a number
+    except (TypeError, ZeroDivisionError):  # a field that is not a number, or t = 0
         in_range = False
     if in_range:
         idb = math.log2(vd)

@@ -32,8 +32,7 @@ from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
                         PUBLISHED_TREND_INTERCEPT, PUBLISHED_TREND_SLOPE,
                         REFERENCE_THROUGHPUT_MEAN_BPS,
                         REFERENCE_THROUGHPUT_SD_BPS, _bundled_table)
-from .stats import (AnalysisOptions, GroupStats, LinearFit, _joined, aggregate, fit_columns,
-                    fit_overall)
+from .stats import AnalysisOptions, GroupStats, LinearFit, aggregate, fit_columns, fit_overall
 
 SCHEMA_VERSION = "1.0"
 
@@ -44,6 +43,9 @@ EXPECTED_SLOPE_SIGNS = {
     ShotKind.LOB: +1,
     ShotKind.BOAST: -1,
 }
+
+#: The subsets of the trend-line cross-check: all shots, then each single-shot exclusion.
+_SUBSETS = (AnalysisOptions(), *(AnalysisOptions({kind}) for kind in ShotKind))
 
 
 class ReportDocument(NamedTuple("ReportDocument", [
@@ -61,12 +63,6 @@ class ReportDocument(NamedTuple("ReportDocument", [
         return build_cross_checks(self)
 
 
-def _subset_fits(columns: dict) -> dict:
-    """The line of every single-shot-excluded subset, by subset name."""
-    return {f"exclude_{kind.value.lower()}": fit_columns(*_joined(columns, (kind,)))
-            for kind in ShotKind}
-
-
 def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
                  ) -> ReportDocument:
     """Derive every trial, aggregate both grouping levels, and fit the
@@ -80,6 +76,7 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
     options = options or AnalysisOptions()
     groups = aggregate(derive_trial(r) for r in dataset.trials)
     require_fittable((t.base.shot, t.id_bits) for t in groups.table)
+    subset_fits = {s.overall_subset: fit_overall(groups.columns, s) for s in _SUBSETS[1:]}
     return ReportDocument(
         options=options,
         dataset_metadata=dict(dataset.metadata),
@@ -87,8 +84,9 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
         per_person_shot_stats=groups.per_person_shot,
         per_shot_stats=groups.per_shot,
         columns=groups.columns,
-        overall_fit=fit_overall(groups.columns, options),
-        subset_fits=_subset_fits(groups.columns),
+        overall_fit=(subset_fits.get(options.overall_subset)
+                     or fit_overall(groups.columns, options)),
+        subset_fits=subset_fits,
         per_shot_fits={kind: fit_columns(*groups.columns[kind]) for kind in ShotKind},
     )
 
@@ -121,12 +119,12 @@ def build_cross_checks(report: ReportDocument) -> dict:
     """
     # a table of another size is ruled out without reading the bundled one
     table = _bundled_table() if len(report.derived_table) == BUNDLED_TRIALS else []
-    if not table or {t.base for t in report.derived_table} != {record for record, _ in table}:
+    derived = {t.base: t for t in report.derived_table} if table else {}
+    if not table or derived.keys() != {record for record, _ in table}:
         return {"applicable": False,
                 "reason": "cross-check targets correspond to the bundled "
                           "reference dataset only"}
     tol_stats = report.options.stats_tolerance
-    derived = {t.base: t for t in report.derived_table}
 
     # 1. per-row derivations vs the printed table; the run's trials carrying
     # the printed values are the as-published basis of checks 2 and 3
@@ -200,12 +198,11 @@ def build_cross_checks(report: ReportDocument) -> dict:
     # 3. published trend line vs candidate fit subsets
     published_line = {"slope": PUBLISHED_TREND_SLOPE.text,
                       "intercept": PUBLISHED_TREND_INTERCEPT.text}
-    fits = {"all/recomputed": fit_columns(*_joined(report.columns)),
-            "all/as_published": fit_columns(*_joined(as_published.columns))}
-    as_published_fits = _subset_fits(as_published.columns)
-    for name, fit in report.subset_fits.items():
-        fits[f"{name}/recomputed"] = fit
-        fits[f"{name}/as_published"] = as_published_fits[name]
+    # the recomputed basis reuses the lines the run holds
+    held = {report.options.overall_subset: report.overall_fit, **report.subset_fits}
+    fits = {f"{s.overall_subset}/{basis}": lines.get(s.overall_subset) or fit_overall(columns, s)
+            for s in _SUBSETS for basis, columns, lines in (
+                ("recomputed", report.columns, held), ("as_published", as_published.columns, {}))}
     candidates = {
         name: dict(_fit_dict(fit), match=(
             PUBLISHED_TREND_SLOPE.matches(fit.slope, tol_stats)

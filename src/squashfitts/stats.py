@@ -29,9 +29,10 @@ def _mean(xs: Sequence[float]) -> float:
 
 def _centred(xs: Sequence[float]) -> tuple[float, float]:
     """The column kernel: (mean, centred sum of squares) of a non-empty
-    float column."""
+    float column; the sum is 0.0 where all values are equal, though the mean can miss them."""
     xbar = _mean(xs)
-    return xbar, math.fsum([(x - xbar) ** 2 for x in xs])
+    ss = math.fsum([(x - xbar) ** 2 for x in xs])
+    return xbar, 0.0 if ss and xs[0] == xs[-1] and min(xs) == max(xs) else ss
 
 
 def _sxy(xs: Sequence[float], ys: Sequence[float], xbar: float, ybar: float) -> float:
@@ -262,7 +263,7 @@ class AnalysisOptions(_Checked, NamedTuple("AnalysisOptions", [
         return "exclude_" + "+".join(names)
 
 
-def _joined(columns: dict, excluded=()) -> tuple[list[float], list[float]]:
+def _joined(columns: dict, excluded) -> tuple[list[float], list[float]]:
     """The (ids, mts) columns of every shot but the excluded ones,
     concatenated in shot order."""
     xs, ys = [], []

@@ -20,8 +20,8 @@ import tracemalloc
 import pytest
 
 from squashfitts import (Dataset, PointingTrial, ShotKind, TrialRecord, UsageError,
-                         bundled_dataset, cli, derive_trial, fit_model, ols_simple,
-                         pipeline, plot, write_csv)
+                         bundled_dataset, cli, derive_trial, fit_model, model_design_row,
+                         ols_simple, pipeline, plot, write_csv)
 from squashfitts.cli import main
 from squashfitts.dataset import REQUIRED_COLUMNS, bundled_text, parse_csv
 from squashfitts.variants import parse_pointing_csv
@@ -203,6 +203,22 @@ class TestFit:
         assert main(["fit", "--model", "squash", "--input", str(p)]) == 1
         assert re.fullmatch(r"error: overall fit \(all\): all 2 predictor values equal "
                             r"\S+; no line is determined\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("model,rows,error", [
+        ("squash", [VALID_HEADER] + [f"1,Drive,{i},501,0.197,374,{mt}"
+                                     for i, mt in ((1, 1.22), (2, 1.31), (3, 1.40))],
+         r"overall fit \(all\): all 3 predictor values equal \S+; no line is determined"),
+        ("welford", ["amplitude,width,mt_s", "11,1,0.5", "11,2,0.42", "11,4,0.33"],
+         r"predictor x1 is constant \(collinear with the intercept column\)"),
+    ], ids=["squash", "welford"])
+    def test_constant_predictor_exits_one(self, tmp_path, capsys, model, rows, error):
+        x = (derive_trial(TrialRecord(1, "Drive", 1, 501, 0.197, 374, 1.22)).id_bits
+             if model == "squash" else model_design_row(model, PointingTrial(11, 1, 0.5))[0])
+        assert math.fsum([x] * 3) / 3 != x  # the mean misses the value by an ulp
+        p = tmp_path / "constant.csv"
+        p.write_text("\n".join(rows) + "\n")
+        assert main(["fit", "--model", model, "--input", str(p)]) == 1
+        assert re.fullmatch(f"error: {error}\n", capsys.readouterr().err)
 
     def test_overall_fit_on_one_trial_exits_one_naming_the_fit(self, tmp_path, capsys):
         p = tmp_path / "one.csv"

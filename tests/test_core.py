@@ -212,8 +212,10 @@ class TestDeriveTrial:
         ({"movement_time_s": math.inf}, "movement_time_s"),
         ({"ball_distance_cm": "far"}, "ball_distance_cm"),
         ({"ball_distance_cm": 1e308, "ball_time_s": 1e-308}, "ball_speed_mps"),
+        ({"ball_time_s": 0.0}, "ball_time_s"),
+        ({"movement_time_s": 0.0}, "movement_time_s"),
     ], ids=["both_negative", "negative_distance", "negative_mt", "infinite_mt",
-            "text", "speed_overflow"])
+            "text", "speed_overflow", "zero_ball_time", "zero_mt"])
     def test_out_of_range_fields_fail_as_components_do(self, fields, field):
         # a record that dodged construction-time validation still fails on
         # the first component operation that rejects it

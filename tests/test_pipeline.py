@@ -17,7 +17,7 @@ from squashfitts import cli, core, pipeline, stats
 from squashfitts import dataset as dataset_module
 from squashfitts.cli import main
 from squashfitts.published import PUBLISHED_GROUP_STATS, published_rows
-from squashfitts.stats import aggregate
+from squashfitts.stats import aggregate, fit_columns
 
 import oracles
 
@@ -520,6 +520,24 @@ class TestSharedAggregation:
         output = tmp_path / "report.json"
         assert main(["report", "--input", "bundled", "--output", str(output)]) == 0
         assert len(texts) == 1
+
+    @pytest.mark.parametrize("exclude", [[], ["--exclude-shot", "drive"]])
+    def test_bundled_report_fits_each_line_once(self, tmp_path, capsys, monkeypatch,
+                                                exclude):
+        """The run fits 9 lines, or 8 where its overall line is a single-shot
+        exclusion; the cross-checks fit 5 as-published lines, and all/recomputed
+        where the run's overall line is not that one: 14 either way."""
+        fits = []
+
+        def counting(xs, ys):
+            fits.append(len(xs))
+            return fit_columns(xs, ys)
+
+        for module in (stats, pipeline):
+            monkeypatch.setattr(module, "fit_columns", counting)
+        output = tmp_path / "report.json"
+        assert main(["report", "--input", "bundled", "--output", str(output)] + exclude) == 0
+        assert len(fits) == 14
 
     @pytest.mark.parametrize("consumer", ["figures", "fit"])
     def test_figure_and_fit_commands_derive_once_and_never_aggregate(

@@ -48,7 +48,9 @@ class TestMeanAndSd:
         assert population_sd([5.21, 5.58, 5.34]) == pytest.approx(0.153, abs=0.001)
 
     def test_population_sd_constant_is_zero(self):
-        assert population_sd([4.2, 4.2, 4.2]) == 0.0
+        assert math.fsum([0.1] * 3) / 3 != 0.1  # the mean misses the value by an ulp
+        for xs in ([4.2, 4.2, 4.2], [0.1] * 3):
+            assert population_sd(xs) == 0.0
 
     def test_population_sd_bounded_by_range(self):
         rng = random.Random(7)
@@ -130,8 +132,11 @@ class TestOlsSimple:
         assert fit.pearson_r == pytest.approx(r, abs=1e-9)
 
     def test_degenerate_design(self):
-        with pytest.raises(DegenerateDesignError):
-            ols_simple([(2.0, 1.0), (2.0, 3.0), (2.0, 5.0)])
+        assert math.fsum([0.1] * 3) / 3 != 0.1
+        for x in (2.0, 0.1):
+            with pytest.raises(DegenerateDesignError,
+                               match=rf"^all 3 predictor values equal {x!r}; "):
+                ols_simple([(x, 1.0), (x, 3.0), (x, 5.0)])
 
     def test_too_few_points(self):
         with pytest.raises(UsageError, match=r"^a line needs >= 2 points, got 1$"):
@@ -158,9 +163,12 @@ class TestPearson:
             pearson_r([(1, 2)])
 
     def test_constant_data_is_undefined(self):
+        assert math.fsum([0.1] * 3) / 3 != 0.1
         for points, axis in (([(1.0, 2.0), (1.0, 3.0)], "x"),
                              ([(1.0, 2.0), (3.0, 2.0)], "y"),
-                             ([(1.0, 2.0), (1.0, 2.0)], "x")):  # both constant: x is named
+                             ([(1.0, 2.0), (1.0, 2.0)], "x"),  # both constant: x is named
+                             ([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)], "x"),
+                             ([(1.0, 0.1), (2.0, 0.1), (3.0, 0.1)], "y")):
             with pytest.raises(UndefinedCorrelationError) as exc:
                 pearson_r(points)
             assert str(exc.value) == f"correlation undefined: {axis} is constant"
@@ -190,8 +198,15 @@ class TestOlsTwoPredictor:
          "predictor x2 is constant (collinear with the intercept column)"),
         ([(5.0, -2.5, 1.0 + x) for x in range(10)],
          "both predictors are constant (collinear with the intercept column)"),
-    ], ids=["x1", "x2", "both"])
+        ([(0.1, x, 1.0 + x) for x in range(3)],
+         "predictor x1 is constant (collinear with the intercept column)"),
+        ([(x, 0.1, 1.0 + x) for x in range(3)],
+         "predictor x2 is constant (collinear with the intercept column)"),
+        ([(0.1, 0.1, 1.0 + x) for x in range(3)],
+         "both predictors are constant (collinear with the intercept column)"),
+    ], ids=["x1", "x2", "both", "x1_at_0.1", "x2_at_0.1", "both_at_0.1"])
     def test_constant_predictor_names_the_column(self, rows, message):
+        assert math.fsum([0.1] * 3) / 3 != 0.1
         with pytest.raises(DegenerateDesignError) as exc:
             ols_two_predictor(rows)
         assert str(exc.value) == message

@@ -22,8 +22,9 @@ import argparse
 import gc
 import os
 import sys
+from itertools import chain, repeat, zip_longest
 
-from .core import ModelKind, ShotKind, derive_trial, require_fittable
+from .core import ModelKind, ShotKind, _derived, derive_trial, require_fittable
 from .dataset import BUNDLED_METADATA, _measurement, bundled_text, parse_csv, write_csv
 from .errors import SquashFittsError, UsageError
 
@@ -60,14 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(exclude_shot=[], tolerance=None, model=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(name, run, help, output_default="-"):
+    def common(name, run, help, output_default="-", output_help="output path ('-' = stdout)"):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--input", default="bundled",
                        help="CSV path, or 'bundled' for the reference dataset")
-        p.add_argument("--output", default=output_default,
-                       help="output path ('-' = stdout)" if output_default == "-"
-                       else "output directory")
+        p.add_argument("--output", default=output_default, help=output_help)
         p.add_argument("--slowdown", type=_flag(_positive),
                        default=None, metavar="FACTOR",
                        help="treat t_s as slow-motion observations; divide by FACTOR")
@@ -79,14 +78,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exclude a shot kind from the overall fit (repeatable)")
         return p
 
-    common("validate", cmd_validate, "validate a dataset; exit 0 iff clean")
+    common("validate", cmd_validate, "validate a dataset; exit 0 iff clean",
+           output_help="unused: validate reports on stderr and writes no file")
     common("derive", cmd_derive, "emit the dataset with derived columns")
     common("stats", cmd_stats, "grouped mean/SD summaries")
     filters(common("fit", cmd_fit, "fit a movement-time model")).add_argument(
         "--model", type=_flag(ModelKind.parse), required=True,
         help="one of: " + ", ".join(k.value for k in ModelKind))
     filters(common("figures", cmd_figures, "write the five figures (SVG + CSV)",
-                   output_default="."))
+                   output_default=".", output_help="output directory"))
     filters(common("report", cmd_report, "full JSON report with cross-checks")).add_argument(
         "--tolerance", type=_flag(_positive),
         help="base tolerance for published-value cross-checks")
@@ -171,7 +171,7 @@ def _group_line(g) -> str:
 
 def cmd_stats(args, options) -> int:
     from .stats import aggregate
-    groups = aggregate(derive_trial(t) for t in _load(args).trials)
+    groups = aggregate(_derived(_load(args).trials))
     lines = ["# person x shot groups", *map(_group_line, groups.per_person_shot),
              "# shot groups", *map(_group_line, groups.per_shot)]
     _write(args.output, ("\n".join(lines) + "\n",))
@@ -181,8 +181,7 @@ def cmd_stats(args, options) -> int:
 def cmd_fit(args, options) -> int:
     if args.model is ModelKind.SQUASH_ID:
         from .stats import _shot_columns, fit_overall
-        fit = fit_overall(_shot_columns(derive_trial(t) for t in _load(args).trials),
-                          options)
+        fit = fit_overall(_shot_columns(_load(args).trials), options)
         subset = options.overall_subset
     else:
         from .variants import fit_model, parse_pointing_csv
@@ -199,19 +198,18 @@ def cmd_fit(args, options) -> int:
 
 
 def cmd_figures(args, options) -> int:
-    from .plot import FIGURES, _series, _series_csv_chunks, _svg_chunks
+    from .plot import _figure_set, _series_csv_chunks, _svg_chunks
     from .stats import _shot_columns, fit_columns, fit_overall
-    derived = [derive_trial(t) for t in _load(args).trials]
-    # run_analysis's check, then the lines the figures draw, in its order;
-    # require_fittable stops once every shot passes: in input order, within a few rows
-    require_fittable((t.base.shot, t.id_bits) for t in derived)
-    columns = _shot_columns(derived)
+    columns = _shot_columns(_load(args).trials)
+    # run_analysis's check, then the lines the figures draw, in its order; the shots
+    # take turns, so that require_fittable stops within a few trials of each
+    turns = zip_longest(*(zip(repeat(kind), ids) for kind, (ids, _) in columns.items()))
+    require_fittable(pair for pair in chain.from_iterable(turns) if pair)
     fits = {None: fit_overall(columns, options),
             **{kind: fit_columns(*columns[kind]) for kind in ShotKind}}
     os.makedirs(args.output, exist_ok=True)
     written = []
-    for figure in sorted(FIGURES):
-        series = _series(figure, columns, options, fits)
+    for series in _figure_set(columns, options, fits):
         for ext, chunks in ((".svg", _svg_chunks(series)),  # both checked before a write
                             (".csv", _series_csv_chunks(series))):
             path = os.path.join(args.output, series.label + ext)

@@ -17,7 +17,8 @@ the canonical units throughout.
 import math
 import sys
 from enum import Enum
-from operator import attrgetter
+from itertools import islice, repeat
+from operator import attrgetter, mul, truediv
 from typing import NamedTuple
 
 from .errors import DegenerateDesignError, DomainError, UsageError
@@ -28,6 +29,16 @@ PLAUSIBLE_SPEED_BAND_MPS = (1.0, 100.0)
 #: Player distances (m) beyond the T's farthest (front) corner on a standard
 #: court, 5.55 m to the front wall and 3.2 m to each side, are flagged.
 MAX_PLAYER_REACH_M = math.hypot(5.55, 3.2)
+
+#: Rows per block of records derived, of CSV records parsed, and of a report
+#: or figure file written in pieces.
+_CHUNK_ROWS = 256
+
+
+def _blocks(items):
+    """Lists of _CHUNK_ROWS successive items of an iterable, the last one shorter."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _CHUNK_ROWS)), [])
 
 
 class ShotKind(Enum):
@@ -232,26 +243,20 @@ def speed_and_product(record: TrialRecord) -> tuple[float, float]:
     return v, v * (record.player_distance_cm / 100.0)
 
 
+def _speeds_and_products(db, t, player_m) -> tuple[list, list]:
+    """speed_and_product's (v, v*D) of a block's columns, player distance in meters."""
+    v = list(map(truediv, map(truediv, db, repeat(100.0)), t))
+    return v, list(map(mul, v, player_m))
+
+
 def derive_trial(record: TrialRecord) -> DerivedTrial:
     """Derive speed, difficulty and information rate for one trial.
 
     Pure and deterministic; raw fields pass through unchanged. Domain
     errors from the component operations are re-raised annotated with the
-    trial key.
+    trial key. The reference of :func:`_derived`, which derives many trials
+    with the same float operations, a block of columns at a time.
     """
-    # Where v, v*D, t and MT are all finite and > 0, the component
-    # operations would accept the trial and compute exactly this; otherwise
-    # they judge it. A validated record can only fail on v or v*D
-    try:
-        v, vd = speed_and_product(record)
-        mt = record.movement_time_s
-        in_range = (_underivable(v, vd) is None
-                    and record.ball_time_s > 0.0 and 0.0 < mt < math.inf)
-    except (TypeError, ZeroDivisionError):  # a field that is not a number, or t = 0
-        in_range = False
-    if in_range:
-        idb = math.log2(vd)
-        return tuple.__new__(DerivedTrial, (record, v, idb, idb / mt))
     try:
         v = ball_speed(record.ball_distance_cm, record.ball_time_s)
         dp = record.player_distance_cm
@@ -264,6 +269,26 @@ def derive_trial(record: TrialRecord) -> DerivedTrial:
             f"trial (person={record.person_id}, shot={record.shot}, "
             f"trial={record.trial_index}): {exc}", field=exc.field) from exc
     return DerivedTrial(record, v, idb, ir)
+
+
+def _derived(records):
+    """derive_trial of each record, with its float operations on the columns of
+    a block of _CHUNK_ROWS records at a time. A block with a v, v*D, t or MT not
+    finite and > 0, or that does not compute, goes through derive_trial row by row."""
+    for block in _blocks(records):
+        try:
+            *_, db, t, dp, mt = zip(*block)
+            v, vd = _speeds_and_products(db, t, map(truediv, dp, repeat(100.0)))
+            # sum is finite only where no value is NaN or inf; min does the rest
+            in_range = all(math.isfinite(sum(col)) and min(col) > 0.0 for col in (v, vd, t, mt))
+        except (TypeError, ValueError, ArithmeticError):  # a field that is not a number
+            in_range = False
+        if in_range:
+            idb = list(map(math.log2, vd))
+            yield from map(tuple.__new__, repeat(DerivedTrial),
+                           zip(block, v, idb, map(truediv, idb, mt)))
+        else:
+            yield from map(derive_trial, block)
 
 
 def _short(x: float) -> str:

@@ -22,11 +22,11 @@ import math
 from collections.abc import Iterator
 from functools import cache, partial
 from itertools import chain, compress, count, islice, repeat
-from operator import gt, le, lt, mul, truediv
+from operator import gt, le, lt, truediv
 
-from .core import (_SHOT_LABELS, MAX_PLAYER_REACH_M, PLAUSIBLE_SPEED_BAND_MPS, ShotKind,
-                   TrialRecord, _court_warnings, _number, _plain, _require_setting,
-                   _underivable, derive_trial, speed_and_product)
+from .core import (_CHUNK_ROWS, _SHOT_LABELS, MAX_PLAYER_REACH_M, PLAUSIBLE_SPEED_BAND_MPS,
+                   ShotKind, TrialRecord, _blocks, _court_warnings, _derived, _number, _plain,
+                   _require_setting, _speeds_and_products, _underivable, speed_and_product)
 from .errors import UsageError
 
 REQUIRED_COLUMNS = ("person", "shot", "trial", "db_cm", "t_s", "dp_cm", "mt_s")
@@ -40,10 +40,6 @@ MOVEMENT_TIME_RANGE_S = (1e-100, 1e100)
 DERIVED_DECIMALS = 6
 
 _BUNDLED_RESOURCE = "squash_trials.csv"
-
-#: Rows per block of CSV records parsed, and per chunk of a report or
-#: figure file written in pieces.
-_CHUNK_ROWS = 256
 
 #: Number of trials in the bundled reference dataset (3 persons x 4 shots
 #: x 3 trials); lets callers rule out the bundled data without parsing it.
@@ -255,10 +251,8 @@ def _block_trials(block: list, start: int, ncols: int, slowdown_factor: float,
             or not (plain or _plain("".join(chain.from_iterable(block))))
             or len({*keys}) < len(keys) or not seen.keys().isdisjoint(keys)):
         return None
-    # speed_and_product's float operations, a column at a time
-    v = list(map(truediv, map(truediv, db, repeat(100.0)), t))
     player_m = list(map(truediv, dp, repeat(100.0)))
-    vd = list(map(mul, v, player_m))
+    v, vd = _speeds_and_products(db, t, player_m)
     if not all(math.isfinite(sum(col)) and min(col) > 0.0 for col in (v, vd)):
         return None  # _underivable: v or v*D overflows or underflows
     seen.update(zip(keys, range(start, start + len(keys))))
@@ -329,8 +323,7 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     seen: dict[tuple, int] = {}
     # the header record ends at a newline: no "_" after the first, none in a data record
     plain = text.isascii() and text.find("_", text.find("\n")) < 0
-    blocks = iter(lambda: list(islice(records, _CHUNK_ROWS)), [])
-    for start, block in zip(count(2, _CHUNK_ROWS), blocks):
+    for start, block in zip(count(2, _CHUNK_ROWS), _blocks(records)):
         clean = _block_trials(block, start, ncols, slowdown_factor, seen, report.warnings, plain)
         if clean is not None:
             trials += clean
@@ -377,10 +370,11 @@ def write_csv(dataset: Dataset, include_derived: bool = False) -> str:
         raise UsageError("write_csv of empty dataset")
     header = REQUIRED_COLUMNS + (DERIVED_COLUMNS if include_derived else ())
     lines = [",".join(header)]
+    derived = _derived(dataset.trials)  # read only where include_derived
     for record in dataset.trials:
         cells = [*map(str, record[:3]), *map(_format_raw, record[3:])]
         if include_derived:
-            d = derive_trial(record)
+            d = next(derived)
             cells += [f"{d.ball_speed_mps:.{DERIVED_DECIMALS}f}",
                       f"{d.id_bits:.{DERIVED_DECIMALS}f}",
                       f"{d.info_rate_bps:.{DERIVED_DECIMALS}f}"]
@@ -389,11 +383,12 @@ def write_csv(dataset: Dataset, include_derived: bool = False) -> str:
 
 
 def _chunks(items, render, sep: str):
-    """sep.join(map(render, items)) for a sequence of items, in pieces of
-    _CHUNK_ROWS items; every piece but the first starts with sep."""
+    """sep.join of the rows render(block) returns for each block of _CHUNK_ROWS
+    items (filled a column at a time), a piece a block; every piece but the
+    first starts with sep."""
     lead = ""
-    for start in range(0, len(items), _CHUNK_ROWS):
-        yield lead + sep.join(map(render, items[start:start + _CHUNK_ROWS]))
+    for block in _blocks(items):
+        yield lead + sep.join(render(block))
         lead = sep
 
 

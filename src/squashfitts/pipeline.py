@@ -22,17 +22,17 @@ on both bases.)
 import json
 import math
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
-from .core import DerivedTrial, ShotKind, derive_trial, require_fittable
+from .core import DerivedTrial, ShotKind, _derived, require_fittable
 from .dataset import BUNDLED_TRIALS, DERIVED_COLUMNS, REQUIRED_COLUMNS, Dataset, _chunks
 from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
                         PUBLISHED_TREND_INTERCEPT, PUBLISHED_TREND_SLOPE,
                         REFERENCE_THROUGHPUT_MEAN_BPS,
                         REFERENCE_THROUGHPUT_SD_BPS, _bundled_table)
-from .stats import AnalysisOptions, GroupStats, LinearFit, aggregate, fit_columns, fit_overall
+from .stats import AnalysisOptions, LinearFit, aggregate, fit_columns, fit_overall
 
 SCHEMA_VERSION = "1.0"
 
@@ -74,7 +74,7 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
     A dataset that breaks :func:`require_fittable` raises from it.
     """
     options = options or AnalysisOptions()
-    groups = aggregate(derive_trial(r) for r in dataset.trials)
+    groups = aggregate(_derived(dataset.trials))
     require_fittable((t.base.shot, t.id_bits) for t in groups.table)
     subset_fits = {s.overall_subset: fit_overall(groups.columns, s) for s in _SUBSETS[1:]}
     return ReportDocument(
@@ -322,30 +322,34 @@ _GROUP_STATS = ("mean_id", "sd_id", "mean_mt", "sd_mt", "mean_ir")
 _GROUP_ROW = _row_template(("group", "person_id", "shot", "n", *_GROUP_STATS),
                            _GROUP_STATS, 6)
 
-#: Kind -> its JSON string, so no row reads Enum's Python-level .value.
+#: Kind -> its JSON string, so no row reads Enum's Python-level .value;
+#: None -> JSON null, for a group's absent person.
 _SHOT_JSON = {kind: encode_basestring(kind.value) for kind in ShotKind}
+_NULL = {None: "null"}
 
 
-def _trial_json(t: DerivedTrial) -> str:
-    b = t.base
-    v, idb, ir = t.ball_speed_mps, t.id_bits, t.info_rate_bps
-    values = (b.ball_distance_cm, b.ball_time_s, b.player_distance_cm,
-              b.movement_time_s, v, idb, ir, round(v, 2), round(idb, 2), round(ir, 2))
-    if not math.isfinite(sum(values)):  # NaN, +-inf, or a sum that overflows
-        values = map(json.dumps, values)
-    return _TRIAL_ROW % (b.person_id, _SHOT_JSON[b.shot], b.trial_index, *values)
+def _json_columns(columns, shown) -> list:
+    """Float columns, then the shown ones rounded to 2 decimals, as %s values; json.dumps
+    spells a column whose sum is not finite (NaN, +-inf, or a sum that overflows)."""
+    columns = [*columns, *(list(map(round, col, repeat(2))) for col in shown)]
+    return [col if math.isfinite(sum(col)) else map(json.dumps, col) for col in columns]
 
 
-def _group_json(g: GroupStats) -> str:
-    person, shot = g.key.person_id, g.key.shot
-    values = (g.mean_id, g.sd_id, g.mean_mt, g.sd_mt, g.mean_ir,
-              round(g.mean_id, 2), round(g.sd_id, 2), round(g.mean_mt, 2),
-              round(g.sd_mt, 2), round(g.mean_ir, 2))
-    if not math.isfinite(sum(values)):
-        values = map(json.dumps, values)
-    return _GROUP_ROW % (encode_basestring(str(g.key)),
-                         "null" if person is None else person,
-                         _SHOT_JSON.get(shot, "null"), g.n, *values)
+def _trial_rows(block: list):
+    """The derived_trials rows of a block of DerivedTrials, a column at a time."""
+    bases, *derived = zip(*block)
+    persons, shots, trials, *measured = zip(*bases)
+    return map(_TRIAL_ROW.__mod__, zip(persons, map(_SHOT_JSON.__getitem__, shots), trials,
+                                       *_json_columns((*measured, *derived), derived)))
+
+
+def _group_rows(block: list):
+    """The group_stats rows of a block of GroupStats, a column at a time."""
+    keys, ns, *stats = zip(*block)
+    persons, shots = zip(*keys)
+    return map(_GROUP_ROW.__mod__, zip(
+        map(encode_basestring, map(str, keys)), map(_NULL.get, persons, persons),
+        map(_SHOT_JSON.get, shots, repeat("null")), ns, *_json_columns(stats, stats)))
 
 
 def _array(items, render, indent: str):
@@ -363,11 +367,11 @@ def _report_chunks(report: ReportDocument):
     tail = json.dumps(_tail_dict(report), indent=2, ensure_ascii=False)
     return chain(
         (head[:-2], ',\n  "derived_trials": '),  # head without its closing "\n}"
-        _array(report.derived_table, _trial_json, "  "),
+        _array(report.derived_table, _trial_rows, "  "),
         (',\n  "group_stats": {\n    "person_shot": ',),
-        _array(report.per_person_shot_stats, _group_json, "    "),
+        _array(report.per_person_shot_stats, _group_rows, "    "),
         (',\n    "shot": ',),
-        _array(report.per_shot_stats, _group_json, "    "),
+        _array(report.per_shot_stats, _group_rows, "    "),
         ("\n  },", tail[1:], "\n"))  # tail without its opening "{"
 
 
@@ -379,6 +383,8 @@ def render_report_json(report: ReportDocument) -> str:
     the json module; the per-row arrays, which hold almost all the bytes,
     fill the %s slots of row templates the json module laid out once at
     import, because indent= forces its pure-Python encoder on every row.
+    They are filled a block of _CHUNK_ROWS rows at a time, from the block's
+    columns, with no Python call per row.
     """
     return "".join(_report_chunks(report))
 

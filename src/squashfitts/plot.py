@@ -5,10 +5,13 @@ The SVG output is deliberately minimal and byte-deterministic: a fixed
 <circle>, and the fitted trend as a single <line> spanning only the
 observed x-range (no extrapolation). The data-to-pixel mapping is affine
 with the y axis inverted; axis bounds are the data and fit-end bounds
-padded by 5% per side (+-0.5 around a collapsed span).
+padded by 5% per side (+-0.5 around a collapsed span). The circles are
+drawn from a block of points' columns at a time, and each point's CSV row
+is formatted once, for its shot's figure and for fig4.
 """
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, itemgetter, mul, sub, truediv
 from typing import NamedTuple
 
 from .core import ShotKind
@@ -36,14 +39,19 @@ Y_LABEL = "Movement Time (s)"
 
 class FigureSeries(NamedTuple("FigureSeries", [
         ("label", str), ("points", tuple), ("fit", LinearFit | None)])):
-    """Scatter points plus the fitted line of one figure. fit is None only
-    for hand-built series too small to fit. No __slots__: the instance
-    __dict__ holds the cached_property."""
+    """Scatter points, (x, y) tuples, plus the fitted line of one figure.
+    fit is None only for hand-built series too small to fit. No __slots__:
+    the instance __dict__ holds the cached_property values."""
 
     @cached_property
     def sorted_points(self) -> tuple:
         """points ascending by id then mt, as both figure files list them."""
         return tuple(sorted(self.points))
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The CSV row of each of sorted_points."""
+        return tuple(map("%r,%r".__mod__, self.sorted_points))
 
 
 def _series(figure: int, columns: dict, options: AnalysisOptions,
@@ -55,6 +63,24 @@ def _series(figure: int, columns: dict, options: AnalysisOptions,
     label, shot = FIGURES[figure]
     xs, ys = _joined(columns, options.exclude_shots) if shot is None else columns[shot]
     return FigureSeries(label=label, points=tuple(zip(xs, ys)), fit=fits[shot])
+
+
+def _figure_set(columns: dict, options: AnalysisOptions, fits: dict) -> list:
+    """The series of every figure, in figure order, whose files are _series's; fig4's sorted
+    points and rows are its shots' sorted runs, in shot order, merged by a stable sort."""
+    shots = {shot: _series(figure, columns, options, fits)
+             for figure, (_, shot) in FIGURES.items() if shot is not None}
+    pairs = sorted(chain.from_iterable(zip(shots[k].sorted_points, shots[k].rows)
+                                       for k in ShotKind if k not in options.exclude_shots),
+                   key=itemgetter(0))
+    overall = FigureSeries(FIGURES[4][0], tuple(map(itemgetter(0), pairs)), fits[None])
+    overall.__dict__.update(sorted_points=overall.points, rows=tuple(map(itemgetter(1), pairs)))
+    return [overall, *shots.values()]
+
+
+def _scaled(col, lo: float, span: float, size: int):
+    """(x - lo) / span * size of each x of a column."""
+    return map(mul, map(truediv, map(sub, col, repeat(lo)), repeat(span)), repeat(size))
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:
@@ -79,17 +105,13 @@ def _label(series: FigureSeries) -> str:
     return series.label
 
 
-def _point_row(point: tuple[float, float]) -> str:
-    return f"{point[0]!r},{point[1]!r}"
-
-
 def _series_csv_chunks(series: FigureSeries):
     """The text of :func:`emit_series_csv` as an iterator of strings; the
     series is checked in this call, the iterator only formats its points."""
     if not series.points:
         raise UsageError("cannot emit an empty series")
     head = f"# series: {_label(series)}\n{_fit_comment(series)}\nid_bits,mt_s\n"
-    return chain((head,), _chunks(series.sorted_points, _point_row, "\n"), ("\n",))
+    return chain((head,), _chunks(series.rows, iter, "\n"), ("\n",))  # rows: no render
 
 
 def emit_series_csv(series: FigureSeries) -> str:
@@ -116,9 +138,13 @@ def _svg_chunks(series: FigureSeries):
     top, bottom = MARGIN_PX, HEIGHT_PX - MARGIN_PX
     plot_w, plot_h = right - left, bottom - top
 
+    def pixels(xs, ys) -> tuple:  # the affine map of data columns to pixels, y inverted
+        return (map(add, repeat(left), _scaled(xs, x_lo, x_span, plot_w)),
+                map(sub, repeat(bottom), _scaled(ys, y_lo, y_span, plot_h)))
+
     def pixel(x: float, y: float) -> tuple[str, str]:
-        return (f"{left + (x - x_lo) / x_span * plot_w:.2f}",
-                f"{bottom - (y - y_lo) / y_span * plot_h:.2f}")
+        (px,), (py,) = pixels((x,), (y,))
+        return f"{px:.2f}", f"{py:.2f}"
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -160,12 +186,13 @@ def _svg_chunks(series: FigureSeries):
         out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
                    f'y2="{y2}" stroke="crimson" stroke-width="1.5"/>')
 
-    def circle(point: tuple[float, float]) -> str:
-        cx, cy = pixel(*point)
-        return (f'<circle cx="{cx}" cy="{cy}" r="{POINT_RADIUS_PX}" '
-                f'fill="steelblue" fill-opacity="0.8"/>')
+    circle = (f'<circle cx="%.2f" cy="%.2f" r="{POINT_RADIUS_PX}" '
+              'fill="steelblue" fill-opacity="0.8"/>')
 
-    return chain(("\n".join(out) + "\n",), _chunks(series.sorted_points, circle, "\n"),
+    def circles(block: list):
+        return map(circle.__mod__, zip(*pixels(*zip(*block))))
+
+    return chain(("\n".join(out) + "\n",), _chunks(series.sorted_points, circles, "\n"),
                  ("\n</svg>\n",))
 
 

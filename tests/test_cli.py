@@ -70,6 +70,16 @@ class TestValidate:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["validate", "--input", str(tmp_path / "nope.csv")]) == 2
 
+    def test_output_is_unused(self, tmp_path, capsys):
+        """validate reports on stderr; its --output names no file it writes."""
+        dest = tmp_path / "F"
+        assert main(["validate", "--input", "bundled", "--output", str(dest)]) == 0
+        assert not dest.exists()
+        assert capsys.readouterr().out == ""
+        assert main(["validate", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+        assert "--output OUTPUT unused: validate reports on stderr" in help_text
+
     def test_infinite_speed_fails_validate_and_report(self, tmp_path, capsys):
         p = tmp_path / "inf_speed.csv"
         p.write_text(VALID_HEADER + "\n" + GOOD_ROW + "\n"
@@ -279,6 +289,17 @@ class TestFigures:
             assert main([command, "--input", str(p), "--output", str(out)]) == 1
             assert capsys.readouterr() == ("", f"error: {message}\n"), command
             assert not out.exists()
+
+    def test_fittability_scan_reads_a_few_trials_of_each_shot(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """The shots' columns take turns, so the scan stops after two
+        trials of each shot, not after all the drives, drops and lobs."""
+        read = []
+        check = cli.require_fittable
+        monkeypatch.setattr(cli, "require_fittable",
+                            lambda pairs: check(read.append(p) or p for p in pairs))
+        assert main(["figures", "--input", "bundled", "--output", str(tmp_path)]) == 0
+        assert [shot for shot, _ in read] == list(ShotKind) * 2
 
     def test_idempotent_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -8,6 +8,7 @@ import pytest
 from squashfitts import (DegenerateDesignError, DomainError, ShotKind, TrialRecord,
                          ball_speed, derive_trial, index_of_difficulty,
                          information_rate, parse_csv)
+from squashfitts import core
 from squashfitts.core import MAX_PLAYER_REACH_M, require_fittable
 from squashfitts.dataset import REQUIRED_COLUMNS
 
@@ -269,6 +270,92 @@ class TestDeriveTrial:
         msg = str(exc.value)
         assert "person=2" in msg and "Lob" in msg and "trial=3" in msg
         assert exc.value.field == "ball_distance_cm"
+
+
+def _fuzzed_records(rng: random.Random, n: int) -> list:
+    """n valid records over many magnitudes: ID negative and positive."""
+    return [TrialRecord(rng.randint(1, 9), rng.choice(list(ShotKind)), i + 1,
+                        10.0 ** rng.uniform(-3, 5), 10.0 ** rng.uniform(-4, 2),
+                        10.0 ** rng.uniform(-3, 5), 10.0 ** rng.uniform(-3, 3))
+            for i in range(n)]
+
+
+def _unchecked(record: TrialRecord, **fields) -> TrialRecord:
+    """record with fields replaced, built without TrialRecord's checks."""
+    return tuple.__new__(TrialRecord, {**record._asdict(), **fields}.values())
+
+
+def _outcome(derive, records) -> tuple:
+    """The trials that derive yields for records, each as (type, base is
+    its record, repr of each derived value), and the text of the DomainError
+    it stops with, if any."""
+    got, error = [], None
+    try:
+        for trial in derive(records):
+            got.append(trial)
+    except DomainError as exc:
+        error = str(exc)
+    return [(type(t), t.base is r, tuple(map(repr, t[1:]))) for t, r in zip(got, records)], error
+
+
+class TestDeriveKernel:
+    """core._derived derives a block of records a column at a time; it
+    yields what derive_trial gives row by row, bit for bit, and stops with
+    its DomainError at the same row."""
+
+    @staticmethod
+    def _by_row(records):
+        return map(derive_trial, records)
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+    def test_clean_records_equal_the_row_path(self, n, monkeypatch):
+        records = _fuzzed_records(random.Random(n), n)
+        want = _outcome(self._by_row, records)
+        assert len(want[0]) == n and want[1] is None
+        calls = []
+        monkeypatch.setattr(core, "derive_trial", lambda r: calls.append(r))
+        assert _outcome(core._derived, records) == want
+        assert calls == []  # every block went a column at a time
+
+    @pytest.mark.parametrize("fields,where", [
+        ({"ball_distance_cm": 1e308, "ball_time_s": 1e-308}, 300),  # v overflows
+        ({"ball_distance_cm": 1e-300, "player_distance_cm": 1e-300}, 256),  # v*D underflows
+        ({"player_distance_cm": 1e308, "ball_distance_cm": 1e308}, 255),  # v*D overflows
+        ({"ball_distance_cm": "far"}, 0),  # a str field: TypeError
+        ({"movement_time_s": 0}, 599),  # MT = 0
+        ({"ball_time_s": -1.0, "ball_distance_cm": -5.0}, 400),  # v > 0 from two negatives
+    ], ids=["v_overflow", "product_underflow", "product_overflow", "text", "zero_mt",
+            "negative_pair"])
+    def test_a_bad_record_raises_as_the_row_path(self, fields, where):
+        records = _fuzzed_records(random.Random(where), 600)
+        records[where] = _unchecked(records[where], **fields)
+        want = _outcome(self._by_row, records)
+        assert len(want[0]) == where and want[1].startswith("trial (person=")
+        assert _outcome(core._derived, records) == want
+
+    def test_a_block_that_does_not_compute_goes_row_by_row(self, monkeypatch):
+        """A number-grammar str field derives as its number; only its block,
+        rows 256-511, is handed to derive_trial."""
+        records = _fuzzed_records(random.Random(3), 600)
+        records[300] = _unchecked(records[300], player_distance_cm="374")
+        want = _outcome(self._by_row, records)
+        assert len(want[0]) == 600 and want[1] is None
+        calls = []
+        row_path = core.derive_trial
+        monkeypatch.setattr(core, "derive_trial", lambda r: calls.append(r) or row_path(r))
+        assert _outcome(core._derived, records) == want
+        assert calls == records[256:512]
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -0.0, 5e-324, 1e308])
+    def test_edge_values_in_a_block_equal_the_row_path(self, value):
+        """A value that is not finite and > 0, or whose column sum overflows,
+        in each measured column of a 257-row set."""
+        for column in REQUIRED_COLUMNS[3:]:
+            records = _fuzzed_records(random.Random(7), 257)
+            name = TrialRecord._fields[REQUIRED_COLUMNS.index(column)]
+            for where in (0, 255, 256):
+                records[where] = _unchecked(records[where], **{name: value})
+            assert _outcome(core._derived, records) == _outcome(self._by_row, records)
 
 
 class TestCourtGeometry:

@@ -291,7 +291,7 @@ class TestRenderReport:
 
     @pytest.mark.parametrize("case", [
         "bundled", "bundled_exclude_drive", "many_persons",
-        "escaped_metadata", "non_finite_rates", "empty_groups"])
+        "escaped_metadata", "non_finite_rates", "empty_groups", "block_edges"])
     def test_matches_json_module_byte_for_byte(self, bundled, case):
         doc = _RENDER_CASES[case](bundled)
         want = json.dumps(oracles.report_document_dict(doc), indent=2,
@@ -299,8 +299,11 @@ class TestRenderReport:
         assert render_report_json(doc) == want
         assert json.dumps(pipeline.report_document_dict(doc), indent=2,
                           ensure_ascii=False) + "\n" == want
-        if case == "non_finite_rates":
+        if case in ("non_finite_rates", "block_edges"):
             assert all(s in want for s in ("NaN", " Infinity", "-Infinity"))
+        if case == "block_edges":  # rows in three blocks, spelled by both paths
+            assert all(s in want for s in ("-0.0,", "5e-324,", "1e+308,"))
+            assert len(doc.derived_table) > 2 * 256 and len(doc.per_person_shot_stats) > 256
 
     def test_non_finite_and_overflowing_rows_match_json_module(self, report):
         """Every float slot of one trial row and of one group row set in
@@ -542,24 +545,29 @@ class TestSharedAggregation:
     @pytest.mark.parametrize("consumer", ["figures", "fit"])
     def test_figure_and_fit_commands_derive_once_and_never_aggregate(
             self, tmp_path, capsys, monkeypatch, bundled, consumer):
-        aggregated, derived = [], []
+        """Every record passes through the derive kernel once, and its clean
+        block is derived a column at a time, without derive_trial."""
+        aggregated, derived, by_row = [], [], []
+        kernel = core._derived
 
         def counting_aggregate(trials):
             aggregated.append(trials)
             return aggregate(trials)
 
-        def counting_derive(record):
-            derived.append(record)
-            return derive_trial(record)
+        def counting_kernel(records):
+            records = list(records)
+            derived.extend(records)
+            return kernel(records)
 
         for module in (stats, pipeline):
             monkeypatch.setattr(module, "aggregate", counting_aggregate)
-        for module in (core, dataset_module, pipeline, cli):
-            monkeypatch.setattr(module, "derive_trial", counting_derive)
+        for module in (core, stats, pipeline, cli):
+            monkeypatch.setattr(module, "_derived", counting_kernel)
+        monkeypatch.setattr(core, "derive_trial", lambda record: by_row.append(record))
         argv = {"fit": ["fit", "--model", "squash"],
                 "figures": ["figures", "--output", str(tmp_path)]}[consumer]
         assert main(argv + ["--input", "bundled"]) == 0
-        assert aggregated == []
+        assert aggregated == [] and by_row == []
         assert len(derived) == 36
         assert set(derived) == set(bundled.trials)
 
@@ -586,6 +594,42 @@ def _non_finite_rates(bundled):
     return doc._replace(derived_table=doc.derived_table[:-1] + (last,))
 
 
+def _block_edges(bundled):
+    """560 trials and 280 person-shot groups, rendered in blocks of 256 rows:
+    NaN, +-inf, -0.0 and 5e-324 in every float column, on both sides of a
+    block edge, and a pair of 1e308 in one column and block, whose sum
+    overflows."""
+    doc = run_analysis(_synthetic(5, persons=70, trials=2))
+    values = (math.nan, math.inf, -math.inf, -0.0, 5e-324)
+    rows = (0, 255, 256, 300, 511, 512, 559)
+
+    def edited(items, fields, replace):
+        items = list(items)
+        for k, name in enumerate(fields):
+            for j, value in enumerate(values):
+                i = rows[(k + j) % len(rows)] % len(items)
+                items[i] = replace(items[i], name, value)
+        for i in (100, 101):  # finite values whose sum overflows
+            items[i] = replace(items[i], fields[-1], 1e308)
+        return tuple(items)
+
+    def trial(t, name, value):
+        if name in t._fields:
+            return t._replace(**{name: value})
+        fields = {**t.base._asdict(), name: value}  # TrialRecord would reject the value
+        return t._replace(base=tuple.__new__(TrialRecord, fields.values()))
+
+    group_fields = ("mean_id", "sd_id", "mean_mt", "sd_mt", "mean_ir")
+    return doc._replace(
+        derived_table=edited(doc.derived_table, (
+            "ball_distance_cm", "ball_time_s", "player_distance_cm", "movement_time_s",
+            "ball_speed_mps", "id_bits", "info_rate_bps"), trial),
+        per_person_shot_stats=edited(doc.per_person_shot_stats, group_fields,
+                                     lambda g, name, value: g._replace(**{name: value})),
+        per_shot_stats=tuple(g._replace(mean_ir=v) for g, v in zip(
+            doc.per_shot_stats, (math.nan, -0.0, 5e-324, 1.5))))
+
+
 _RENDER_CASES = {
     "bundled": run_analysis,
     "bundled_exclude_drive": lambda b: run_analysis(
@@ -597,4 +641,5 @@ _RENDER_CASES = {
     "non_finite_rates": _non_finite_rates,
     "empty_groups": lambda b: run_analysis(_synthetic(3, persons=1, trials=3))._replace(
         per_person_shot_stats=(), per_shot_stats=()),
+    "block_edges": _block_edges,
 }

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 
 import pytest
 
-from squashfitts import (AnalysisOptions, FigureSeries, UsageError,
+from squashfitts import (AnalysisOptions, FigureSeries, ShotKind, UsageError,
                          emit_series_csv, emit_svg, figure_series, ols_simple,
-                         run_analysis)
+                         parse_csv, run_analysis)
+from squashfitts import plot
 from squashfitts.cli import main
 from squashfitts.plot import FIGURES
+from squashfitts.stats import fit_columns, fit_overall
 
 import oracles
 from test_pipeline import _ragged, _shuffled_ragged_csv
@@ -182,3 +185,89 @@ class TestFrozenFigureBytes:
     def test_hand_built_series_svg(self, name):
         assert (_sha256(emit_svg(_EDGE_SERIES[name]))
                 == oracles.FROZEN_FIGURE_SHA256[name])
+
+
+def _circle_rows(series: FigureSeries) -> list:
+    """The circles of emit_svg by the per-point formula: each sorted point's
+    pixel, with the data bounds padded as _svg_chunks pads them."""
+    points = sorted(series.points)
+    x_min, x_max = points[0][0], points[-1][0]
+    ys = [y for _, y in points]
+    if series.fit is not None:
+        ys += [series.fit.predict(x_min), series.fit.predict(x_max)]
+    x_lo, x_hi = plot._padded(x_min, x_max)
+    y_lo, y_hi = plot._padded(min(ys), max(ys))
+    return [f'<circle cx="{60 + (x - x_lo) / (x_hi - x_lo) * 680:.2f}" '
+            f'cy="{540 - (y - y_lo) / (y_hi - y_lo) * 480:.2f}" r="3" '
+            f'fill="steelblue" fill-opacity="0.8"/>' for x, y in points]
+
+
+def _random_points(rng: random.Random, n: int, x=None, y=None) -> list:
+    return [(rng.uniform(-3.0, 12.0) if x is None else x,
+             rng.uniform(0.1, 3.0) if y is None else y) for _ in range(n)]
+
+
+class TestBlockRendering:
+    """emit_svg draws a block of circles from the sorted points' columns and
+    emit_series_csv writes each point's row once; both equal the per-point
+    formulas, and the figures command's merged fig4 equals figure_series's."""
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 700])
+    @pytest.mark.parametrize("span", ["both", "collapsed_x", "collapsed_y"])
+    def test_circles_and_rows_equal_the_per_point_formulas(self, n, span):
+        rng = random.Random(n)
+        points = _random_points(rng, n, x=2.5 if span == "collapsed_x" else None,
+                                y=1.25 if span == "collapsed_y" else None)
+        points += points[:n // 3]  # repeated points
+        rng.shuffle(points)
+        fit = None if span == "collapsed_x" or n < 2 else ols_simple(points)
+        series = FigureSeries("random", tuple(points), fit)
+        svg, csv_text = emit_svg(series), emit_series_csv(series)
+        assert [line for line in svg.splitlines() if line.startswith("<circle")] \
+            == _circle_rows(series)
+        assert csv_text.splitlines()[3:] == [f"{x!r},{y!r}" for x, y in sorted(points)]
+
+    @pytest.mark.parametrize("excluded", [(), ("Drive",), ("Lob", "Boast")])
+    def test_merged_overall_figure_equals_figure_series(self, excluded):
+        """Points repeated within and across shots, -0.0 beside 0.0: fig4's
+        rows keep _series's order of equal points."""
+        rng = random.Random(len(excluded))
+        shared = _random_points(rng, 40) + [(0.0, 1.0), (-0.0, 1.0)]
+        columns = {}
+        for kind in ShotKind:
+            points = _random_points(rng, rng.randint(300, 400)) + rng.sample(shared, 30)
+            points += [(0.0, 1.0), (-0.0, 1.0)] if kind is ShotKind.DROP else [(-0.0, 1.0)]
+            rng.shuffle(points)
+            columns[kind] = tuple(map(list, zip(*points)))
+        options = AnalysisOptions(frozenset(excluded))
+        fits = {None: fit_overall(columns, options),
+                **{kind: fit_columns(*columns[kind]) for kind in ShotKind}}
+        merged = plot._figure_set(columns, options, fits)
+        assert [s.label for s in merged] == [label for label, _ in FIGURES.values()]
+        for figure, series in zip(FIGURES, merged):
+            alone = plot._series(figure, columns, options, fits)
+            assert series.rows == alone.rows
+            assert emit_svg(series) == emit_svg(alone)
+            assert emit_series_csv(series) == emit_series_csv(alone)
+
+    @pytest.mark.parametrize("flags", [[], ["--exclude-shot", "drive"]])
+    def test_cli_figures_of_600_rows_equal_the_library(self, tmp_path, capsys, flags):
+        """Three blocks of records, one point repeated across two shots."""
+        shots = ("Drive", "Drop", "Lob", "Boast")
+        rows = ["%d,%s,%d,%s,%s,%s,%s" % (i // 12 + 1, shots[i % 4], i // 4 % 3 + 1,
+                                          586 + i % 37, 0.197 + i % 11 / 100,
+                                          374 + i % 23, 1.22 + i % 7 / 10)
+                for i in range(600)]
+        rows[301] = rows[300].replace("Drive", "Drop", 1)  # key (26, Drop, 1), row 300's point
+        text = "person,shot,trial,db_cm,t_s,dp_cm,mt_s\n" + "\n".join(rows) + "\n"
+        (tmp_path / "blocks.csv").write_text(text)
+        out = tmp_path / "figs"
+        assert main(["figures", "--input", str(tmp_path / "blocks.csv"),
+                     "--output", str(out)] + flags) == 0
+        dataset, report = parse_csv(text)
+        assert report.ok and len(dataset) == 600
+        doc = run_analysis(dataset, AnalysisOptions(frozenset(flags[1:])))
+        for figure, (label, _) in FIGURES.items():
+            series = figure_series(doc, figure)
+            assert (out / (label + ".svg")).read_text() == emit_svg(series)
+            assert (out / (label + ".csv")).read_text() == emit_series_csv(series)

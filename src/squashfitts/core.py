@@ -1,4 +1,4 @@
-"""Domain types and per-trial derivations for squash shot retrieval.
+"""Domain types, derivations and the rule of analysis for squash shot retrieval.
 
 A trial records how far and how long the ball travelled (to get its speed)
 and how far and how long the retrieving player moved. From those four
@@ -316,23 +316,32 @@ def _court_warnings(player_distance_cm: float, v: float, vd: float) -> list[str]
     return warnings
 
 
-def require_fittable(shot_ids) -> None:
+def _shot_columns(records) -> dict:
+    """shot -> (ids, mts) columns of the records, derived, in input order,
+    for every ShotKind (empty for a shot without trials): aggregate's
+    columns without its sort and statistics. Every fit is a math.fsum of
+    per-point terms, so a line fitted to them equals, bit for bit, one
+    fitted to aggregate's."""
+    columns = {kind: ([], []) for kind in ShotKind}
+    for t in _derived(records):
+        ids, mts = columns[t.base.shot]
+        ids.append(t.id_bits)
+        mts.append(t.base.movement_time_s)
+    return columns
+
+
+def require_fittable(columns: dict) -> None:
     """The rule of analysis: every shot has 2 trials with distinct IDs, so
-    that every line a run fits is determined. shot_ids yields each trial's
-    (shot, ID); the scan stops once every shot passes. A shot with < 2
-    trials is a UsageError, equal IDs a DegenerateDesignError; both name it."""
-    first, counts, passed = {}, dict.fromkeys(ShotKind, 0), set()
-    for shot, idb in shot_ids:
-        counts[shot] += 1
-        if first.setdefault(shot, idb) != idb:
-            passed.add(shot)
-            if len(passed) == len(ShotKind):
-                return
+    that every line a run fits is determined. columns maps every ShotKind to
+    its (ids, mts), as aggregate and _shot_columns give them. The first shot
+    in ShotKind order that breaks the rule is named: < 2 trials is a
+    UsageError, equal IDs a DegenerateDesignError."""
     rule = "every shot needs 2 trials with distinct IDs to fit its line"
     for kind in ShotKind:
-        n = counts[kind]
+        ids = columns[kind][0]
+        n = len(ids)
         if n < 2:
             raise UsageError(f"shot {kind} has {n} trial(s); {rule}")
-        if kind not in passed:
+        if ids.count(ids[0]) == n:
             raise DegenerateDesignError(
-                f"all {n} trials of shot {kind} have ID {first[kind]!r}; {rule}")
+                f"all {n} trials of shot {kind} have ID {ids[0]!r}; {rule}")

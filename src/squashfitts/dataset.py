@@ -322,7 +322,8 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     trials: list[TrialRecord] = []
     seen: dict[tuple, int] = {}
     # the header record ends at a newline: no "_" after the first, none in a data record
-    plain = text.isascii() and text.find("_", text.find("\n")) < 0
+    body = text.removeprefix("\ufeff")  # _records skips the mark, which is not ASCII
+    plain = body.isascii() and body.find("_", body.find("\n")) < 0
     for start, block in zip(count(2, _CHUNK_ROWS), _blocks(records)):
         clean = _block_trials(block, start, ncols, slowdown_factor, seen, report.warnings, plain)
         if clean is not None:

@@ -75,7 +75,7 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
     """
     options = options or AnalysisOptions()
     groups = aggregate(_derived(dataset.trials))
-    require_fittable((t.base.shot, t.id_bits) for t in groups.table)
+    require_fittable(groups.columns)
     subset_fits = {s.overall_subset: fit_overall(groups.columns, s) for s in _SUBSETS[1:]}
     return ReportDocument(
         options=options,

@@ -14,7 +14,7 @@ import math
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import _SHOT_ORDER, DerivedTrial, ShotKind, _Checked, _derived, _require_setting
+from .core import _SHOT_ORDER, DerivedTrial, ShotKind, _Checked, _require_setting
 from .errors import DegenerateDesignError, UndefinedCorrelationError, UsageError
 
 #: Relative threshold below which a design's scaled determinant counts as zero.
@@ -177,20 +177,6 @@ def aggregate(trials: Iterable[DerivedTrial]) -> Aggregation:
                        {kind: (ids, mts) for kind, (ids, mts, _) in by_shot.items()})
 
 
-def _shot_columns(records: Iterable) -> dict:
-    """shot -> (ids, mts) columns of the records, derived, in input order,
-    for every ShotKind (empty for a shot without trials): aggregate's
-    columns without its sort and statistics. Every fit is a math.fsum of
-    per-point terms, so a line fitted to them equals, bit for bit, one
-    fitted to aggregate's."""
-    columns = {kind: ([], []) for kind in ShotKind}
-    for t in _derived(records):
-        ids, mts = columns[t.base.shot]
-        ids.append(t.id_bits)
-        mts.append(t.base.movement_time_s)
-    return columns
-
-
 def group_stats(trials: Sequence[DerivedTrial], level: str = "person_shot",
                 ) -> list[GroupStats]:
     """Aggregate derived trials at person-by-shot or shot-only level.
@@ -277,7 +263,8 @@ def _joined(columns: dict, excluded) -> tuple[list[float], list[float]]:
 
 def fit_overall(columns: dict, options: AnalysisOptions) -> LinearFit:
     """The overall MT-vs-ID line over the shots options keeps, from the
-    columns of :func:`aggregate`: the report's and ``fit --model squash``'s."""
+    columns of :func:`aggregate` or ``core._shot_columns``: the report's,
+    the figures' and ``fit --model squash``'s."""
     try:
         return fit_columns(*_joined(columns, options.exclude_shots))
     except (UsageError, DegenerateDesignError) as exc:  # < 2 points, or all IDs equal

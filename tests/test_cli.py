@@ -20,8 +20,8 @@ import tracemalloc
 import pytest
 
 from squashfitts import (Dataset, PointingTrial, ShotKind, TrialRecord, UsageError,
-                         bundled_dataset, cli, derive_trial, fit_model, model_design_row,
-                         ols_simple, pipeline, plot, write_csv)
+                         bundled_dataset, cli, core, derive_trial, fit_model, model_design_row,
+                         ols_simple, pipeline, plot, stats, write_csv)
 from squashfitts.cli import main
 from squashfitts.dataset import REQUIRED_COLUMNS, bundled_text, parse_csv
 from squashfitts.variants import parse_pointing_csv
@@ -47,6 +47,21 @@ def good_csv(tmp_path):
     p.write_text(VALID_HEADER + "\n" + GOOD_ROW + "\n" +
                  "1,Drop,1,615,0.395,355,1.06\n")
     return p
+
+
+def _shot_major(path, one_boast_id=False):
+    """Write 600 trials, 150 of each shot in shot order, to path: the first
+    block of 256 holds drives and drops only. With one_boast_id every boast
+    has the same measurements, so the same ID."""
+    rows = [VALID_HEADER]
+    for i in range(600):
+        shot = list(ShotKind)[i // 150]
+        db, t, dp = ((586, 0.19, 374) if one_boast_id and shot is ShotKind.BOAST
+                     else (586 + i % 37, 0.19 + i % 11 / 100, 374 + i % 23))
+        rows.append(f"{i % 150 // 50 + 1},{shot},{i % 50 + 1},{db},{t:.2f},{dp},"
+                    f"{1.2 + i % 7 / 10:.1f}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
 
 
 @pytest.fixture
@@ -94,6 +109,42 @@ class TestValidate:
         assert main(["validate", "--input", str(p)]) == 0
         err = capsys.readouterr().err
         assert "36 valid trial(s)" in err and "0 error(s)" in err
+
+    def test_a_first_block_that_breaks_the_rule_is_not_the_verdict(self, tmp_path, capsys):
+        """The first 256 trials hold no lob and no boast; the whole file
+        meets the rule, so validate and report both exit 0."""
+        p = _shot_major(tmp_path / "shot_major.csv")
+        assert main(["validate", "--input", str(p)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"{p}: 600 valid trial(s)", "0 error(s), 0 warning(s)"]
+        assert main(["report", "--input", str(p), "--output", str(tmp_path / "r.json")]) == 0
+
+    def test_a_break_after_the_first_block_is_every_commands_one_error(
+            self, tmp_path, capsys):
+        p = _shot_major(tmp_path / "one_boast_id.csv", one_boast_id=True)
+        idb = derive_trial(TrialRecord(1, ShotKind.BOAST, 1, 586, 0.19, 374, 1.2)).id_bits
+        message = (f"all 150 trials of shot Boast have ID {idb!r}; "
+                   "every shot needs 2 trials with distinct IDs to fit its line")
+        assert main(["validate", "--input", str(p)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{p}: 600 valid trial(s)", "1 error(s), 0 warning(s)",
+            f"  error: row 0, column 'shot': {message}"]
+        for command in ("report", "figures"):
+            out = tmp_path / command
+            assert main([command, "--input", str(p), "--output", str(out)]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n"), command
+            assert not out.exists()
+
+    def test_clean_files_are_derived_without_derive_trial(self, tmp_path, capsys,
+                                                         monkeypatch):
+        """The rule's columns come from the derive kernel, a block of
+        columns at a time, on a first block that passes and on a file read
+        whole."""
+        by_row = []
+        monkeypatch.setattr(core, "derive_trial", lambda record: by_row.append(record))
+        for source in ("bundled", str(_shot_major(tmp_path / "shot_major.csv"))):
+            assert main(["validate", "--input", source]) == 0
+        assert by_row == []
 
 
 class TestDerive:
@@ -290,16 +341,31 @@ class TestFigures:
             assert capsys.readouterr() == ("", f"error: {message}\n"), command
             assert not out.exists()
 
-    def test_fittability_scan_reads_a_few_trials_of_each_shot(self, tmp_path, capsys,
-                                                             monkeypatch):
-        """The shots' columns take turns, so the scan stops after two
-        trials of each shot, not after all the drives, drops and lobs."""
-        read = []
-        check = cli.require_fittable
-        monkeypatch.setattr(cli, "require_fittable",
-                            lambda pairs: check(read.append(p) or p for p in pairs))
-        assert main(["figures", "--input", "bundled", "--output", str(tmp_path)]) == 0
-        assert [shot for shot, _ in read] == list(ShotKind) * 2
+    def test_the_rule_checks_the_id_columns_the_fits_read(self, tmp_path, capsys,
+                                                         monkeypatch):
+        """figures and report give require_fittable the per-shot ID lists
+        that their per-shot fits read, and that their overall fit reads
+        joined in shot order."""
+        checked, fitted, id_columns = [], [], {}
+        check, fit = core.require_fittable, stats.fit_columns
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "require_fittable",
+                                lambda columns: checked.append(columns) or check(columns))
+        for module in (stats, pipeline):
+            monkeypatch.setattr(module, "fit_columns",
+                                lambda xs, ys: fitted.append(xs) or fit(xs, ys))
+        for command in ("figures", "report"):
+            checked.clear()
+            fitted.clear()
+            out = tmp_path / command
+            assert main([command, "--input", "bundled", "--output", str(out)]) == 0
+            [columns] = checked
+            ids = [columns[kind][0] for kind in ShotKind]
+            assert [len(column) for column in ids] == [9] * 4
+            assert all(any(xs is column for xs in fitted) for column in ids)
+            assert sum(ids, []) in fitted  # the overall line
+            id_columns[command] = {kind: sorted(ids) for kind, (ids, _) in columns.items()}
+        assert id_columns["figures"] == id_columns["report"]
 
     def test_idempotent_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

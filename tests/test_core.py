@@ -6,7 +6,7 @@ import random
 import pytest
 
 from squashfitts import (DegenerateDesignError, DomainError, ShotKind, TrialRecord,
-                         ball_speed, derive_trial, index_of_difficulty,
+                         UsageError, ball_speed, derive_trial, index_of_difficulty,
                          information_rate, parse_csv)
 from squashfitts import core
 from squashfitts.core import MAX_PLAYER_REACH_M, require_fittable
@@ -424,10 +424,49 @@ class TestCourtScreen:
 
 
 class TestRequireFittable:
+    """The rule of analysis, checked on shot -> (ids, mts) columns."""
+
+    RULE = "every shot needs 2 trials with distinct IDs to fit its line"
+
+    @staticmethod
+    def _columns(**ids):
+        """IDs 5.0 and 6.0 in every shot but the ones named, by value."""
+        columns = {kind: ([5.0, 6.0], [1.0, 1.2]) for kind in ShotKind}
+        for name, column in ids.items():
+            columns[ShotKind(name)] = (column, [1.0] * len(column))
+        return columns
+
+    @pytest.mark.parametrize("ids", [[5.0, 6.0], [6.5, 6.5, 7.0], [7.0, 6.5, 6.5],
+                                     [6.5, 7.0, 6.5]])
+    def test_two_distinct_ids_in_every_shot_pass(self, ids):
+        assert require_fittable(self._columns(**{kind.value: ids for kind in ShotKind})) is None
+
     def test_two_trials_of_equal_id_are_a_degenerate_design_naming_it(self):
-        shot_ids = [(ShotKind.DRIVE, 6.5), (ShotKind.DRIVE, 6.5),
-                    *((kind, idb) for kind in list(ShotKind)[1:] for idb in (5.0, 6.0))]
         with pytest.raises(DegenerateDesignError) as exc:
-            require_fittable(shot_ids)
+            require_fittable(self._columns(Drive=[6.5, 6.5]))
         assert str(exc.value) == ("all 2 trials of shot Drive have ID 6.5; every shot "
                                   "needs 2 trials with distinct IDs to fit its line")
+
+    @pytest.mark.parametrize("kind", list(ShotKind), ids=str)
+    @pytest.mark.parametrize("ids", [[], [6.5]], ids=["0_trials", "1_trial"])
+    def test_fewer_than_two_trials_are_a_usage_error_naming_the_shot(self, kind, ids):
+        with pytest.raises(UsageError) as exc:
+            require_fittable(self._columns(**{kind.value: ids}))
+        assert str(exc.value) == f"shot {kind} has {len(ids)} trial(s); {self.RULE}"
+
+    @pytest.mark.parametrize("kind", list(ShotKind), ids=str)
+    def test_equal_ids_are_a_degenerate_design_naming_the_shot(self, kind):
+        with pytest.raises(DegenerateDesignError) as exc:
+            require_fittable(self._columns(**{kind.value: [0.1 + 0.2] * 3}))
+        assert str(exc.value) == (f"all 3 trials of shot {kind} have ID "
+                                  f"0.30000000000000004; {self.RULE}")
+
+    @pytest.mark.parametrize("first,later", [
+        (a, b) for i, a in enumerate(ShotKind) for b in list(ShotKind)[i + 1:]], ids=str)
+    def test_the_first_breaking_shot_in_shot_order_is_named(self, first, later):
+        for first_ids, later_ids, error in (([6.5, 6.5], [], DegenerateDesignError),
+                                            ([6.5], [7.0, 7.0], UsageError)):
+            with pytest.raises(error) as exc:
+                require_fittable(self._columns(**{later.value: later_ids,
+                                                  first.value: first_ids}))
+            assert f"shot {first} " in str(exc.value)

@@ -764,6 +764,16 @@ class TestBlockPath:
         assert report.errors == errors
         assert report.warnings == [(12, warning) for warning in want]
 
+    def test_a_byte_order_mark_keeps_clean_blocks_untested(self, monkeypatch):
+        """The mark is skipped before the whole-text hint is taken, so no
+        block of a clean file with a mark has its cells joined and tested."""
+        calls = []
+        plain = dataset_module._plain
+        monkeypatch.setattr(dataset_module, "_plain",
+                            lambda text: calls.append(text) or plain(text))
+        dataset, report = parse_csv("\ufeff" + "\n".join(_many_rows(600)) + "\n")
+        assert report.ok and len(dataset) == 600 and calls == []
+
     def test_only_a_refused_block_is_read_row_by_row(self, monkeypatch):
         calls = []
         clean_row = dataset_module._clean_row

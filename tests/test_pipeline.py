@@ -561,7 +561,7 @@ class TestSharedAggregation:
 
         for module in (stats, pipeline):
             monkeypatch.setattr(module, "aggregate", counting_aggregate)
-        for module in (core, stats, pipeline, cli):
+        for module in (core, pipeline, cli):
             monkeypatch.setattr(module, "_derived", counting_kernel)
         monkeypatch.setattr(core, "derive_trial", lambda record: by_row.append(record))
         argv = {"fit": ["fit", "--model", "squash"],

@@ -207,11 +207,11 @@ def cmd_figures(args, options) -> int:
     columns = _shot_columns(_load(args).trials)
     # run_analysis's check, then the lines the figures draw, in its order
     require_fittable(columns)
-    fits = {None: fit_overall(columns, options),
-            **{kind: fit_columns(*columns[kind]) for kind in ShotKind}}
+    overall = fit_overall(columns, options)
+    shot_fits = {kind: fit_columns(*columns[kind]) for kind in ShotKind}
     os.makedirs(args.output, exist_ok=True)
     written = []
-    for series in _figure_set(columns, options, fits):
+    for series in _figure_set(columns, options, overall, shot_fits):
         for ext, chunks in ((".svg", _svg_chunks(series)),  # both checked before a write
                             (".csv", _series_csv_chunks(series))):
             path = os.path.join(args.output, series.label + ext)

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .core import DerivedTrial, ShotKind, _derived, require_fittable
 from .dataset import BUNDLED_TRIALS, DERIVED_COLUMNS, REQUIRED_COLUMNS, Dataset, _chunks
+from .errors import UsageError
 from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
                         PUBLISHED_TREND_INTERCEPT, PUBLISHED_TREND_SLOPE,
                         REFERENCE_THROUGHPUT_MEAN_BPS,
@@ -93,11 +94,16 @@ def run_analysis(dataset: Dataset, options: AnalysisOptions | None = None,
 
 def figure_series(report: ReportDocument, figure: int):
     """The plot.FigureSeries of one of the five standard figures: 4 =
-    overall scatter plus the overall fit, 5-8 = one shot each (drives,
-    boasts, lobs, drops) with that shot's fit."""
-    from .plot import _series  # here: the report draws no figure
-    return _series(figure, report.columns, report.options,
-                   {None: report.overall_fit, **report.per_shot_fits})
+    overall scatter plus the overall fit, its points sorted, as `figures` builds
+    it; 5-8 = one shot each (drives, boasts, lobs, drops) with that shot's fit."""
+    from .plot import FIGURES, FigureSeries, _figure_set  # here: the report draws no figure
+    if figure not in FIGURES:
+        raise UsageError(f"unknown figure {figure!r} (valid: 4, 5, 6, 7, 8)")
+    label, shot = FIGURES[figure]
+    if shot is None:
+        return _figure_set(report.columns, report.options, report.overall_fit,
+                           report.per_shot_fits)[0]
+    return FigureSeries(label, tuple(zip(*report.columns[shot])), report.per_shot_fits[shot])
 
 
 # --- cross-checks against the published reference values ----------------

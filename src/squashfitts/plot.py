@@ -5,10 +5,12 @@ The SVG output is deliberately minimal and byte-deterministic: a fixed
 <circle>, and the fitted trend as a single <line> spanning only the
 observed x-range (no extrapolation). The data-to-pixel mapping is affine
 with the y axis inverted; axis bounds are the data and fit-end bounds
-padded by 5% per side (+-0.5 around a collapsed span). The circles are
-drawn from a block of points' columns at a time, and each point's CSV row
-is formatted once, for its shot's figure and for fig4.
+padded by 5% per side (+-0.5 around a collapsed span), and a point, fit end
+or axis span that is NaN or infinite is a UsageError. The circles are drawn
+from a block of points' columns at a time, and _figure_set, the one builder of
+the five series, formats each point's CSV row once, for its shot's figure and fig4.
 """
+import math
 from functools import cached_property
 from itertools import chain, repeat
 from operator import add, itemgetter, mul, sub, truediv
@@ -17,7 +19,7 @@ from typing import NamedTuple
 from .core import ShotKind
 from .dataset import _chunks
 from .errors import UsageError
-from .stats import AnalysisOptions, LinearFit, _joined
+from .stats import AnalysisOptions, LinearFit
 
 #: Figure number -> (series label, shot filter; None = overall).
 FIGURES = {
@@ -45,7 +47,12 @@ class FigureSeries(NamedTuple("FigureSeries", [
 
     @cached_property
     def sorted_points(self) -> tuple:
-        """points ascending by id then mt, as both figure files list them."""
+        """points ascending by id then mt, as both figure files list them; a
+        coordinate that is not finite is a UsageError."""
+        if not math.isfinite(sum(chain.from_iterable(self.points))):  # NaN, inf or overflow
+            bad = [p for p in self.points if not all(map(math.isfinite, p))]
+            if bad:
+                raise UsageError(f"figure points must be finite, got {bad[0]!r}")
         return tuple(sorted(self.points))
 
     @cached_property
@@ -54,26 +61,17 @@ class FigureSeries(NamedTuple("FigureSeries", [
         return tuple(map("%r,%r".__mod__, self.sorted_points))
 
 
-def _series(figure: int, columns: dict, options: AnalysisOptions,
-            fits: dict) -> FigureSeries:
-    """The series of figure from shot -> (ids, mts) columns; fits maps None
-    to the overall line and each ShotKind to its own line."""
-    if figure not in FIGURES:
-        raise UsageError(f"unknown figure {figure!r} (valid: 4, 5, 6, 7, 8)")
-    label, shot = FIGURES[figure]
-    xs, ys = _joined(columns, options.exclude_shots) if shot is None else columns[shot]
-    return FigureSeries(label=label, points=tuple(zip(xs, ys)), fit=fits[shot])
-
-
-def _figure_set(columns: dict, options: AnalysisOptions, fits: dict) -> list:
-    """The series of every figure, in figure order, whose files are _series's; fig4's sorted
-    points and rows are its shots' sorted runs, in shot order, merged by a stable sort."""
-    shots = {shot: _series(figure, columns, options, fits)
-             for figure, (_, shot) in FIGURES.items() if shot is not None}
+def _figure_set(columns: dict, options: AnalysisOptions, overall_fit: LinearFit,
+                shot_fits: dict) -> list:
+    """The five figures' series, in figure order, from shot -> (ids, mts) columns:
+    a shot's points in table order with shot_fits[shot]; fig4's with overall_fit,
+    the sorted runs of the shots options keeps, in shot order, merged by a stable sort."""
+    shots = {shot: FigureSeries(label, tuple(zip(*columns[shot])), shot_fits[shot])
+             for label, shot in FIGURES.values() if shot is not None}
     pairs = sorted(chain.from_iterable(zip(shots[k].sorted_points, shots[k].rows)
                                        for k in ShotKind if k not in options.exclude_shots),
                    key=itemgetter(0))
-    overall = FigureSeries(FIGURES[4][0], tuple(map(itemgetter(0), pairs)), fits[None])
+    overall = FigureSeries(FIGURES[4][0], tuple(map(itemgetter(0), pairs)), overall_fit)
     overall.__dict__.update(sorted_points=overall.points, rows=tuple(map(itemgetter(1), pairs)))
     return [overall, *shots.values()]
 
@@ -128,12 +126,13 @@ def _svg_chunks(series: FigureSeries):
         raise UsageError("cannot plot an empty series")
     x_min, x_max = series.sorted_points[0][0], series.sorted_points[-1][0]
     ys = [p[1] for p in series.points]
-    if series.fit is not None:
-        fit_ys = series.fit.predict(x_min), series.fit.predict(x_max)
-        ys += fit_ys
+    fit_ys = () if series.fit is None else (series.fit.predict(x_min), series.fit.predict(x_max))
+    ys += fit_ys
     x_lo, x_hi = _padded(x_min, x_max)
     y_lo, y_hi = _padded(min(ys), max(ys))
     x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    if not all(map(math.isfinite, (*fit_ys, x_span, y_span))):  # NaN, or an overflow
+        raise UsageError(f"fit ends and axis spans must be finite: {(*fit_ys, x_span, y_span)!r}")
     left, right = MARGIN_PX, WIDTH_PX - MARGIN_PX
     top, bottom = MARGIN_PX, HEIGHT_PX - MARGIN_PX
     plot_w, plot_h = right - left, bottom - top

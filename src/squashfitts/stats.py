@@ -249,24 +249,18 @@ class AnalysisOptions(_Checked, NamedTuple("AnalysisOptions", [
         return "exclude_" + "+".join(names)
 
 
-def _joined(columns: dict, excluded) -> tuple[list[float], list[float]]:
-    """The (ids, mts) columns of every shot but the excluded ones,
-    concatenated in shot order."""
+def fit_overall(columns: dict, options: AnalysisOptions) -> LinearFit:
+    """The overall MT-vs-ID line over the shots options keeps, from the
+    columns of :func:`aggregate` or ``core._shot_columns``, joined in shot
+    order: the report's, the figures' and ``fit --model squash``'s."""
     xs, ys = [], []
     for kind in ShotKind:
-        if kind not in excluded:
+        if kind not in options.exclude_shots:
             ids, mts = columns[kind]
             xs += ids
             ys += mts
-    return xs, ys
-
-
-def fit_overall(columns: dict, options: AnalysisOptions) -> LinearFit:
-    """The overall MT-vs-ID line over the shots options keeps, from the
-    columns of :func:`aggregate` or ``core._shot_columns``: the report's,
-    the figures' and ``fit --model squash``'s."""
     try:
-        return fit_columns(*_joined(columns, options.exclude_shots))
+        return fit_columns(xs, ys)
     except (UsageError, DegenerateDesignError) as exc:  # < 2 points, or all IDs equal
         raise type(exc)(f"overall fit ({options.overall_subset}): {exc}")
 

@@ -13,7 +13,7 @@ from squashfitts import (AnalysisOptions, Dataset, DomainError, ShotKind,
                          bundled_dataset, derive_trial, figure_series, mean,
                          ols_simple, parse_csv, population_sd,
                          render_report_json, run_analysis, write_csv)
-from squashfitts import cli, core, pipeline, stats
+from squashfitts import cli, core, pipeline, plot, stats
 from squashfitts import dataset as dataset_module
 from squashfitts.cli import main
 from squashfitts.published import PUBLISHED_GROUP_STATS, published_rows
@@ -163,9 +163,29 @@ class TestFigureSeries:
         assert len(s.points) == 27
         assert s.fit == doc.overall_fit
 
-    def test_unknown_figure(self, report):
-        with pytest.raises(UsageError):
-            figure_series(report, 9)
+    @pytest.mark.parametrize("figure", [0, 9, "4", True])
+    def test_unknown_figure(self, report, figure):
+        with pytest.raises(UsageError, match=r"^unknown figure .* \(valid: 4, 5, 6, 7, 8\)$"):
+            figure_series(report, figure)
+
+    @pytest.mark.parametrize("excluded", [(), ("Drive",), ("Lob", "Boast")])
+    def test_overall_points_are_the_kept_shots_points_sorted(self, bundled, excluded):
+        doc = run_analysis(bundled, AnalysisOptions(frozenset(excluded)))
+        joined = [p for kind in ShotKind if kind not in doc.options.exclude_shots
+                  for p in zip(*doc.columns[kind])]
+        assert figure_series(doc, 4).points == tuple(sorted(joined))
+
+    def test_shot_figures_are_built_without_the_figure_set(self, report, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a shot figure built the five series")
+        monkeypatch.setattr(plot, "_figure_set", refuse)
+        for figure, (label, shot) in plot.FIGURES.items():
+            if shot is not None:
+                s = figure_series(report, figure)
+                assert (s.label, s.fit) == (label, report.per_shot_fits[shot])
+                assert s.points == tuple(zip(*report.columns[shot]))
+        with pytest.raises(AssertionError, match="five series"):
+            figure_series(report, 4)
 
 
 class TestCrossChecks:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import re
 
@@ -12,7 +13,7 @@ from squashfitts import (AnalysisOptions, FigureSeries, ShotKind, UsageError,
 from squashfitts import plot
 from squashfitts.cli import main
 from squashfitts.plot import FIGURES
-from squashfitts.stats import fit_columns, fit_overall
+from squashfitts.stats import LinearFit, fit_columns, fit_overall
 
 import oracles
 from test_pipeline import _ragged, _shuffled_ragged_csv
@@ -55,6 +56,60 @@ class TestSeriesCsv:
     def test_label_that_would_add_lines_or_markup_is_rejected(self, label):
         with pytest.raises(UsageError, match="figure label must be printable"):
             emit_series_csv(_series([(1.0, 2.0), (2.0, 3.0)], label=label))
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFinite:
+    """Both emitters refuse a coordinate that is not finite, and emit_svg a
+    fitted line end or an axis range that is not, in the call, before a
+    chunk is yielded: no file holds a nan or an inf."""
+
+    SORTED = ((1.0, 2.0), (2.0, 3.0), (3.0, 5.0))
+    LINE = LinearFit(1.0, 1.0, 1.0, 1.0, 3)
+
+    @pytest.mark.parametrize("value", _NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("fit", [None, LINE], ids=["no_fit", "fit"])
+    @pytest.mark.parametrize("chunks", [plot._svg_chunks, plot._series_csv_chunks],
+                             ids=["svg", "csv"])
+    def test_point_that_is_not_finite_is_refused(self, value, axis, position, fit, chunks):
+        points = [list(p) for p in self.SORTED]
+        points[position][axis] = value
+        series = FigureSeries("t", tuple(map(tuple, points)), fit)
+        with pytest.raises(UsageError, match=r"^figure points must be finite, got \("):
+            chunks(series)
+
+    @pytest.mark.parametrize("emit", [emit_svg, emit_series_csv])
+    def test_the_reported_point_is_the_first_that_is_not_finite(self, emit):
+        series = FigureSeries("t", ((1.0, 2.0), (math.nan, 3.0), (2.0, math.inf)), None)
+        with pytest.raises(UsageError, match=r"got \(nan, 3\.0\)$"):
+            emit(series)
+
+    @pytest.mark.parametrize("fit", [LinearFit(math.nan, 0.0, 1.0, 1.0, 3),
+                                     LinearFit(1.0, math.inf, 1.0, 1.0, 3),
+                                     LinearFit(1e308, 0.0, 1.0, 1.0, 3)],
+                             ids=["nan_slope", "inf_intercept", "predict_overflows"])
+    def test_fitted_line_end_that_is_not_finite_is_refused(self, fit):
+        series = FigureSeries("t", self.SORTED, fit)
+        with pytest.raises(UsageError, match="fit ends and axis spans must be finite: "):
+            plot._svg_chunks(series)
+        assert emit_series_csv(series).count("\n") == 6  # the CSV draws no line
+
+    def test_axis_range_that_overflows_is_refused(self):
+        series = FigureSeries("t", ((-1e308, 1.0), (1e308, 2.0)), None)
+        with pytest.raises(UsageError, match=r"axis spans must be finite: \(inf, 1\.09"):
+            plot._svg_chunks(series)
+        assert emit_series_csv(series).splitlines()[3:] == ["-1e+308,1.0", "1e+308,2.0"]
+
+    def test_finite_points_whose_sum_overflows_are_drawn(self):
+        series = FigureSeries("t", ((1e308, 1.0), (1e308, 2.0), (1.7e308, 3.0)), None)
+        svg = emit_svg(series)
+        assert svg.count("<circle") == 3
+        assert re.search(r"\b(nan|inf)\b", svg) is None
+        assert emit_series_csv(series).splitlines()[3] == "1e+308,1.0"
 
 
 class TestPointOrder:
@@ -230,7 +285,9 @@ class TestBlockRendering:
     @pytest.mark.parametrize("excluded", [(), ("Drive",), ("Lob", "Boast")])
     def test_merged_overall_figure_equals_figure_series(self, excluded):
         """Points repeated within and across shots, -0.0 beside 0.0: fig4's
-        rows keep _series's order of equal points."""
+        merged rows are those of the kept shots' points joined in shot order,
+        sorted by one stable sort, and every figure's files are the files of
+        its hand-built series."""
         rng = random.Random(len(excluded))
         shared = _random_points(rng, 40) + [(0.0, 1.0), (-0.0, 1.0)]
         columns = {}
@@ -240,15 +297,20 @@ class TestBlockRendering:
             rng.shuffle(points)
             columns[kind] = tuple(map(list, zip(*points)))
         options = AnalysisOptions(frozenset(excluded))
-        fits = {None: fit_overall(columns, options),
-                **{kind: fit_columns(*columns[kind]) for kind in ShotKind}}
-        merged = plot._figure_set(columns, options, fits)
+        overall = fit_overall(columns, options)
+        shot_fits = {kind: fit_columns(*columns[kind]) for kind in ShotKind}
+        joined = [p for kind in ShotKind if kind not in options.exclude_shots
+                  for p in zip(*columns[kind])]
+        references = [FigureSeries(label, tuple(joined), overall) if shot is None else
+                      FigureSeries(label, tuple(zip(*columns[shot])), shot_fits[shot])
+                      for label, shot in FIGURES.values()]
+        merged = plot._figure_set(columns, options, overall, shot_fits)
         assert [s.label for s in merged] == [label for label, _ in FIGURES.values()]
-        for figure, series in zip(FIGURES, merged):
-            alone = plot._series(figure, columns, options, fits)
+        for series, alone in zip(merged, references):
             assert series.rows == alone.rows
             assert emit_svg(series) == emit_svg(alone)
             assert emit_series_csv(series) == emit_series_csv(alone)
+        assert "-0.0,1.0" in merged[0].rows and "0.0,1.0" in merged[0].rows
 
     @pytest.mark.parametrize("flags", [[], ["--exclude-shot", "drive"]])
     def test_cli_figures_of_600_rows_equal_the_library(self, tmp_path, capsys, flags):

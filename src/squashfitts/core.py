@@ -113,11 +113,21 @@ def _number(text: str, kind=float):
     raise ValueError(f"not a number: {text!r}")
 
 
-def _require_positive(value: float, name: str) -> float:
+def _float(value, name: str) -> float:
+    """value as a float: a str in the number grammar, else float(value). A
+    value that is no number (None, "x") or that no float holds (10**400) is
+    a DomainError naming the field name."""
     try:
-        value = _number(value) if isinstance(value, str) else float(value)
+        return _number(value) if isinstance(value, str) else float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}", field=name) from None
+    except OverflowError:  # its digits may be too many for a message
+        raise DomainError(f"{name} must be within the float range, got a number too "
+                          "large for a float", field=name) from None
+
+
+def _require_positive(value: float, name: str) -> float:
+    value = _float(value, name)
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be a finite number > 0, got {value!r}", field=name)
     return value
@@ -221,7 +231,7 @@ def index_of_difficulty(ball_speed_mps: float, player_distance_m: float) -> floa
 def information_rate(id_bits: float, movement_time_s: float) -> float:
     """Information rate (throughput) in bits/s: ID / MT."""
     mt = _require_positive(movement_time_s, "movement_time_s")
-    return float(id_bits) / mt
+    return _float(id_bits, "id_bits") / mt
 
 
 def _underivable(v: float, vd: float) -> tuple[str, str] | None:

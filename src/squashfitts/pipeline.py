@@ -97,7 +97,7 @@ def figure_series(report: ReportDocument, figure: int):
     overall scatter plus the overall fit, its points sorted, as `figures` builds
     it; 5-8 = one shot each (drives, boasts, lobs, drops) with that shot's fit."""
     from .plot import FIGURES, FigureSeries, _figure_set  # here: the report draws no figure
-    if figure not in FIGURES:
+    if type(figure) is not int or figure not in FIGURES:  # not a bool, not 4.0
         raise UsageError(f"unknown figure {figure!r} (valid: 4, 5, 6, 7, 8)")
     label, shot = FIGURES[figure]
     if shot is None:
@@ -328,34 +328,73 @@ _GROUP_STATS = ("mean_id", "sd_id", "mean_mt", "sd_mt", "mean_ir")
 _GROUP_ROW = _row_template(("group", "person_id", "shot", "n", *_GROUP_STATS),
                            _GROUP_STATS, 6)
 
-#: Kind -> its JSON string, so no row reads Enum's Python-level .value;
-#: None -> JSON null, for a group's absent person.
+#: Kind -> its JSON string, so no row reads Enum's Python-level .value.
 _SHOT_JSON = {kind: encode_basestring(kind.value) for kind in ShotKind}
-_NULL = {None: "null"}
+#: Kind -> the %-template of the JSON label, str(GroupKey(person, kind)), of an int person.
+_LABEL = {kind: encode_basestring(f"person %d / {kind.value}") for kind in ShotKind}
+
+#: The "%.2f" kernel of _display spells repr(round(x, 2)) below 2**46 (about
+#: 7.0e13), not always above; it takes display values strictly inside this bound.
+_DISPLAY_BOUND = 1e13
 
 
-def _json_columns(columns, shown) -> list:
-    """Float columns, then the shown ones rounded to 2 decimals, as %s values; json.dumps
-    spells a column whose sum is not finite (NaN, +-inf, or a sum that overflows)."""
-    columns = [*columns, *(list(map(round, col, repeat(2))) for col in shown)]
-    return [col if math.isfinite(sum(col)) else map(json.dumps, col) for col in columns]
+def _spelled(col, types: set):
+    """A column, whose values have these types, as %s values: the column
+    itself where %s spells every value as json.dumps does (all ints, or all
+    floats with a finite sum), else json.dumps of each value (NaN, +-inf,
+    None, a bool, a float subclass)."""
+    if types == {int} or types == {float} and math.isfinite(sum(col)):
+        return col
+    return map(json.dumps, col)
+
+
+def _display(col, types: set):
+    """json.dumps(round(x, 2)) of each value of a column whose values have
+    these types, as %s values. Floats, all finite and strictly inside
+    +-_DISPLAY_BOUND, are "%.2f" less one trailing "0" ("1.50" -> "1.5",
+    "-0.00" -> "-0.0"): round and "%.2f" share one correctly rounded dtoa,
+    and below 2**46 the shortest repr of the rounded value is that string.
+    One % formats the column, each value followed by "\n", so "0\n" is
+    exactly a value's trailing "0"."""
+    if (types == {float} and math.isfinite(sum(col))
+            and -_DISPLAY_BOUND < min(col) and max(col) < _DISPLAY_BOUND):
+        text = ("%.2f\n" * len(col)) % tuple(col)
+        return text.replace("0\n", "\n").split("\n")[:-1]
+    return map(json.dumps, map(round, col, repeat(2)))
+
+
+def _json_columns(columns, shown: int) -> list:
+    """The columns as %s values (_spelled), then the display values
+    (_display) of the last shown of them; each column's types are read once."""
+    types = [{*map(type, col)} for col in columns]
+    cut = len(columns) - shown
+    return [*map(_spelled, columns, types), *map(_display, columns[cut:], types[cut:])]
 
 
 def _trial_rows(block: list):
     """The derived_trials rows of a block of DerivedTrials, a column at a time."""
     bases, *derived = zip(*block)
     persons, shots, trials, *measured = zip(*bases)
-    return map(_TRIAL_ROW.__mod__, zip(persons, map(_SHOT_JSON.__getitem__, shots), trials,
-                                       *_json_columns((*measured, *derived), derived)))
+    return map(_TRIAL_ROW.__mod__, zip(
+        _spelled(persons, {*map(type, persons)}), map(_SHOT_JSON.__getitem__, shots),
+        *_json_columns((trials, *measured, *derived), len(derived))))
 
 
 def _group_rows(block: list):
-    """The group_stats rows of a block of GroupStats, a column at a time."""
+    """The group_stats rows of a block of GroupStats, a column at a time. Where
+    every person is an int and every shot a ShotKind, the labels are one %
+    map over those two columns; elsewhere (a per-shot row's person is None)
+    each is str(key)."""
     keys, ns, *stats = zip(*block)
     persons, shots = zip(*keys)
+    person_types = {*map(type, persons)}
+    if person_types == {int} and {*map(type, shots)} == {ShotKind}:
+        labels = map(str.__mod__, map(_LABEL.__getitem__, shots), persons)
+    else:
+        labels = map(encode_basestring, map(str, keys))
     return map(_GROUP_ROW.__mod__, zip(
-        map(encode_basestring, map(str, keys)), map(_NULL.get, persons, persons),
-        map(_SHOT_JSON.get, shots, repeat("null")), ns, *_json_columns(stats, stats)))
+        labels, _spelled(persons, person_types), map(_SHOT_JSON.get, shots, repeat("null")),
+        *_json_columns((ns, *stats), len(stats))))
 
 
 def _array(items, render, indent: str):
@@ -390,7 +429,10 @@ def render_report_json(report: ReportDocument) -> str:
     fill the %s slots of row templates the json module laid out once at
     import, because indent= forces its pure-Python encoder on every row.
     They are filled a block of _CHUNK_ROWS rows at a time, from the block's
-    columns, with no Python call per row.
+    columns, with no Python call per row: a column goes in as it is where
+    %s spells it as json.dumps does, a 2-decimal display column of finite
+    floats inside +-_DISPLAY_BOUND as "%.2f" less one trailing "0", and a
+    block's group labels from one % map (see _json_columns).
     """
     return "".join(_report_chunks(report))
 

@@ -50,6 +50,9 @@ class PointingTrial(_Checked, NamedTuple("PointingTrial", [
                 ok = math.isfinite(value) and (value > 0 or value == 0 and rule == ">= 0")
             except TypeError:  # not a number
                 ok = False
+            except OverflowError:  # an int that no float holds; its digits may be too many
+                raise DomainError(f"{name} must be a finite number {rule}, got a number "
+                                  "too large for a float", field=name) from None
             if not ok:
                 raise DomainError(f"{name} must be a finite number {rule}, got {value!r}",
                                   field=name)

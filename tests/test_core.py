@@ -59,6 +59,8 @@ class TestTrialRecord:
         ("person_id", 0), ("trial_index", -1), ("ball_distance_cm", 0.0),
         ("ball_time_s", -0.1), ("player_distance_cm", 0.0),
         ("movement_time_s", 0.0), ("person_id", "1"),
+        pytest.param("ball_distance_cm", 10**400, id="ball_distance_cm-1e400"),
+        pytest.param("movement_time_s", -10**400, id="movement_time_s--1e400"),
     ])
     def test_rejects_non_positive_fields(self, field, value):
         kwargs = dict(person_id=1, shot=ShotKind.DRIVE, trial_index=1,
@@ -121,6 +123,19 @@ class TestBallSpeed:
             ball_speed(d, t)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("call,field", [
+        (lambda: ball_speed(10**400, 0.197), "ball_distance_cm"),
+        (lambda: ball_speed(586, 10**5000), "ball_time_s"),
+        (lambda: index_of_difficulty(10**400, 3.74), "ball_speed_mps"),
+        (lambda: index_of_difficulty(29.75, -10**400), "player_distance_m")])
+    def test_int_beyond_the_float_range_is_a_domain_error(self, call, field):
+        # float() of the int overflows; a message cannot hold 5,001 digits
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert (str(exc.value), exc.value.field) == (
+            f"{field} must be within the float range, got a number too large "
+            "for a float", field)
+
 
 class TestIndexOfDifficulty:
     def test_reference_row_one(self):
@@ -152,6 +167,21 @@ class TestInformationRate:
     def test_rejects_non_positive_mt(self):
         with pytest.raises(DomainError):
             information_rate(5.0, 0.0)
+
+    @pytest.mark.parametrize("id_bits,message", [
+        (None, "id_bits must be a number, got None"),
+        ("x", "id_bits must be a number, got 'x'"),
+        (10**400, "id_bits must be within the float range, got a number too large "
+                  "for a float")], ids=["none", "string", "1e400"])
+    def test_id_bits_that_is_no_float_is_a_domain_error(self, id_bits, message):
+        with pytest.raises(DomainError) as exc:
+            information_rate(id_bits, 1.2)
+        assert (str(exc.value), exc.value.field) == (message, "id_bits")
+
+    def test_id_bits_may_be_any_float(self):
+        assert information_rate(-3, 2.0) == -1.5
+        assert information_rate("6.8", 2.0) == 3.4
+        assert math.isnan(information_rate(math.nan, 2.0))
 
 
 class TestDeriveTrial:

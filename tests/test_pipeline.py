@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+from json.encoder import encode_basestring
 
 import pytest
 
@@ -17,7 +18,7 @@ from squashfitts import cli, core, pipeline, plot, stats
 from squashfitts import dataset as dataset_module
 from squashfitts.cli import main
 from squashfitts.published import PUBLISHED_GROUP_STATS, published_rows
-from squashfitts.stats import aggregate, fit_columns
+from squashfitts.stats import GroupKey, GroupStats, aggregate, fit_columns
 
 import oracles
 
@@ -163,7 +164,7 @@ class TestFigureSeries:
         assert len(s.points) == 27
         assert s.fit == doc.overall_fit
 
-    @pytest.mark.parametrize("figure", [0, 9, "4", True])
+    @pytest.mark.parametrize("figure", [0, 9, "4", True, [4], 4.0, None])
     def test_unknown_figure(self, report, figure):
         with pytest.raises(UsageError, match=r"^unknown figure .* \(valid: 4, 5, 6, 7, 8\)$"):
             figure_series(report, figure)
@@ -311,7 +312,8 @@ class TestRenderReport:
 
     @pytest.mark.parametrize("case", [
         "bundled", "bundled_exclude_drive", "many_persons",
-        "escaped_metadata", "non_finite_rates", "empty_groups", "block_edges"])
+        "escaped_metadata", "non_finite_rates", "empty_groups", "block_edges",
+        "hand_built"])
     def test_matches_json_module_byte_for_byte(self, bundled, case):
         doc = _RENDER_CASES[case](bundled)
         want = json.dumps(oracles.report_document_dict(doc), indent=2,
@@ -319,11 +321,14 @@ class TestRenderReport:
         assert render_report_json(doc) == want
         assert json.dumps(pipeline.report_document_dict(doc), indent=2,
                           ensure_ascii=False) + "\n" == want
-        if case in ("non_finite_rates", "block_edges"):
+        if case in ("non_finite_rates", "block_edges", "hand_built"):
             assert all(s in want for s in ("NaN", " Infinity", "-Infinity"))
         if case == "block_edges":  # rows in three blocks, spelled by both paths
             assert all(s in want for s in ("-0.0,", "5e-324,", "1e+308,"))
             assert len(doc.derived_table) > 2 * 256 and len(doc.per_person_shot_stats) > 256
+        if case == "hand_built":  # rounded, not the kernel's "%.2f"
+            assert all(s in want for s in ("50000000000000.0,", "-50000000000000.0",
+                                           "100000000000000.0", "true", "false"))
 
     def test_non_finite_and_overflowing_rows_match_json_module(self, report):
         """Every float slot of one trial row and of one group row set in
@@ -369,6 +374,88 @@ class TestRenderReport:
         text = render_report_json(run_analysis(bundled, AnalysisOptions(**options)))
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == oracles.FROZEN_BUNDLED_REPORT_SHA256[name])
+
+
+class _Float(float):
+    """A float subclass: round gives a plain float of it, json.dumps its float repr."""
+
+
+def _display_columns() -> list:
+    """Columns for the display kernel: uniform values of either sign in every
+    decade from 1e-6 to 1e14, values on both sides of 1e13 and of 2**46, ties,
+    zeros and subnormals, and columns of ints, bools and a float subclass."""
+    rng = random.Random(29)
+
+    def uniform(lo, hi):
+        return [rng.choice((-1.0, 1.0)) * rng.uniform(lo, hi) for _ in range(256)]
+
+    columns = [uniform(10.0 ** e, 10.0 ** (e + 1)) for e in range(-6, 14)]
+    for edge in (1e13, 2.0 ** 46):
+        columns += [uniform(0.9 * edge, edge), uniform(edge, 1.1 * edge),
+                    uniform(0.9 * edge, 1.1 * edge)]
+        columns += [[sign * x] for sign in (1.0, -1.0) for x in (
+            math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
+    columns += [
+        [-0.0, 0.0, -0.001, 0.125, 2.675, 1.005, 0.005, 0.015, -0.125, -2.675, -1.005,
+         5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 9.995, 99.995, -0.005],
+        list(range(-500, 500, 7)), [10**20, -10**20, 0],
+        [True, False, True], [_Float(x) for x in (0.125, -2.675, 1.5, 1e14)]]
+    return columns
+
+
+def _kernel(col) -> list:
+    """The display kernel's text for a column, as the row templates write it."""
+    return ["%s" % value for value in pipeline._display(col, {*map(type, col)})]
+
+
+class TestRowKernels:
+    """The display values and group labels of the row arrays, column by column."""
+
+    @pytest.mark.parametrize("bound", [None, 1e15], ids=["committed", "1e15"])
+    def test_display_kernel_is_repr_of_round_only_inside_1e13(self, monkeypatch, bound):
+        """repr(round(x, 2)) of every value with the committed bound (1e13);
+        "%.2f" less a trailing "0" spells it below 2**46 only, so a bound of
+        1e15 writes wrong values."""
+        committed = bound is None
+        if not committed:
+            monkeypatch.setattr(pipeline, "_DISPLAY_BOUND", bound)
+        bound = pipeline._DISPLAY_BOUND
+        rounded = []
+        monkeypatch.setattr(pipeline, "round", lambda x, n: rounded.append(x) or round(x, n),
+                            raising=False)
+        columns = _display_columns()
+        wrong, kernel = [], []
+        for col in columns:
+            rounded.clear()
+            wrong += [(x, got) for x, got in zip(col, _kernel(col)) if got != repr(round(x, 2))]
+            kernel.append(not rounded)
+        assert (wrong == []) == committed, wrong[:5]
+        # the floats strictly inside the bound take the kernel, the others round
+        assert kernel == [type(col[0]) is float and max(map(abs, col)) < bound
+                          for col in columns]
+        assert kernel.count(True) > 20
+
+    def test_group_labels_are_str_of_the_key(self, monkeypatch):
+        """A block whose persons are all ints (large ones too) and whose shots
+        are all ShotKinds takes its labels from one % map, without
+        GroupKey.__str__; any other block, with a bool or a None person or
+        no shot, writes str(key). Both spell json.dumps(str(key))."""
+        shots = list(ShotKind)
+        blocks = [[GroupKey(p, s) for p in (1, 7, 10**30, -3) for s in shots],
+                  [GroupKey(p, s) for p in (True, 2, False) for s in shots],
+                  [GroupKey(None, s) for s in shots], [GroupKey(4, None)]]
+        for keys in blocks:
+            labels = [encode_basestring(str(k)) for k in keys]
+            if keys is blocks[0]:
+                monkeypatch.setattr(GroupKey, "__str__", None)
+            rows = list(pipeline._group_rows(
+                [GroupStats(k, 2, 1.0, 0.5, 1.25, 0.125, 0.75) for k in keys]))
+            monkeypatch.undo()
+            assert [row.split("\n")[1] for row in rows] == [
+                f'        "group": {label},' for label in labels]
+            parsed = [json.loads(row) for row in rows]
+            assert [(d["group"], d["person_id"], type(d["person_id"])) for d in parsed] == [
+                (str(k), k.person_id, type(k.person_id)) for k in keys]
 
 
 def _ragged(seed: int, persons: int = 60) -> Dataset:
@@ -650,6 +737,32 @@ def _block_edges(bundled):
             doc.per_shot_stats, (math.nan, -0.0, 5e-324, 1.5))))
 
 
+def _hand_built(bundled):
+    """Rows whose display values are +-5e13 and 1e14 (outside the "%.2f"
+    kernel's bound), with int and bool fields, NaN and +-inf, in the blocks of
+    rows of plain floats."""
+    doc = run_analysis(_synthetic(9, persons=2, trials=3))
+
+    def base(t, **raw):  # TrialRecord would reject the values
+        return t._replace(base=tuple.__new__(TrialRecord, {**t.base._asdict(), **raw}.values()))
+
+    trials = list(doc.derived_table)
+    trials[0] = trials[0]._replace(ball_speed_mps=5e13, id_bits=-5e13, info_rate_bps=1e14)
+    trials[1] = trials[1]._replace(ball_speed_mps=7, id_bits=True, info_rate_bps=math.nan)
+    trials[2] = base(trials[2], person_id=True, trial_index=False, ball_time_s=2,
+                     movement_time_s=True)._replace(info_rate_bps=math.inf)
+    trials[3] = trials[3]._replace(id_bits=-math.inf, ball_speed_mps=False)
+    groups = list(doc.per_person_shot_stats)
+    groups[0] = groups[0]._replace(mean_id=5e13, sd_id=-5e13, mean_ir=1e14)
+    groups[1] = groups[1]._replace(n=True, mean_mt=3, sd_mt=False, mean_ir=math.nan)
+    groups[2] = groups[2]._replace(key=GroupKey(True, ShotKind.LOB), mean_id=-math.inf,
+                                   sd_id=math.inf)
+    shot = list(doc.per_shot_stats)
+    shot[0] = shot[0]._replace(n=False, mean_id=-5e13, sd_mt=1e14)
+    return doc._replace(derived_table=tuple(trials), per_person_shot_stats=tuple(groups),
+                        per_shot_stats=tuple(shot))
+
+
 _RENDER_CASES = {
     "bundled": run_analysis,
     "bundled_exclude_drive": lambda b: run_analysis(
@@ -662,4 +775,5 @@ _RENDER_CASES = {
     "empty_groups": lambda b: run_analysis(_synthetic(3, persons=1, trials=3))._replace(
         per_person_shot_stats=(), per_shot_stats=()),
     "block_edges": _block_edges,
+    "hand_built": _hand_built,
 }

@@ -133,6 +133,18 @@ def test_pointing_trial_non_number_is_domain_error(field, rule, value):
     assert str(exc.value) == f"{field} must be a finite number {rule}, got {value!r}"
 
 
+@pytest.mark.parametrize("value", [10**400, -10**400, 10**5000],
+                         ids=["1e400", "-1e400", "1e5000"])
+@pytest.mark.parametrize("field,rule", [("amplitude", ">= 0"), ("width", "> 0"),
+                                        ("movement_time_s", "> 0")])
+def test_pointing_trial_int_beyond_the_float_range_is_domain_error(field, rule, value):
+    fields = {"amplitude": 1.0, "width": 1.0, "movement_time_s": 1.0, field: value}
+    with pytest.raises(DomainError) as exc:
+        PointingTrial(**fields)
+    assert (str(exc.value), exc.value.field) == (
+        f"{field} must be a finite number {rule}, got a number too large for a float", field)
+
+
 def test_model_kind_parse_and_names():
     assert ModelKind.parse("SQUASH") is ModelKind.SQUASH_ID
     assert ModelKind.parse(" welford ") is ModelKind.WELFORD

@@ -59,12 +59,14 @@ class ShotKind(Enum):
 
     @classmethod
     def parse(cls, label: str) -> "ShotKind":
-        """Parse a shot label, case-insensitively. Anything other than
-        drive/drop/lob/boast is an error."""
-        kind = _SHOT_LABELS.get(str(label).strip().lower())
+        """Parse a shot label (or a ShotKind), case-insensitively. Anything
+        other than drive/drop/lob/boast is an error."""
+        if isinstance(label, cls):
+            return label
+        kind = _SHOT_LABELS.get(label.strip().lower()) if isinstance(label, str) else None
         if kind is None:
             valid = ", ".join(k.value for k in cls)
-            raise DomainError(f"unknown shot label {label!r} (expected one of: {valid})",
+            raise DomainError(f"unknown shot label {_shown(label)} (expected one of: {valid})",
                               field="shot")
         return kind
 
@@ -92,11 +94,13 @@ class ModelKind(Enum):
     @classmethod
     def parse(cls, name: str) -> "ModelKind":
         """Parse a model name (or a ModelKind), case-insensitively."""
+        if isinstance(name, cls):
+            return name
         try:
-            return cls(str(name).strip().lower())  # the values are lower case
-        except ValueError:
+            return cls(name.strip().lower())  # the values are lower case
+        except (AttributeError, ValueError):  # no str, or no model's name
             valid = ", ".join(k.value for k in cls)
-            raise UsageError(f"unknown model {name!r} (valid models: {valid})") from None
+            raise UsageError(f"unknown model {_shown(name)} (valid models: {valid})") from None
 
 
 def _plain(text: str) -> bool:
@@ -113,23 +117,33 @@ def _number(text: str, kind=float):
     raise ValueError(f"not a number: {text!r}")
 
 
-def _float(value, name: str) -> float:
-    """value as a float: a str in the number grammar, else float(value). A
-    value that is no number (None, "x") or that no float holds (10**400) is
-    a DomainError naming the field name."""
+def _shown(value) -> str:
+    """repr(value) for a message that refuses it, or "a value too long to print" where
+    repr() fails on an int of more digits than sys.get_int_max_str_digits()."""
     try:
-        return _number(value) if isinstance(value, str) else float(value)
+        return repr(value)
+    except ValueError:
+        return "a value too long to print"
+
+
+def _float(value, name: str) -> float:
+    """value as a float: a str in the number grammar, else a real number as float() reads
+    it (not bytes, which it reads as text). A value that is no number (None, "x", b"4") or
+    that no float holds (10**400) is a DomainError naming the field name."""
+    try:  # ldexp(x, 0) is float(x) for a real x, and takes no bytes for text
+        return _number(value) if isinstance(value, str) else math.ldexp(value, 0)
     except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a number, got {value!r}", field=name) from None
+        raise DomainError(f"{name} must be a number, got {_shown(value)}", field=name) from None
     except OverflowError:  # its digits may be too many for a message
         raise DomainError(f"{name} must be within the float range, got a number too "
                           "large for a float", field=name) from None
 
 
-def _require_positive(value: float, name: str) -> float:
+def _require_positive(value: float, name: str, rule: str = "> 0") -> float:
+    """_float(value, name), held to rule: "> 0", or ">= 0"."""
     value = _float(value, name)
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be a finite number > 0, got {value!r}", field=name)
+    if not (math.isfinite(value) and (value > 0.0 or value == 0.0 and rule == ">= 0")):
+        raise DomainError(f"{name} must be a finite number {rule}, got {value!r}", field=name)
     return value
 
 
@@ -138,15 +152,15 @@ def _require_setting(value, name: str):
     most the largest float (so that it converts to one); else a UsageError."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not 0.0 < value <= sys.float_info.max):
-        raise UsageError(f"{name} must be a finite number > 0, got {value!r}")
+        raise UsageError(f"{name} must be a finite number > 0, got {_shown(value)}")
     return value
 
 
 def _require_positive_int(value: int, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}", field=name)
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}", field=name)
     if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value!r}", field=name)
+        raise DomainError(f"{name} must be >= 1, got {_shown(value)}", field=name)
     return value
 
 

@@ -26,7 +26,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
-from .core import DerivedTrial, ShotKind, _derived, require_fittable
+from .core import DerivedTrial, ShotKind, _derived, _shown, require_fittable
 from .dataset import BUNDLED_TRIALS, DERIVED_COLUMNS, REQUIRED_COLUMNS, Dataset, _chunks
 from .errors import UsageError
 from .published import (DERIVATION_TOLERANCE, PUBLISHED_GROUP_STATS,
@@ -98,7 +98,7 @@ def figure_series(report: ReportDocument, figure: int):
     it; 5-8 = one shot each (drives, boasts, lobs, drops) with that shot's fit."""
     from .plot import FIGURES, FigureSeries, _figure_set  # here: the report draws no figure
     if type(figure) is not int or figure not in FIGURES:  # not a bool, not 4.0
-        raise UsageError(f"unknown figure {figure!r} (valid: 4, 5, 6, 7, 8)")
+        raise UsageError(f"unknown figure {_shown(figure)} (valid: 4, 5, 6, 7, 8)")
     label, shot = FIGURES[figure]
     if shot is None:
         return _figure_set(report.columns, report.options, report.overall_fit,

@@ -14,8 +14,8 @@ import math
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import _SHOT_ORDER, DerivedTrial, ShotKind, _Checked, _require_setting
-from .errors import DegenerateDesignError, UndefinedCorrelationError, UsageError
+from .core import _SHOT_ORDER, DerivedTrial, ShotKind, _Checked, _float, _require_setting, _shown
+from .errors import DegenerateDesignError, DomainError, UndefinedCorrelationError, UsageError
 
 #: Relative threshold below which a design's scaled determinant counts as zero.
 _RANK_TOL = 1e-12
@@ -41,9 +41,19 @@ def _sxy(xs: Sequence[float], ys: Sequence[float], xbar: float, ybar: float) -> 
     return math.fsum([(x - xbar) * (y - ybar) for x, y in zip(xs, ys)])
 
 
+def _floats(values, name: str) -> list[float]:
+    """A public helper's column: values as floats (core._float), each finite;
+    else a DomainError naming name."""
+    column = [_float(v, name) for v in values]
+    for v in column:
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite numbers, got {v!r}", field=name)
+    return column
+
+
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean. Empty input is a usage error."""
-    vals = [float(v) for v in values]
+    vals = _floats(values, "values")
     if not vals:
         raise UsageError("mean of empty sequence")
     return _mean(vals)
@@ -51,7 +61,7 @@ def mean(values: Iterable[float]) -> float:
 
 def population_sd(values: Iterable[float]) -> float:
     """Population (divide-by-n) standard deviation."""
-    vals = [float(v) for v in values]
+    vals = _floats(values, "values")
     if not vals:
         raise UsageError("population_sd of empty sequence")
     return math.sqrt(_centred(vals)[1] / len(vals))
@@ -117,8 +127,8 @@ class WelfordFit(NamedTuple):
 
 
 def _columns(points) -> tuple[list[float], list[float]]:
-    pts = [(float(x), float(y)) for x, y in points]
-    return [x for x, _ in pts], [y for _, y in pts]
+    pts = [(x, y) for x, y in points]
+    return _floats([x for x, _ in pts], "x"), _floats([y for _, y in pts], "y")
 
 
 def cell_stats(cell: tuple, ids, mts, irs) -> GroupStats:
@@ -188,7 +198,7 @@ def group_stats(trials: Sequence[DerivedTrial], level: str = "person_shot",
     if not trials:
         raise UsageError("group_stats of empty trial sequence")
     if level not in ("person_shot", "shot"):
-        raise UsageError(f"unknown grouping level {level!r} "
+        raise UsageError(f"unknown grouping level {_shown(level)} "
                          "(expected 'person_shot' or 'shot')")
     groups = aggregate(trials)
     return list(groups.per_person_shot if level == "person_shot"
@@ -234,7 +244,7 @@ class AnalysisOptions(_Checked, NamedTuple("AnalysisOptions", [
     def __new__(cls, exclude_shots=frozenset(), stats_tolerance=STATS_TOLERANCE):
         if isinstance(exclude_shots, str) or not hasattr(exclude_shots, "__iter__"):
             raise UsageError("exclude_shots must be a collection of shot labels, "
-                             f"got {exclude_shots!r}")
+                             f"got {_shown(exclude_shots)}")
         shots = frozenset(ShotKind.parse(s) for s in exclude_shots)
         if len(shots) >= len(ShotKind):
             raise UsageError("cannot exclude all four shot kinds")
@@ -295,11 +305,12 @@ def ols_two_predictor(rows: Sequence[tuple[float, float, float]]) -> WelfordFit:
     at this problem size. Rank deficiency raises naming the collinear
     columns.
     """
-    data = [(float(x1), float(x2), float(y)) for x1, x2, y in rows]
+    data = [(x1, x2, y) for x1, x2, y in rows]
+    x1s, x2s, ys = (_floats([row[i] for row in data], name)
+                    for i, name in enumerate(("x1", "x2", "y")))
     n = len(data)
     if n < 3:
         raise UsageError(f"ols_two_predictor needs >= 3 rows, got {n}")
-    x1s, x2s, ys = (list(column) for column in zip(*data))
     x1bar, s11 = _centred(x1s)
     x2bar, s22 = _centred(x2s)
     ybar, sst = _centred(ys)
@@ -320,7 +331,7 @@ def ols_two_predictor(rows: Sequence[tuple[float, float, float]]) -> WelfordFit:
     b2 = (s2y * s11 - s1y * s12) / det
     a = ybar - b1 * x1bar - b2 * x2bar
 
-    sse = math.fsum((r[2] - (a + b1 * r[0] + b2 * r[1])) ** 2 for r in data)
+    sse = math.fsum((y - (a + b1 * x1 + b2 * x2)) ** 2 for x1, x2, y in zip(x1s, x2s, ys))
     r_squared = 0.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
     return WelfordFit(a=a, b1=b1, b2=b2, r_squared=r_squared, n=n)
 

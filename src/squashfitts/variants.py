@@ -23,7 +23,7 @@ catalogued in the README only.
 import math
 from typing import NamedTuple
 
-from .core import ModelKind, _Checked
+from .core import ModelKind, _Checked, _float, _require_positive, _shown
 from .dataset import (_MOVEMENT_TIME, ValidationReport, _cell_number, _data_rows, _read_cells,
                       _split_header)
 from .errors import DomainError, UsageError
@@ -44,51 +44,55 @@ class PointingTrial(_Checked, NamedTuple("PointingTrial", [
     __slots__ = ()
 
     def __new__(cls, amplitude: float, width: float, movement_time_s: float):
-        for name, value, rule in (("amplitude", amplitude, ">= 0"), ("width", width, "> 0"),
-                                  ("movement_time_s", movement_time_s, "> 0")):
-            try:
-                ok = math.isfinite(value) and (value > 0 or value == 0 and rule == ">= 0")
-            except TypeError:  # not a number
-                ok = False
-            except OverflowError:  # an int that no float holds; its digits may be too many
-                raise DomainError(f"{name} must be a finite number {rule}, got a number "
-                                  "too large for a float", field=name) from None
-            if not ok:
-                raise DomainError(f"{name} must be a finite number {rule}, got {value!r}",
-                                  field=name)
-        return tuple.__new__(cls, (amplitude, width, movement_time_s))
+        return tuple.__new__(cls, (_require_positive(amplitude, "amplitude", ">= 0"),
+                                   _require_positive(width, "width"),
+                                   _require_positive(movement_time_s, "movement_time_s")))
 
 
-def _check_sizes(amplitude: float, width: float, amplitude_rule: str = "> 0") -> None:
-    """A DomainError naming the first of amplitude (held to amplitude_rule:
-    "> 0", ">= 0", or "" for none) and width (> 0) that breaks its rule."""
+def _check_sizes(amplitude: float, width: float, amplitude_rule: str = "> 0") -> list[float]:
+    """[amplitude, width] as floats; a DomainError names the first of amplitude (held
+    to amplitude_rule: "> 0", ">= 0", or "" for none) and width (> 0) that breaks its rule."""
+    sizes = []
     for name, value, rule in (("amplitude", amplitude, amplitude_rule), ("width", width, "> 0")):
-        if rule and not (value >= 0 if rule == ">= 0" else value > 0):
-            raise DomainError(f"{name} must be {rule}, got {value!r}", field=name)
+        size = _float(value, name)
+        if rule and not (size >= 0 if rule == ">= 0" else size > 0):
+            raise DomainError(f"{name} must be {rule}, got {_shown(value)}", field=name)
+        sizes.append(size)
+    return sizes
+
+
+def _log2(x: float, term: str) -> float:
+    """log2(x) of the term named term; an x that rounds to 0 (an infinite width, or one
+    huge beside the amplitude) is a DomainError naming width, as core refuses such a v*D."""
+    if x > 0.0:
+        return math.log2(x)
+    raise DomainError(f"{term} must be > 0 for a finite difficulty, got {x!r}", field="width")
 
 
 def id_fitts_original(amplitude: float, width: float) -> float:
     """Classic difficulty log2(2A/W). Goes negative exactly when 2A < W."""
-    _check_sizes(amplitude, width)
-    return math.log2(2.0 * amplitude / width)
+    amplitude, width = _check_sizes(amplitude, width)
+    return _log2(2.0 * amplitude / width, "2A/W")
 
 
 def id_mackenzie(amplitude: float, width: float) -> float:
     """Shannon-style difficulty log2(2A/W + 1); non-negative for A >= 0."""
-    _check_sizes(amplitude, width, ">= 0")
+    amplitude, width = _check_sizes(amplitude, width, ">= 0")
     return math.log2(2.0 * amplitude / width + 1.0)
 
 
 def predict_mt_welford(a: float, b1: float, b2: float,
                        amplitude: float, width: float) -> float:
     """Two-coefficient movement-time prediction a + b1*log2(A) + b2*log2(1/W)."""
-    _check_sizes(amplitude, width)
-    return a + b1 * math.log2(amplitude) + b2 * math.log2(1.0 / width)
+    a, b1, b2 = _float(a, "a"), _float(b1, "b1"), _float(b2, "b2")
+    amplitude, width = _check_sizes(amplitude, width)
+    return a + b1 * math.log2(amplitude) + b2 * _log2(1.0 / width, "1/W")
 
 
 def predict_mt_steering(a: float, b: float, amplitude: float, width: float) -> float:
     """Steering-law movement-time prediction a + b*(A/W)."""
-    _check_sizes(amplitude, width, "")
+    a, b = _float(a, "a"), _float(b, "b")
+    amplitude, width = _check_sizes(amplitude, width, "")
     return a + b * (amplitude / width)
 
 

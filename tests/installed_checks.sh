@@ -166,3 +166,27 @@ test "$code" -eq 1
 grep -q 'predictor x1 is constant' constant_pointing.txt
 # a flag value takes the cells' grammar, padding included
 squashfitts validate --input bundled --slowdown ' 10 '
+# outputs do not depend on the hash seed: a seeded, shuffled 2,400-row
+# wide file (300 persons, 2 trials per cell, some beyond court reach) and
+# a dirty copy (every 10th row with a bad number, a missing cell or an
+# earlier key) give the same bytes, stderr and exit codes under three seeds
+python -c "import random; r = random.Random(2400); S = ('Drive', 'Drop', 'Lob', 'Boast'); rows = ['%d,%s,%d,%.1f,%.4f,%.1f,%.3f' % (p, s, t, r.uniform(300, 900), r.uniform(0.1, 0.6), r.uniform(100, 900), r.uniform(0.4, 2.0)) for p in range(1, 301) for s in S for t in (1, 2)]; r.shuffle(rows); print('person,shot,trial,db_cm,t_s,dp_cm,mt_s', *rows, sep='\n')" > hs_wide.csv
+python -c "L = open('hs_wide.csv').read().splitlines(); D = [L[i].split(',') for i in range(1, len(L), 10)]; [c.__setitem__(3, 'x') if i % 3 == 0 else c.pop() if i % 3 == 1 else c.__setitem__(slice(0, 3), L[2].split(',')[:3]) for i, c in enumerate(D)]; L[1::10] = map(','.join, D); print(*L, sep='\n')" > hs_dirty.csv
+test "$(wc -l < hs_wide.csv)" -eq 2401
+for seed in 0 1 12345; do
+  mkdir "hs_$seed"
+  (cd "hs_$seed"
+   code=0; PYTHONHASHSEED=$seed squashfitts report --input ../hs_wide.csv --exclude-shot lob --output report.json > report.out 2> report.err || code=$?
+   echo "report $code" > codes.txt
+   code=0; PYTHONHASHSEED=$seed squashfitts figures --input ../hs_wide.csv --exclude-shot drop --exclude-shot boast --output figs > figures.out 2> figures.err || code=$?
+   echo "figures $code" >> codes.txt
+   code=0; PYTHONHASHSEED=$seed squashfitts validate --input ../hs_dirty.csv > validate.out 2> validate.err || code=$?
+   echo "validate $code" >> codes.txt)
+done
+grep -qxF 'report 0' hs_0/codes.txt
+grep -qxF 'figures 0' hs_0/codes.txt
+grep -qxF 'validate 1' hs_0/codes.txt
+test "$(ls hs_0/figs | wc -l)" -eq 10
+for f in codes.txt report.json report.out report.err figures.out figures.err validate.out validate.err $(cd hs_0 && ls figs/*); do
+  cmp "hs_0/$f" "hs_1/$f"; cmp "hs_0/$f" "hs_12345/$f"
+done

@@ -558,6 +558,14 @@ class TestHostileInput:
         assert err.startswith(f"error: model {model} design value [")
         assert "is not finite" in err and err.count("\n") == 1
 
+    def test_fitts_ratio_that_rounds_to_zero_exits_one(self, tmp_path, capsys):
+        # log2 of 2A/W = 0 was a traceback (ValueError: math domain error)
+        p = tmp_path / "pointing.csv"
+        p.write_text("amplitude,width,mt_s\n5e-324,1e100,0.5\n2,1,0.6\n4,1,0.7\n")
+        assert main(["fit", "--model", "fitts", "--input", str(p)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: 2A/W must be > 0 for a finite difficulty, got 0.0\n")
+
     @pytest.mark.parametrize("model", ["fitts", "mackenzie", "welford", "steering"])
     def test_huge_pointing_design_value_exits_one(self, tmp_path, capsys, model):
         # steering's A/W = 5e307 is finite, but its squared deviation overflows
@@ -633,6 +641,64 @@ class TestPointingFitInput:
         with pytest.raises(UsageError) as exc:
             fit_model(model, trials)
         assert str(exc.value) == message
+
+    #: Rows with a negative amplitude, a zero width, NaN and +-inf cells,
+    #: 1e400 and cells that are no number, and each row's one error line.
+    HOSTILE_ROWS = [
+        ("2,1,0.5", None), ("-3,1,0.6", "amplitude must be a finite number >= 0, got -3.0"),
+        ("4,0,0.7", "width must be a finite number > 0, got 0.0"), ("8,1,0.9", None),
+        ("nan,1,0.6", "amplitude must be a finite number >= 0, got nan"),
+        ("2,nan,0.6", "width must be a finite number > 0, got nan"),
+        ("inf,1,0.6", "amplitude must be a finite number >= 0, got inf"),
+        ("2,-inf,0.6", "width must be a finite number > 0, got -inf"),
+        ("2,1,inf", "expected a finite number, got 'inf'"),
+        ("1e400,1,0.6", "amplitude must be a finite number >= 0, got inf"),
+        ("2,1e400,0.6", "width must be a finite number > 0, got inf"),
+        ("x,1,0.6", "expected a number, got 'x'"),
+        ("2,1,0.6.1", "expected a number, got '0.6.1'"), ("16,2,1.1", None),
+    ]
+
+    #: model -> (exit code, stdout, stderr) of rows with A = 0 (2,1,0.5 0,1,0.45
+    #: 8,1,0.9 16,2,1.1 32,0.5,1.4): fitts and welford refuse A = 0.
+    ZERO_AMPLITUDE = {
+        "fitts": (1, "", "error: amplitude must be > 0, got 0.0\n"),
+        "mackenzie": (0, "model: mackenzie (subset: all)\nslope: 0.14703865358931256\n"
+                         "intercept: 0.3551270676005692\npearson_r: 0.9430785727156432\n"
+                         "r_squared: 0.8893971943153748\nn: 5\n", ""),
+        "welford": (1, "", "error: welford model requires amplitude > 0\n"),
+        "steering": (0, "model: steering (subset: all)\nslope: 0.012229467258601549\n"
+                        "intercept: 0.6694367369589345\npearson_r: 0.8157506347241893\n"
+                        "r_squared: 0.6654490980529177\nn: 5\n", ""),
+    }
+
+    #: model -> sha256 of the fit printed for 2,1,0.5 4,1,0.62 8,0.5,0.9
+    #: 16,2,1.1 32,0.5,1.4.
+    FITTED_SHA256 = {
+        "fitts": "2b38d8e41b236e10390d74b55dd351a453e8c1237d09eb37d67591e842e46c89",
+        "mackenzie": "71107e6af46688fd22aa15bbb3384ee847b31ea0fd077808078664da39bae344",
+        "welford": "a7917835633022ba1948baa462bdb05c90291642d1f01a4899d8923ce6ec271b",
+        "steering": "5d8e523be9ff3ae43de73a7bdb1ff9c154cd3a0bb29133c1ab0c4e4d1b46d693",
+    }
+
+    @pytest.mark.parametrize("model", POINTING_MODELS)
+    def test_frozen_output_of_hostile_and_valid_rows(self, tmp_path, capsys, model):
+        """stdout, stderr and exit code of fit under each pointing model, as the
+        package gave them before PointingTrial and the pointing formulas took
+        their numbers through core._float."""
+        def fit(rows):
+            p = tmp_path / "pointing.csv"
+            p.write_text("amplitude,width,mt_s\n" + "".join(f"{row}\n" for row in rows))
+            code = main(["fit", "--model", model, "--input", str(p)])
+            return (code, *capsys.readouterr())
+
+        assert fit(row for row, _ in self.HOSTILE_ROWS) == (1, "", "".join(
+            f"error: row {i}: {error}\n"
+            for i, (_, error) in enumerate(self.HOSTILE_ROWS, 2) if error))
+        assert fit(["2,1,0.5", "0,1,0.45", "8,1,0.9", "16,2,1.1", "32,0.5,1.4"]) == (
+            self.ZERO_AMPLITUDE[model])
+        code, out, err = fit(["2,1,0.5", "4,1,0.62", "8,0.5,0.9", "16,2,1.1", "32,0.5,1.4"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FITTED_SHA256[model]
 
 
 def test_module_entry_point_smoke():

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from squashfitts import (DegenerateDesignError, DomainError, ShotKind, TrialRecord,
-                         UsageError, ball_speed, derive_trial, index_of_difficulty,
-                         information_rate, parse_csv)
-from squashfitts import core
+from squashfitts import (DegenerateDesignError, DomainError, ModelKind, ShotKind, TrialRecord,
+                         UsageError, ball_speed, derive_trial, figure_series, fit_model,
+                         index_of_difficulty, information_rate, parse_csv)
+from squashfitts import core, stats
 from squashfitts.core import MAX_PLAYER_REACH_M, require_fittable
 from squashfitts.dataset import REQUIRED_COLUMNS
 
@@ -91,6 +91,83 @@ class TestTrialRecord:
         rec = TrialRecord(1, "Drive", 1, "586", " 0.197 ", "374", "1.22")
         assert rec == TrialRecord(1, ShotKind.DRIVE, 1, 586.0, 0.197, 374.0, 1.22)
         assert [type(value) for value in rec[3:]] == [float] * 4
+
+    @pytest.mark.parametrize("value", [b"1_000", bytearray(b"586"), memoryview(b"586")],
+                             ids=["bytes", "bytearray", "memoryview"])
+    def test_bytes_measurement_is_refused(self, value):
+        # float() read b"1_000" as 1000.0, outside the number grammar
+        with pytest.raises(DomainError) as exc:
+            TrialRecord(1, "Drive", 1, value, 0.2, 300, 1.2)
+        assert exc.value.field == "ball_distance_cm"
+        assert str(exc.value) == f"ball_distance_cm must be a number, got {value!r}"
+
+
+BIG = 10**5000  # more digits than str() of an int prints
+
+#: (call, exception class, message) of refusals that print the caller's value.
+TOO_LONG_TO_PRINT = [
+    (lambda doc, trials: stats.AnalysisOptions(stats_tolerance=BIG), UsageError,
+     "stats_tolerance must be a finite number > 0, got a value too long to print"),
+    (lambda doc, trials: stats.AnalysisOptions(exclude_shots=BIG), UsageError,
+     "exclude_shots must be a collection of shot labels, got a value too long to print"),
+    (lambda doc, trials: stats.AnalysisOptions(exclude_shots=[BIG]), DomainError,
+     "unknown shot label a value too long to print (expected one of: Drive, Drop, Lob, Boast)"),
+    (lambda doc, trials: parse_csv("a", slowdown_factor=-BIG), UsageError,
+     "slowdown_factor must be a finite number > 0, got a value too long to print"),
+    (lambda doc, trials: TrialRecord(-BIG, "Drive", 1, 1, 1, 1, 1), DomainError,
+     "person_id must be >= 1, got a value too long to print"),
+    (lambda doc, trials: TrialRecord(1, BIG, 1, 1, 1, 1, 1), DomainError,
+     "unknown shot label a value too long to print (expected one of: Drive, Drop, Lob, Boast)"),
+    (lambda doc, trials: TrialRecord(1, "Drive", [BIG], 1, 1, 1, 1), DomainError,
+     "trial_index must be an integer, got a value too long to print"),
+    (lambda doc, trials: TrialRecord(1, "Drive", 1, [BIG], 1, 1, 1), DomainError,
+     "ball_distance_cm must be a number, got a value too long to print"),
+    (lambda doc, trials: figure_series(doc, BIG), UsageError,
+     "unknown figure a value too long to print (valid: 4, 5, 6, 7, 8)"),
+    (lambda doc, trials: ShotKind.parse(BIG), DomainError,
+     "unknown shot label a value too long to print (expected one of: Drive, Drop, Lob, Boast)"),
+    (lambda doc, trials: ModelKind.parse(BIG), UsageError,
+     "unknown model a value too long to print "
+     "(valid models: squash, fitts, mackenzie, welford, steering)"),
+    (lambda doc, trials: fit_model(BIG, []), UsageError,
+     "unknown model a value too long to print "
+     "(valid models: squash, fitts, mackenzie, welford, steering)"),
+    (lambda doc, trials: stats.group_stats(trials, level=BIG), UsageError,
+     "unknown grouping level a value too long to print (expected 'person_shot' or 'shot')"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", TOO_LONG_TO_PRINT)
+def test_a_refused_value_too_long_to_print_keeps_the_promised_error(
+        report, derived36, call, error, message):
+    # each raised a bare ValueError: Exceeds the limit (4300 digits) for
+    # integer string conversion, from repr() or str() of the value
+    with pytest.raises(error) as exc:
+        call(report, derived36)
+    assert str(exc.value) == message
+
+
+def test_shown_is_repr_unless_it_is_too_long_to_print():
+    for value in (10**400, -(10**4299), "x", None, [1.5], b"4"):
+        assert core._shown(value) == repr(value)
+    for value in (10**4300, -BIG, [BIG], {"k": BIG}):
+        assert core._shown(value) == "a value too long to print"
+
+
+@pytest.mark.parametrize("parse,member", [(ShotKind.parse, ShotKind.LOB),
+                                          (ModelKind.parse, ModelKind.WELFORD)],
+                         ids=["shot", "model"])
+def test_labels_are_read_from_a_str_or_a_member_only(parse, member):
+    class Spelled:  # str() of it is the label, but it is no str
+        def __str__(self):
+            return member.value
+
+    assert parse(member) is member
+    assert parse(f" {member.value.upper()} ") is member
+    for label in (Spelled(), member.value.encode(), [member.value], 42):
+        with pytest.raises((DomainError, UsageError)) as exc:
+            parse(label)
+        assert repr(label) in str(exc.value)
 
 
 class TestBallSpeed:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from squashfitts import (DegenerateDesignError, DerivedTrial, GroupKey,
+from squashfitts import (DegenerateDesignError, DerivedTrial, DomainError, GroupKey,
                          ModelKind, PointingTrial, ShotKind, TrialRecord,
                          UndefinedCorrelationError, UsageError, fit_model,
                          group_stats, mean, model_design_row, ols_simple,
@@ -59,6 +59,24 @@ class TestMeanAndSd:
             sd = population_sd(xs)
             assert sd <= (max(xs) - min(xs)) + 1e-12
             assert (sd == 0.0) == (len(set(xs)) == 1)
+
+    @pytest.mark.parametrize("function", [mean, population_sd])
+    @pytest.mark.parametrize("value,message", [
+        (None, "values must be a number, got None"), ("x", "values must be a number, got 'x'"),
+        ("1_5", "values must be a number, got '1_5'"),  # float() read it as 15
+        (b"4", "values must be a number, got b'4'"),
+        (10**400, "values must be within the float range, got a number too large for a float"),
+        (math.inf, "values must be finite numbers, got inf"),
+        (math.nan, "values must be finite numbers, got nan")])
+    def test_a_value_that_is_no_finite_number_is_a_domain_error(self, function, value,
+                                                                 message):
+        with pytest.raises(DomainError) as exc:
+            function([1.0, value])
+        assert (str(exc.value), exc.value.field) == (message, "values")
+
+    def test_a_grammar_string_is_its_number(self):
+        assert mean(["1.5", " 2.5 "]) == 2.0
+        assert population_sd(["1", 3]) == 1.0
 
 
 class TestGroupStats:
@@ -172,6 +190,22 @@ class TestPearson:
             with pytest.raises(UndefinedCorrelationError) as exc:
                 pearson_r(points)
             assert str(exc.value) == f"correlation undefined: {axis} is constant"
+
+
+@pytest.mark.parametrize("call,field", [
+    (lambda v: ols_simple([(v, 1.0), (2.0, 0.0), (3.0, 5.0)]), "x"),
+    (lambda v: ols_simple([(1.0, v), (2.0, 0.0), (3.0, 5.0)]), "y"),
+    (lambda v: pearson_r([(v, 1.0), (2.0, 0.0), (3.0, 5.0)]), "x"),
+    (lambda v: ols_two_predictor([(1.0, v, 1.0), (2.0, 0.0, 2.0), (3.0, 5.0, 3.0)]), "x2"),
+], ids=["ols_simple-x", "ols_simple-y", "pearson_r-x", "ols_two_predictor-x2"])
+@pytest.mark.parametrize("value", [None, "1_0", 10**400, math.inf, -math.inf, math.nan])
+def test_a_point_that_is_no_finite_number_is_a_domain_error_naming_its_column(call, field,
+                                                                              value):
+    # an infinity among these points made math.fsum raise a bare ValueError
+    # (-inf + inf), and a NaN gave pearson_r = 1.0
+    with pytest.raises(DomainError) as exc:
+        call(value)
+    assert exc.value.field == field
 
 
 class TestOlsTwoPredictor:

@@ -70,6 +70,50 @@ def test_formula_domain_error_text(formula, amplitude, width, message, field):
     assert (str(exc.value), exc.value.field) == (message, field)
 
 
+@pytest.mark.parametrize("call,field,message", [
+    (lambda: id_fitts_original(None, 1.0), "amplitude", "amplitude must be a number, got None"),
+    (lambda: id_mackenzie(1.0, "1_0"), "width", "width must be a number, got '1_0'"),
+    (lambda: id_fitts_original(10**400, 1.0), "amplitude",
+     "amplitude must be within the float range, got a number too large for a float"),
+    (lambda: predict_mt_steering(0, 1, 1.0, 10**400), "width",
+     "width must be within the float range, got a number too large for a float"),
+    (lambda: predict_mt_welford(None, 1, 1, 2, 1), "a", "a must be a number, got None"),
+    (lambda: predict_mt_welford(0, "x", 1, 2, 1), "b1", "b1 must be a number, got 'x'"),
+    (lambda: predict_mt_welford(0, 1, b"1", 2, 1), "b2", "b2 must be a number, got b'1'"),
+    (lambda: predict_mt_steering(0, [1], 1.0, 1.0), "b", "b must be a number, got [1]"),
+    (lambda: id_fitts_original(-10**5000, 1.0), "amplitude",
+     "amplitude must be within the float range, got a number too large for a float"),
+    (lambda: id_fitts_original(-(10**300), 1.0), "amplitude",
+     "amplitude must be > 0, got " + "-1" + "0" * 300),
+], ids=["fitts-none", "mackenzie-1_0", "fitts-1e400", "steering-1e400", "welford-a",
+        "welford-b1", "welford-b2", "steering-b", "fitts--1e5000", "fitts--1e300"])
+def test_formula_argument_that_is_no_number_is_a_domain_error(call, field, message):
+    """Every formula argument goes through core._float; a size breaking its
+    rule is shown as given."""
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert (str(exc.value), exc.value.field) == (message, field)
+
+
+def test_formulas_read_grammar_strings_and_ints_as_floats():
+    assert id_mackenzie(1.0, "2") == id_mackenzie(1.0, 2.0) == 1.0
+    assert id_fitts_original(" 8 ", 1) == 4.0
+    assert predict_mt_welford("0", "1", 1, 2, "0.5") == 2.0
+    assert predict_mt_steering(0, 1, 3, "3") == 1.0
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: id_fitts_original(5e-324, 1e100), "2A/W must be > 0 for a finite difficulty, got 0.0"),
+    (lambda: id_fitts_original(8.0, math.inf), "2A/W must be > 0 for a finite difficulty, got 0.0"),
+    (lambda: _welford(2.0, math.inf), "1/W must be > 0 for a finite difficulty, got 0.0"),
+], ids=["fitts-underflow", "fitts-inf", "welford-inf"])
+def test_a_log_term_that_rounds_to_zero_is_a_domain_error_naming_width(call, message):
+    # log2(0) raised a bare ValueError: math domain error
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert (str(exc.value), exc.value.field) == (message, "width")
+
+
 def test_steering_checks_only_the_width():
     assert _steering(0.0, 2.0) == 0.1
     assert _steering(-4.0, 2.0) == pytest.approx(-0.3)
@@ -121,16 +165,32 @@ def test_pointing_trial_validation():
         PointingTrial(amplitude=1.0, width=1.0, movement_time_s=0.0)
 
 
-@pytest.mark.parametrize("value", [None, "2", [1.0], complex(1, 0)],
-                         ids=["none", "string", "list", "complex"])
+@pytest.mark.parametrize("field,rule", [("amplitude", ">= 0"), ("width", "> 0"),
+                                        ("movement_time_s", "> 0")])
+def test_pointing_trial_reads_the_number_grammar_and_stores_floats(field, rule):
+    fields = {"amplitude": 1, "width": 1, "movement_time_s": 1}
+    trial = PointingTrial(**{**fields, field: " 2 "})
+    assert getattr(trial, field) == 2.0
+    assert [type(value) for value in trial] == [float] * 3
+    if rule == ">= 0":
+        assert getattr(PointingTrial(**{**fields, field: "0"}), field) == 0.0
+    else:
+        with pytest.raises(DomainError) as exc:
+            PointingTrial(**{**fields, field: "0"})
+        assert str(exc.value) == f"{field} must be a finite number {rule}, got 0.0"
+
+
+@pytest.mark.parametrize("value", [None, "1_0", "\uff12", [1.0], complex(1, 0)],
+                         ids=["none", "string", "full_width", "list", "complex"])
 @pytest.mark.parametrize("field,rule", [("amplitude", ">= 0"), ("width", "> 0"),
                                         ("movement_time_s", "> 0")])
 def test_pointing_trial_non_number_is_domain_error(field, rule, value):
+    # "1_0" and a full-width digit are outside the number grammar of the cells
     fields = {"amplitude": 1.0, "width": 1.0, "movement_time_s": 1.0, field: value}
     with pytest.raises(DomainError) as exc:
         PointingTrial(**fields)
     assert exc.value.field == field
-    assert str(exc.value) == f"{field} must be a finite number {rule}, got {value!r}"
+    assert str(exc.value) == f"{field} must be a number, got {value!r}"
 
 
 @pytest.mark.parametrize("value", [10**400, -10**400, 10**5000],
@@ -142,7 +202,14 @@ def test_pointing_trial_int_beyond_the_float_range_is_domain_error(field, rule, 
     with pytest.raises(DomainError) as exc:
         PointingTrial(**fields)
     assert (str(exc.value), exc.value.field) == (
-        f"{field} must be a finite number {rule}, got a number too large for a float", field)
+        f"{field} must be within the float range, got a number too large for a float", field)
+    # an int of the same sign that a float holds is held to the field's rule
+    if value > 0:
+        assert getattr(PointingTrial(**{**fields, field: 10**300}), field) == 1e300
+    else:
+        with pytest.raises(DomainError) as exc:
+            PointingTrial(**{**fields, field: -10**300})
+        assert str(exc.value) == f"{field} must be a finite number {rule}, got -1e+300"
 
 
 def test_model_kind_parse_and_names():

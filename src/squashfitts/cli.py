@@ -155,7 +155,7 @@ def cmd_validate(args, options) -> int:
             try:
                 require_fittable(_shot_columns(dataset.trials))
             except SquashFittsError as exc:
-                report.errors.append((0, "shot", str(exc)))
+                report.error(0, "shot", str(exc))
     print(f"{_path_text(args.input)}: {len(dataset)} valid trial(s)", file=sys.stderr)
     print(report.format_text(), file=sys.stderr)
     return 0 if report.ok else 1

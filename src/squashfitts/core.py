@@ -110,11 +110,15 @@ def _plain(text: str) -> bool:
 
 def _number(text: str, kind=float):
     """kind (float or int) of the stripped text, in the one number grammar:
-    int()/float() syntax, but _plain. Else a ValueError."""
-    text = text.strip()
-    if _plain(text):
-        return kind(text)
-    raise ValueError(f"not a number: {text!r}")
+    int()/float() syntax, but _plain. Else a ValueError worded as a refused
+    cell is reported ("expected a number, got 'x'")."""
+    stripped = text.strip()
+    if _plain(stripped):
+        try:
+            return kind(stripped)
+        except ValueError:
+            pass
+    raise ValueError(f"expected {'an integer' if kind is int else 'a number'}, got {text!r}")
 
 
 def _shown(value) -> str:
@@ -165,17 +169,14 @@ def _require_positive_int(value: int, name: str) -> int:
 
 
 class _Checked:
-    """Base of the records whose constructor checks its fields, which _make and
-    _replace call too; tuple.__new__(cls, fields) is the unchecked path."""
+    """Base of the records whose constructor checks its fields, which _make calls, and
+    NamedTuple's _replace through it; tuple.__new__(cls, fields) is the unchecked path."""
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    def _replace(self, /, **changes):
-        return type(self)(**{**self._asdict(), **changes})
 
 
 class TrialRecord(_Checked, NamedTuple("TrialRecord", [
@@ -320,24 +321,21 @@ def _short(x: float) -> str:
     return f"{x:.2f}" if x < 1e6 else f"{x:.3e}"
 
 
-def _court_warnings(player_distance_cm: float, v: float, vd: float) -> list[str]:
-    """Plausibility screen of a trial with this distance and (v, v*D): warns,
-    never rejects. Flags a player distance beyond MAX_PLAYER_REACH_M, a ball
-    speed outside PLAUSIBLE_SPEED_BAND_MPS and a non-positive difficulty
-    (v*D <= 1). Every warning is at most 100 characters long."""
-    warnings = []
+def _court_warnings(report, row: int, player_distance_cm: float, v: float, vd: float) -> None:
+    """Plausibility screen of the trial of row with this distance and (v, v*D):
+    warns in report, never rejects. Flags a player distance beyond
+    MAX_PLAYER_REACH_M, a ball speed outside PLAUSIBLE_SPEED_BAND_MPS and a
+    non-positive difficulty (v*D <= 1). Every warning is at most 100 characters long."""
     player_m = player_distance_cm / 100.0
     if player_m > MAX_PLAYER_REACH_M:
-        warnings.append(f"player_distance {_short(player_m)} m exceeds court "
-                        f"reach {MAX_PLAYER_REACH_M:.2f} m")
+        report.warn(row, f"player_distance {_short(player_m)} m exceeds court "
+                         f"reach {MAX_PLAYER_REACH_M:.2f} m")
     lo, hi = PLAUSIBLE_SPEED_BAND_MPS
     if not lo <= v <= hi:
-        warnings.append(
-            f"ball speed {_short(v)} m/s outside plausible band [{lo:g}, {hi:g}] m/s")
+        report.warn(row, f"ball speed {_short(v)} m/s outside plausible band [{lo:g}, {hi:g}] m/s")
     if vd <= 1.0:
-        warnings.append(f"v*D = {vd:.4f} <= 1 gives non-positive difficulty "
-                        f"({math.log2(vd):.4f} bits)")
-    return warnings
+        report.warn(row, f"v*D = {vd:.4f} <= 1 gives non-positive difficulty "
+                         f"({math.log2(vd):.4f} bits)")
 
 
 def _shot_columns(records) -> dict:

@@ -102,6 +102,15 @@ class ValidationReport(_Fields):
     def __init__(self):
         self.errors, self.warnings = [], []
 
+    def error(self, row: int, column: str, message: str) -> None:
+        """Record an error of the cell (row, column), or of a whole row ("row")
+        or the header ("header"): the one writer of errors."""
+        self.errors.append((row, column, message))
+
+    def warn(self, row: int, message: str) -> None:
+        """Record a warning of row: the one writer of warnings."""
+        self.warnings.append((row, message))
+
     @property
     def ok(self) -> bool:
         return not self.errors
@@ -115,17 +124,8 @@ class ValidationReport(_Fields):
         return "\n".join(lines)
 
 
-def _cell_number(cell: str, kind=float) -> float:
-    """kind (float or int) of the cell in core's number grammar."""
-    try:
-        return _number(cell, kind)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"expected {noun}, got {cell!r}") from None
-
-
 def _positive_int(cell: str) -> int:
-    value = _cell_number(cell, int)
+    value = _number(cell, int)
     if value < 1:
         raise ValueError(f"expected a positive integer, got {value}")
     return value
@@ -133,7 +133,7 @@ def _positive_int(cell: str) -> int:
 
 def _measurement(cell: str, bounds: tuple[float, float] | None = None) -> float:
     """A measurement cell: a finite number > 0, within bounds if given."""
-    value = _cell_number(cell)
+    value = _number(cell)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {cell!r}")
     if value <= 0.0:
@@ -146,15 +146,15 @@ def _measurement(cell: str, bounds: tuple[float, float] | None = None) -> float:
 _MOVEMENT_TIME = ("mt_s", partial(_measurement, bounds=MOVEMENT_TIME_RANGE_S))
 
 
-def _read_cells(idx: int, cells: list[str], rules: tuple, errors) -> tuple | None:
+def _read_cells(idx: int, cells: list[str], rules: tuple, report) -> tuple | None:
     """The values of the cells under rules, a (column, rule) each in column
-    order, or None; each cell a rule refuses is an error of row idx."""
+    order, or None; each cell a rule refuses is an error of row idx in report."""
     values = []
     for cell, (column, rule) in zip(cells, rules):
         try:
             values.append(rule(cell))
         except ValueError as exc:
-            errors.append((idx, column, str(exc)))
+            report.error(idx, column, str(exc))
     return tuple(values) if len(values) == len(rules) else None
 
 
@@ -176,33 +176,33 @@ def _blank(record) -> bool:
     return isinstance(record, list) and not any(cell.strip() for cell in record)
 
 
-def _split_header(text: str, errors) -> tuple[list[str], Iterator] | None:
+def _split_header(text: str, report) -> tuple[list[str], Iterator] | None:
     """(stripped header cells, iterator of the data records) of CSV text,
-    or None after recording why there is no header. Only a blank first
+    or None after recording in report why there is no header. Only a blank first
     record makes it read on: input with nothing but blank records is
     empty, else the blank record is the (defective) header."""
     records = _records(text)
     first = next(records, None)
     if first is None or _blank(first) and all(map(_blank, records)):
-        errors.append((0, "header", "no header: input is empty"))
+        report.error(0, "header", "no header: input is empty")
     elif isinstance(first, csv.Error):
-        errors.append((1, "header", str(first)))
+        report.error(1, "header", str(first))
     else:
         return [cell.strip() for cell in first], records
     return None
 
 
-def _data_rows(records, ncols: int, errors, start: int = 2):
+def _data_rows(records, ncols: int, report, start: int = 2):
     """(row number, cells, the cells joined) of each non-blank data record
     with ncols cells, the first record at row start; any other non-blank
-    record is a row error."""
+    record is a row error in report."""
     for idx, cells in enumerate(records, start):
         if isinstance(cells, csv.Error):
-            errors.append((idx, "row", str(cells)))
+            report.error(idx, "row", str(cells))
         elif not (text := "".join(cells)).strip():
             continue
         elif len(cells) != ncols:
-            errors.append((idx, "row", f"expected {ncols} cells, got {len(cells)}"))
+            report.error(idx, "row", f"expected {ncols} cells, got {len(cells)}")
         else:
             yield idx, cells, text
 
@@ -225,10 +225,10 @@ def _clean_row(cells: list[str], text: str, slowdown_factor: float) -> tuple | N
 
 
 def _block_trials(block: list, start: int, ncols: int, slowdown_factor: float,
-                  seen: dict, warnings: list, plain: bool) -> list | None:
+                  seen: dict, report, plain: bool) -> list | None:
     """The TrialRecords of a block of data records, the first at row start,
     converted a column at a time as _clean_row converts a row; their keys go
-    into seen and their warnings into warnings. None, with nothing recorded,
+    into seen and their warnings into report. None, with nothing recorded,
     where a record is a csv.Error, blank or not ncols cells wide, or a row
     that _clean_row refuses, that repeats a key or that is underivable.
     Where plain, every data record is known to be _plain: no cell is tested."""
@@ -262,8 +262,8 @@ def _block_trials(block: list, start: int, ncols: int, slowdown_factor: float,
         flagged = map(any, zip(map(gt, player_m, repeat(MAX_PLAYER_REACH_M)),
                                map(lt, v, repeat(slow)), map(gt, v, repeat(fast)),
                                map(le, vd, repeat(1.0))))
-        for idx, *row in compress(zip(count(start), dp, v, vd), flagged):
-            warnings.extend(zip(repeat(idx), _court_warnings(*row)))
+        for row in compress(zip(count(start), dp, v, vd), flagged):
+            _court_warnings(report, *row)
     fields = zip(persons, shots, indexes, db, t, dp, mt)
     return list(map(tuple.__new__, repeat(TrialRecord), fields))  # checked: no constructor
 
@@ -291,25 +291,24 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     """
     _require_setting(slowdown_factor, "slowdown_factor")
     report = ValidationReport()
-    errors = report.errors
-    split = _split_header(text, errors)
+    split = _split_header(text, report)
     if split is None:
         return Dataset((), metadata), report
     header, records = split
     ncols = len(header)
-    if tuple(header[:len(REQUIRED_COLUMNS)]) != REQUIRED_COLUMNS:
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        errors.extend((1, col, "missing required column") for col in missing)
-        unexpected = [c for c in header if c not in REQUIRED_COLUMNS + DERIVED_COLUMNS]
-        errors.extend((1, col, "unexpected column") for col in unexpected)
-        if not missing and not unexpected:
-            errors.append((1, "header", f"columns out of order: expected "
-                                        f"{','.join(REQUIRED_COLUMNS)} first, "
-                                        f"got {','.join(header)}"))
-    else:
-        errors.extend((1, col, "unexpected column") for col in header[len(REQUIRED_COLUMNS):]
-                      if col not in DERIVED_COLUMNS)
-    if errors:  # every header defect is an error of row 1
+    in_order = tuple(header[:len(REQUIRED_COLUMNS)]) == REQUIRED_COLUMNS
+    for col in REQUIRED_COLUMNS:
+        if col not in header:
+            report.error(1, col, "missing required column")
+    # after the required columns in order, a required column again is unexpected too
+    known = DERIVED_COLUMNS if in_order else REQUIRED_COLUMNS + DERIVED_COLUMNS
+    for col in header[len(REQUIRED_COLUMNS):] if in_order else header:
+        if col not in known:
+            report.error(1, col, "unexpected column")
+    if not in_order and report.ok:
+        report.error(1, "header", f"columns out of order: expected {','.join(REQUIRED_COLUMNS)}"
+                                  f" first, got {','.join(header)}")
+    if not report.ok:  # every header defect is an error of row 1
         return Dataset((), metadata), report
 
     def ball_time(cell: str) -> float:  # t_s: a measurement, divided by the factor
@@ -325,30 +324,28 @@ def parse_csv(text: str, metadata: dict[str, str] | None = None,
     body = text.removeprefix("\ufeff")  # _records skips the mark, which is not ASCII
     plain = body.isascii() and body.find("_", body.find("\n")) < 0
     for start, block in zip(count(2, _CHUNK_ROWS), _blocks(records)):
-        clean = _block_trials(block, start, ncols, slowdown_factor, seen, report.warnings, plain)
+        clean = _block_trials(block, start, ncols, slowdown_factor, seen, report, plain)
         if clean is not None:
             trials += clean
             continue
-        for idx, cells, text in _data_rows(block, ncols, errors, start):
+        for idx, cells, text in _data_rows(block, ncols, report, start):
             # cell by cell only where the whole row is refused; derived cells are ignored
             values = (_clean_row(cells, text, slowdown_factor)
-                      or _read_cells(idx, cells, rules, errors))
+                      or _read_cells(idx, cells, rules, report))
             if values is None:
                 continue
             key = values[:3]
             if key in seen:
-                errors.append((idx, "trial",
-                               f"{_duplicate_key(key)} first seen at row {seen[key]}"))
+                report.error(idx, "trial", f"{_duplicate_key(key)} first seen at row {seen[key]}")
                 continue
             record = tuple.__new__(TrialRecord, values)  # fields checked: unchecked constructor
             v, vd = speed_and_product(record)
             derived_error = _underivable(v, vd)
             if derived_error:
-                errors.append((idx, *derived_error))
+                report.error(idx, *derived_error)
                 continue
             seen[key] = idx
-            for warning in _court_warnings(values[5], v, vd):
-                report.warnings.append((idx, warning))
+            _court_warnings(report, idx, values[5], v, vd)
             trials.append(record)
 
     dataset = object.__new__(Dataset)  # seen kept the keys unique: no second scan

@@ -23,7 +23,8 @@ import math
 from typing import NamedTuple
 
 from .core import ShotKind, TrialRecord
-from .dataset import DERIVED_COLUMNS, _clean_row, _data_rows, _split_header, bundled_text
+from .dataset import (DERIVED_COLUMNS, ValidationReport, _clean_row, _data_rows, _split_header,
+                      bundled_text)
 
 
 class PublishedValue(NamedTuple):
@@ -78,11 +79,11 @@ class PublishedRow(NamedTuple):
 def _bundled_table() -> list[tuple[TrialRecord, PublishedRow]]:
     """Each bundled row's trial paired with its printed derived values, in
     table order: the one reader of the packaged table's printed columns."""
-    out = []
+    out, unread = [], ValidationReport()
     # the packaged text parses without errors (the suite checks it): unchecked records
-    header, records = _split_header(bundled_text(), [])
+    header, records = _split_header(bundled_text(), unread)
     col = {name: i for i, name in enumerate(header)}
-    for _, cells, text in _data_rows(records, len(header), []):
+    for _, cells, text in _data_rows(records, len(header), unread):
         record = tuple.__new__(TrialRecord, _clean_row(cells, text, 1.0))
         v, idb, ir = (PublishedValue.of(cells[col[name]]) for name in DERIVED_COLUMNS)
         implied_id = math.log2(v.value * (record.player_distance_cm / 100.0))

@@ -23,14 +23,13 @@ catalogued in the README only.
 import math
 from typing import NamedTuple
 
-from .core import ModelKind, _Checked, _float, _require_positive, _shown
-from .dataset import (_MOVEMENT_TIME, ValidationReport, _cell_number, _data_rows, _read_cells,
-                      _split_header)
+from .core import ModelKind, _Checked, _float, _number, _require_positive, _shown
+from .dataset import _MOVEMENT_TIME, ValidationReport, _data_rows, _read_cells, _split_header
 from .errors import DomainError, UsageError
 from .stats import LinearFit, WelfordFit, ols_simple, ols_two_predictor
 
 POINTING_COLUMNS = ("amplitude", "width", "mt_s")
-_POINTING_RULES = (("amplitude", _cell_number), ("width", _cell_number), _MOVEMENT_TIME)
+_POINTING_RULES = (("amplitude", _number), ("width", _number), _MOVEMENT_TIME)
 
 #: Largest design-value magnitude a pointing model accepts: below it no centred
 #: square or sum in a fit overflows (as dataset.MOVEMENT_TIME_RANGE_S for MT).
@@ -155,21 +154,21 @@ def parse_pointing_csv(text: str) -> tuple[list[PointingTrial], ValidationReport
     does. A movement time outside dataset.MOVEMENT_TIME_RANGE_S is a row
     error; otherwise PointingTrial validates the row (an amplitude of 0 is valid)."""
     report = ValidationReport()
-    split = _split_header(text, report.errors)
+    split = _split_header(text, report)
     if split is None:
         return [], report
     header, records = split
     if tuple(header) != POINTING_COLUMNS:
-        report.errors.append((1, "header", f"expected header {','.join(POINTING_COLUMNS)}"
-                                           f", got {','.join(header)}"))
+        report.error(1, "header", f"expected header {','.join(POINTING_COLUMNS)}"
+                                  f", got {','.join(header)}")
         return [], report
     trials = []
-    for idx, cells, _ in _data_rows(records, len(POINTING_COLUMNS), report.errors):
-        values = _read_cells(idx, cells, _POINTING_RULES, report.errors)
+    for idx, cells, _ in _data_rows(records, len(POINTING_COLUMNS), report):
+        values = _read_cells(idx, cells, _POINTING_RULES, report)
         if values is None:
             continue
         try:
             trials.append(PointingTrial(*values))
         except DomainError as exc:  # amplitude or width, named as their columns
-            report.errors.append((idx, exc.field, str(exc)))
+            report.error(idx, exc.field, str(exc))
     return trials, report

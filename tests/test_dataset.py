@@ -10,8 +10,8 @@ import random
 import pytest
 
 from squashfitts import (Dataset, DomainError, ShotKind, TrialRecord,
-                         UsageError, derive_trial, index_of_difficulty,
-                         parse_csv, write_csv)
+                         UsageError, ValidationReport, derive_trial,
+                         index_of_difficulty, parse_csv, write_csv)
 from squashfitts import dataset as dataset_module
 from squashfitts.core import _court_warnings, speed_and_product
 from squashfitts.dataset import (BUNDLED_TRIALS, DERIVED_COLUMNS,
@@ -431,7 +431,7 @@ class TestLazyHeader:
 
     def test_records_after_a_header_are_left_unread(self):
         text = f"{VALID_HEADER}\n{_SQUASH_ROW.format(1)}\n{_BIG_CELL}\n"
-        header, records = dataset_module._split_header(text, [])
+        header, records = dataset_module._split_header(text, ValidationReport())
         assert header == list(REQUIRED_COLUMNS)
         assert next(records) == _SQUASH_ROW.format(1).split(",")
         assert isinstance(next(records), csv.Error)  # yielded in its record's place
@@ -586,8 +586,11 @@ class TestTrustedParsePath:
             assert Dataset(trials=dataset.trials).trials == dataset.trials
             by_row = [[w for _, w in group] for _, group
                       in itertools.groupby(report.warnings, key=lambda w: w[0])]
-            screened = (_court_warnings(t.player_distance_cm, *speed_and_product(t))
-                        for t in dataset.trials)
+            screened = []
+            for t in dataset.trials:
+                screen = ValidationReport()
+                _court_warnings(screen, 0, t.player_distance_cm, *speed_and_product(t))
+                screened.append([w for _, w in screen.warnings])
             assert by_row == [w for w in screened if w]
             records += len(dataset)
             warnings += len(report.warnings)
@@ -647,8 +650,8 @@ class TestTrustedParsePath:
 
     def test_clean_rows_take_the_whole_row_path(self, monkeypatch):
         calls = []
-        parse_number = dataset_module._cell_number
-        monkeypatch.setattr(dataset_module, "_cell_number",
+        parse_number = dataset_module._number
+        monkeypatch.setattr(dataset_module, "_number",
                             lambda *args: calls.append(args) or parse_number(*args))
         dataset, report = parse_csv(bundled_text())
         assert report.ok and len(dataset) == BUNDLED_TRIALS and calls == []

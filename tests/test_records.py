@@ -160,6 +160,19 @@ class TestTupleSemantics:
         assert AnalysisOptions()._replace(exclude_shots={"lob"}).exclude_shots == {
             ShotKind.LOB}
 
+    @pytest.mark.parametrize("record, bad, error", [
+        (TrialRecord(1, "Drive", 1, 586, 0.197, 374, 1.22), {"ball_time_s": -1}, DomainError),
+        (PointingTrial(1.0, 1.0, 1.0), {"width": 0.0}, DomainError),
+        (AnalysisOptions(), {"stats_tolerance": -1}, UsageError),
+        (GroupKey(1, ShotKind.LOB), {"person_id": None, "shot": None}, UsageError),
+    ], ids=["TrialRecord", "PointingTrial", "AnalysisOptions", "GroupKey"])
+    def test_replace_refuses_what_the_constructor_refuses(self, record, bad, error):
+        with pytest.raises(error):
+            record._replace(**bad)
+        with pytest.raises(ValueError, match="unexpected field names"):  # namedtuple's own
+            record._replace(no_such_field=1)
+        assert record._replace() == record and type(record._replace()) is type(record)
+
     def test_dataset_is_not_a_tuple(self, bundled):
         assert not isinstance(bundled, tuple)
         assert len(bundled) == len(bundled.trials) == 36

@@ -274,6 +274,14 @@ def _speeds_and_products(db, t, player_m) -> tuple[list, list]:
     return v, list(map(mul, v, player_m))
 
 
+def _finite_positive(*columns) -> bool:
+    """Whether every value of the columns (non-empty number sequences) is finite and > 0:
+    a column's sum is finite only where no value is NaN or inf, and its min does the rest.
+    Also False where a finite column's sum overflows, say [1e308, 1e308]; the caller then
+    takes its per-row path, which gives the same result."""
+    return all(math.isfinite(sum(col)) and min(col) > 0.0 for col in columns)
+
+
 def derive_trial(record: TrialRecord) -> DerivedTrial:
     """Derive speed, difficulty and information rate for one trial.
 
@@ -304,8 +312,7 @@ def _derived(records):
         try:
             *_, db, t, dp, mt = zip(*block)
             v, vd = _speeds_and_products(db, t, map(truediv, dp, repeat(100.0)))
-            # sum is finite only where no value is NaN or inf; min does the rest
-            in_range = all(math.isfinite(sum(col)) and min(col) > 0.0 for col in (v, vd, t, mt))
+            in_range = _finite_positive(v, vd, t, mt)
         except (TypeError, ValueError, ArithmeticError):  # a field that is not a number
             in_range = False
         if in_range:

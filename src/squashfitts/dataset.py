@@ -25,8 +25,9 @@ from itertools import chain, compress, count, islice, repeat
 from operator import gt, le, lt, truediv
 
 from .core import (_CHUNK_ROWS, _SHOT_LABELS, MAX_PLAYER_REACH_M, PLAUSIBLE_SPEED_BAND_MPS,
-                   ShotKind, TrialRecord, _blocks, _court_warnings, _derived, _number, _plain,
-                   _require_setting, _speeds_and_products, _underivable, speed_and_product)
+                   ShotKind, TrialRecord, _blocks, _court_warnings, _derived, _finite_positive,
+                   _number, _plain, _require_setting, _speeds_and_products, _underivable,
+                   speed_and_product)
 from .errors import UsageError
 
 REQUIRED_COLUMNS = ("person", "shot", "trial", "db_cm", "t_s", "dp_cm", "mt_s")
@@ -244,16 +245,15 @@ def _block_trials(block: list, start: int, ncols: int, slowdown_factor: float,
     shots = list(map(_SHOT_LABELS.get, map(str.lower, map(str.strip, shot_cells))))
     keys = list(zip(persons, shots, indexes))
     lo, hi = MOVEMENT_TIME_RANGE_S
-    # sum is finite only where no value is NaN or inf; min and max do the rest
-    if (None in shots or min(persons) < 1 or min(indexes) < 1
-            or not all(math.isfinite(sum(col)) and min(col) > 0.0 for col in (db, t, dp))
+    # the MT sum is finite only where no value is NaN or inf; min and max do the rest
+    if (None in shots or min(persons) < 1 or min(indexes) < 1 or not _finite_positive(db, t, dp)
             or not (math.isfinite(sum(mt)) and lo <= min(mt) and max(mt) <= hi)
             or not (plain or _plain("".join(chain.from_iterable(block))))
             or len({*keys}) < len(keys) or not seen.keys().isdisjoint(keys)):
         return None
     player_m = list(map(truediv, dp, repeat(100.0)))
     v, vd = _speeds_and_products(db, t, player_m)
-    if not all(math.isfinite(sum(col)) and min(col) > 0.0 for col in (v, vd)):
+    if not _finite_positive(v, vd):
         return None  # _underivable: v or v*D overflows or underflows
     seen.update(zip(keys, range(start, start + len(keys))))
     slow, fast = PLAUSIBLE_SPEED_BAND_MPS
@@ -372,10 +372,7 @@ def write_csv(dataset: Dataset, include_derived: bool = False) -> str:
     for record in dataset.trials:
         cells = [*map(str, record[:3]), *map(_format_raw, record[3:])]
         if include_derived:
-            d = next(derived)
-            cells += [f"{d.ball_speed_mps:.{DERIVED_DECIMALS}f}",
-                      f"{d.id_bits:.{DERIVED_DECIMALS}f}",
-                      f"{d.info_rate_bps:.{DERIVED_DECIMALS}f}"]
+            cells += [f"{x:.{DERIVED_DECIMALS}f}" for x in next(derived)[1:]]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -137,20 +137,15 @@ def build_cross_checks(report: ReportDocument) -> dict:
     mismatches = []
     printed_trials = []
     for record, row in table:
-        trial = derived[record]
-        printed_trials.append(DerivedTrial(
-            base=trial.base, ball_speed_mps=row.v_mps.value,
-            id_bits=row.id_bits.value, info_rate_bps=row.ir_bps.value))
-        for column, computed, printed in (
-                ("v_mps", trial.ball_speed_mps, row.v_mps),
-                ("id_bits", trial.id_bits, row.id_bits),
-                ("ir_bps", trial.info_rate_bps, row.ir_bps)):
-            diff = abs(round(computed, 2) - printed.value)
+        printed = (row.v_mps, row.id_bits, row.ir_bps)
+        printed_trials.append(DerivedTrial(record, *(value.value for value in printed)))
+        for column, computed, published in zip(DERIVED_COLUMNS, derived[record][1:], printed):
+            diff = abs(round(computed, 2) - published.value)
             if diff > DERIVATION_TOLERANCE + 1e-9:
                 mismatches.append({
                     "person": row.person_id, "shot": row.shot.value,
                     "trial": row.trial_index, "column": column,
-                    "recomputed": computed, "published": printed.value,
+                    "recomputed": computed, "published": published.value,
                     "diff": diff,
                     "published_row_self_consistent": row.self_consistent,
                 })

@@ -98,14 +98,9 @@ def published_rows() -> list[PublishedRow]:
     return [row for _, row in _bundled_table()]
 
 
-def _stats(pairs: dict[tuple[int | None, ShotKind], tuple[str, str]]):
-    return {key: (PublishedValue.of(m), PublishedValue.of(s))
-            for key, (m, s) in pairs.items()}
-
-
 #: Published grouped difficulty summaries: (person or None, shot) ->
 #: (mean ID, SD of ID). None marginalizes over persons.
-PUBLISHED_GROUP_STATS = _stats({
+PUBLISHED_GROUP_STATS = {key: (PublishedValue.of(m), PublishedValue.of(s)) for key, (m, s) in {
     (1, ShotKind.DRIVE): ("6.87", "0.1"),
     (1, ShotKind.DROP): ("5.81", "0.02"),
     (1, ShotKind.LOB): ("6.26", "0.08"),
@@ -122,7 +117,7 @@ PUBLISHED_GROUP_STATS = _stats({
     (None, ShotKind.DROP): ("5.68", "0.23"),
     (None, ShotKind.LOB): ("6.29", "0.16"),
     (None, ShotKind.BOAST): ("5.57", "0.13"),
-})
+}.items()}
 
 #: Published overall trend line, MT = slope * ID + intercept.
 PUBLISHED_TREND_SLOPE = PublishedValue.of("0.456")

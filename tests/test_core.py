@@ -465,6 +465,27 @@ class TestDeriveKernel:
             assert _outcome(core._derived, records) == _outcome(self._by_row, records)
 
 
+class TestFinitePositive:
+    """core._finite_positive, the one test that every value of a block's
+    columns is finite and > 0."""
+
+    @pytest.mark.parametrize("value,want", [
+        (math.nan, False), (math.inf, False), (-math.inf, False), (0.0, False),
+        (-0.0, False), (-1.5, False), (5e-324, True)])
+    def test_one_value_in_any_column_and_position(self, value, want):
+        for position in (0, 1, 2):
+            column = [2.5, 3.0]
+            column.insert(position, value)
+            assert core._finite_positive(column) is want
+            assert core._finite_positive([1.0], column) is want
+            assert core._finite_positive(column, [1.0]) is want
+
+    def test_a_finite_column_whose_sum_overflows_is_refused(self):
+        """The caller then takes its per-row path, which gives the same result."""
+        assert core._finite_positive([1e308], [1e308])
+        assert not core._finite_positive([1e308, 1e308])
+
+
 class TestCourtGeometry:
     def test_max_reach_is_front_corner_distance(self):
         assert MAX_PLAYER_REACH_M == pytest.approx(

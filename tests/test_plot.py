@@ -312,6 +312,22 @@ class TestBlockRendering:
             assert emit_series_csv(series) == emit_series_csv(alone)
         assert "-0.0,1.0" in merged[0].rows and "0.0,1.0" in merged[0].rows
 
+    def test_excluded_shots_are_neither_sorted_nor_formatted(self, bundled):
+        """fig4 reads the sorted points and rows of the kept shots only: with
+        three shots excluded, their series hold neither, and fig4's files are
+        those of figure_series and of the boasts' hand-built series."""
+        options = AnalysisOptions(frozenset({"Drive", "Drop", "Lob"}))
+        doc = run_analysis(bundled, options)
+        merged = plot._figure_set(doc.columns, options, doc.overall_fit, doc.per_shot_fits)
+        by_shot = {shot: series for series, (_, shot) in zip(merged, FIGURES.values())}
+        for shot in (ShotKind.DRIVE, ShotKind.DROP, ShotKind.LOB):
+            assert not {"sorted_points", "rows"} & by_shot[shot].__dict__.keys()
+        assert {"sorted_points", "rows"} <= by_shot[ShotKind.BOAST].__dict__.keys()
+        boasts = FigureSeries(FIGURES[4][0], tuple(zip(*doc.columns[ShotKind.BOAST])),
+                              doc.overall_fit)
+        for emit in (emit_svg, emit_series_csv):
+            assert emit(by_shot[None]) == emit(figure_series(doc, 4)) == emit(boasts)
+
     @pytest.mark.parametrize("flags", [[], ["--exclude-shot", "drive"]])
     def test_cli_figures_of_600_rows_equal_the_library(self, tmp_path, capsys, flags):
         """Three blocks of records, one point repeated across two shots."""
